@@ -4,7 +4,8 @@ Runs the same pipeline stages twice in fresh subprocesses, once with the
 default (compiled) kernels and once with CITEGEN_NO_NUMBA=1, and prints
 a per-stage timing table.  Both paths draw from identical RNG streams,
 so the digests printed by each worker must match; the benchmark fails
-loudly if they do not.
+loudly if they do not.  Community detection is plain numpy with no
+compiled variant; its time is printed apart from the kernel table.
 
 Usage:
     python3 benchmarks/kernel_speed.py [--n 50000] [--repeat 3]
@@ -65,7 +66,8 @@ def worker(n, repeat):
         lambda: cycle_break(near, 0.1, 9, "degree-diff"))
     timings["triad_census"], census = best(
         lambda: triad_census(near, n_samples=200_000, seed=1))
-    timings["detect_communities"], detected = best(
+    numpy_timings = {}
+    numpy_timings["detect_communities"], detected = best(
         lambda: detect_communities(near, seed=2))
     sources = np.arange(0, near.num_nodes, max(1, near.num_nodes // 200))
     timings["betweenness"], betw = best(
@@ -79,7 +81,8 @@ def worker(n, repeat):
     digest.update(repr(round(float(detected[1]), 12)).encode())
     print(json.dumps({"numba": kernels.using_numba(),
                       "digest": digest.hexdigest(),
-                      "timings": timings}))
+                      "timings": timings,
+                      "numpy_timings": numpy_timings}))
 
 
 def main():
@@ -110,6 +113,9 @@ def main():
         t_slow = slow["timings"][stage]
         ratio = t_slow / t_fast if t_fast > 0 else float("inf")
         print(f"{stage:<20}{t_fast:>14.4f}{t_slow:>14.4f}{ratio:>8.1f}x")
+    print("numpy stages, one path:")
+    for stage, t in slow["numpy_timings"].items():
+        print(f"{stage:<20}{t:>14.4f}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Synthetic citation-network generation, estimation, and comparison."""
 
 from .baselines import (BaselineError, ConfigFit, ErFit, SbmFit, fit_config,
-                        fit_dcsbm, fit_er, fit_sbm, generate_config,
-                        generate_dcsbm, generate_er, generate_sbm)
+                        fit_er, fit_sbm, generate_config, generate_dcsbm,
+                        generate_er, generate_sbm)
 from .bench import BenchConfig, BenchError, BenchResult, run_bench, write_artifacts
 from .estimation import (CommunityStats, EstimationError, FitResult,
                          community_stats, estimate, gini, roundtrip_report)
@@ -34,7 +34,7 @@ __all__ = [
     "back_edge_count", "back_edge_ratio", "bfs_subsample", "bootstrap_ci",
     "community_stats", "compare", "cycle_break", "derive",
     "effective_preferentiality", "empirical_ccdf", "estimate",
-    "expected_indegree", "fit_config", "fit_dcsbm", "fit_er", "fit_sbm",
+    "expected_indegree", "fit_config", "fit_er", "fit_sbm",
     "friedman", "generate", "generate_config", "generate_dcsbm",
     "generate_er", "generate_sbm", "gini", "induced_subgraph", "inject_back_edges",
     "is_acyclic", "ks_to_pareto2", "load_edge_list", "load_labels",

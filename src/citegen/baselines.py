@@ -171,9 +171,6 @@ def fit_sbm(graph: LabeledGraph, labels: np.ndarray = None) -> SbmFit:
                   d_out=deg.d_out, d_in=deg.d_in)
 
 
-fit_dcsbm = fit_sbm
-
-
 def _block_members(labels: np.ndarray, k: int):
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order], np.arange(k + 1))

@@ -74,26 +74,11 @@ class LabeledGraph:
     def num_edges(self) -> int:
         return int(self.src.size)
 
-    @property
-    def num_communities(self) -> int:
-        if self.labels is None or self.num_nodes == 0:
-            return 0
-        return int(self.labels.max()) + 1
-
     def degrees(self) -> "DegreeView":
         return DegreeView(
             d_in=np.bincount(self.dst, minlength=self.num_nodes),
             d_out=np.bincount(self.src, minlength=self.num_nodes),
         )
-
-    def edge_key_set(self) -> np.ndarray:
-        """Hash table of edge keys (src*n+dst) for O(1) membership tests."""
-        table = kernels.hs_new(max(self.num_edges, 1))
-        kernels._hs_fill_edges(table, self.src, self.dst, self.num_nodes)
-        return table
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.src == u)[self.dst == v].any()) if self.num_edges else False
 
 
 @dataclass(frozen=True)
@@ -286,12 +271,18 @@ def in_csr(graph: LabeledGraph):
 
 
 def undirected_csr(graph: LabeledGraph):
-    """Symmetrized simple adjacency (duplicates collapsed)."""
+    """Symmetrized adjacency W = A + A^T as sorted CSR, without diagonal.
+
+    Returns ``(indptr, indices, weights)``; a weight is 2 for a reciprocal
+    pair, else 1.
+    """
     n = graph.num_nodes
     a = np.concatenate([graph.src, graph.dst])
     b = np.concatenate([graph.dst, graph.src])
-    keys = np.unique(a * n + b)
-    return to_csr(n, keys // n, keys % n)
+    keys, counts = np.unique(a * n + b, return_counts=True)
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, keys % n, counts.astype(np.float64)
 
 
 def bfs_subsample(graph: LabeledGraph, max_nodes: int, seed) -> LabeledGraph:
@@ -306,7 +297,7 @@ def bfs_subsample(graph: LabeledGraph, max_nodes: int, seed) -> LabeledGraph:
         raise GraphError("max_nodes must be >= 1")
     if graph.num_nodes <= max_nodes:
         return graph
-    indptr, indices = undirected_csr(graph)
+    indptr, indices, _ = undirected_csr(graph)
     rng = np.random.default_rng(seed)
     starts = rng.permutation(graph.num_nodes)
     visited = np.zeros(graph.num_nodes, np.bool_)

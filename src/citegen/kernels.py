@@ -751,40 +751,3 @@ def _topo_check(indptr, indices, n):
                 tail += 1
     return seen == n
 
-
-# ---------------------------------------------------------------------------
-# Louvain local-moving pass on a symmetric weighted CSR (no diagonal entries)
-
-@njit(cache=True)
-def _louvain_pass(indptr, indices, weights, kdeg, comm, comm_s, order,
-                  two_m, gamma, nbr_w, touched):
-    moves = 0
-    for oi in range(order.shape[0]):
-        v = order[oi]
-        c0 = comm[v]
-        nt = 0
-        for e in range(indptr[v], indptr[v + 1]):
-            u = indices[e]
-            cu = comm[u]
-            if nbr_w[cu] == 0.0:
-                touched[nt] = cu
-                nt += 1
-            nbr_w[cu] += weights[e]
-        comm_s[c0] -= kdeg[v]
-        best_c = c0
-        best_gain = nbr_w[c0] - gamma * kdeg[v] * comm_s[c0] / two_m
-        for t in range(nt):
-            c = touched[t]
-            if c == c0:
-                continue
-            gain = nbr_w[c] - gamma * kdeg[v] * comm_s[c] / two_m
-            if gain > best_gain + 1e-12:
-                best_gain = gain
-                best_c = c
-        comm_s[best_c] += kdeg[v]
-        if best_c != c0:
-            comm[v] = best_c
-            moves += 1
-        for t in range(nt):
-            nbr_w[touched[t]] = 0.0
-    return moves

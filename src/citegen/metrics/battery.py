@@ -213,7 +213,7 @@ def exogenous_metrics(real, synth, config, detect_seed):
 
 def _clustering(graph: LabeledGraph):
     """(global transitivity, per-node local clustering) on the symmetrized graph."""
-    indptr, indices = undirected_csr(graph)
+    indptr, indices, _ = undirected_csr(graph)
     n = graph.num_nodes
     tri = kernels._triangle_counts(indptr, indices, n)
     deg = (indptr[1:] - indptr[:-1]).astype(np.float64)

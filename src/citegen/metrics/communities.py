@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import kernels
-from ..graph import LabeledGraph
+from ..graph import LabeledGraph, undirected_csr
 from .distances import MetricError
+
+_MOVE_FRACTION = 0.5  # share of a round's improving moves that is applied
+_GAIN_TOL = 1e-12
 
 
 def _check_labels(graph: LabeledGraph, labels) -> np.ndarray:
@@ -47,12 +49,8 @@ def conductance(graph: LabeledGraph, labels=None) -> float:
     deg = graph.degrees()
     vol = np.bincount(labels, weights=(deg.d_in + deg.d_out).astype(np.float64),
                       minlength=k)
-    total = vol.sum()
-    phi = np.zeros(k, np.float64)
-    for c in range(k):
-        denom = min(vol[c], total - vol[c])
-        if denom > 0:
-            phi[c] = cut[c] / denom
+    denom = np.minimum(vol, vol.sum() - vol)
+    phi = np.divide(cut, denom, out=np.zeros(k, np.float64), where=denom > 0)
     return float(phi.mean())
 
 
@@ -104,20 +102,6 @@ def participation(graph: LabeledGraph, labels=None,
     return out
 
 
-def _symmetric_csr(graph: LabeledGraph):
-    """Weighted symmetric adjacency W = A + A^T as sorted CSR, no diagonal."""
-    n = graph.num_nodes
-    a = np.concatenate([graph.src, graph.dst])
-    b = np.concatenate([graph.dst, graph.src])
-    uk, cnt = np.unique(a * n + b, return_counts=True)
-    rows = uk // n
-    indices = uk % n
-    counts = np.bincount(rows, minlength=n)
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, np.ascontiguousarray(indices), cnt.astype(np.float64)
-
-
 def symmetric_modularity(graph: LabeledGraph, labels,
                          resolution: float = 1.0) -> float:
     """Generalized modularity of a partition on the symmetrized graph."""
@@ -134,13 +118,89 @@ def symmetric_modularity(graph: LabeledGraph, labels,
     return intra / two_m - resolution * float(np.sum((s / two_m) ** 2))
 
 
+def _row_edges(indptr, rows):
+    """Edge ids of ``rows`` in a CSR, row after row, and their row sizes."""
+    lens = indptr[rows + 1] - indptr[rows]
+    ends = np.cumsum(lens)
+    eids = np.repeat(indptr[rows] - ends + lens, lens) + np.arange(ends[-1])
+    return eids, lens
+
+
+def _batch_gain(indptr, indices, weights, kdeg, comm, comm_s, mv, new, scale):
+    """Objective gain of moving all of ``mv`` to ``new`` at once, in the
+    units of a lone move's gain over staying."""
+    eids, lens = _row_edges(indptr, mv)
+    x = indices[eids]
+    after = comm.copy()
+    after[mv] = new
+    # half the change in intra weight: an edge between two movers is listed
+    # in both their rows, any other edge in one
+    share = np.where(after[x] != comm[x], 0.5, 1.0) * weights[eids]
+    now = np.repeat(new, lens) == after[x]
+    was = np.repeat(comm[mv], lens) == comm[x]
+    d_intra = np.dot(share, now.astype(np.float64) - was)
+    dsum = (np.bincount(new, weights=kdeg[mv], minlength=comm.size)
+            - np.bincount(comm[mv], weights=kdeg[mv], minlength=comm.size))
+    return d_intra - 0.5 * scale * np.dot(dsum, 2.0 * comm_s + dsum)
+
+
+def _local_moving(indptr, indices, weights, kdeg, two_m, resolution, rng):
+    """Synchronous local moving; returns each node's community.
+
+    Each round, every active node picks its best neighbouring community.
+    A seeded random half of the improving moves is applied if together
+    they gain, else the best one alone, so the objective rises each round.
+    """
+    n = kdeg.size
+    comm = np.arange(n, dtype=np.int64)
+    scale = resolution / two_m
+    active = np.flatnonzero(indptr[1:] > indptr[:-1])
+    while active.size:
+        comm_s = np.bincount(comm, weights=kdeg, minlength=n)
+        eids, lens = _row_edges(indptr, active)
+        keys = np.repeat(active, lens) * n + comm[indices[eids]]
+        pair, inv = np.unique(keys, return_inverse=True)
+        w = np.bincount(inv, weights=weights[eids])
+        v, c = pair // n, pair % n
+        own = c == comm[v]
+        gain = w - scale * kdeg[v] * (comm_s[c] - own * kdeg[v])
+        first = np.r_[True, v[1:] != v[:-1]]
+        starts, grp = np.flatnonzero(first), np.cumsum(first) - 1
+        nodes, src = v[starts], comm[v[starts]]
+        # staying means rejoining the own community with the node taken out
+        stay = -scale * kdeg[nodes] * (comm_s[src] - kdeg[nodes])
+        stay[grp[own]] = gain[own]
+        gain[own] = -np.inf
+        best = np.maximum.reduceat(gain, starts)
+        # labels ascend within a node's pairs: ties go to the smaller label
+        target = np.minimum.reduceat(np.where(gain == best[grp], c, n), starts)
+        # a singleton joins another only of a smaller label: pairs never swap
+        size = np.bincount(comm, minlength=n)
+        movers = np.flatnonzero((best > stay + _GAIN_TOL) & ~(
+            (size[src] == 1) & (size[target] == 1) & (target > src)))
+        if movers.size == 0:
+            break
+        go = rng.random(movers.size) < _MOVE_FRACTION
+        if go.sum() < 2 or _batch_gain(
+                indptr, indices, weights, kdeg, comm, comm_s,
+                nodes[movers[go]], target[movers[go]], scale) <= _GAIN_TOL:
+            go = np.arange(movers.size) == np.argmax((best - stay)[movers])
+        mv = nodes[movers[go]]
+        comm[mv] = target[movers[go]]
+        # next: the movers' neighbours and the moves held back
+        nxt = np.zeros(n, bool)
+        nxt[indices[_row_edges(indptr, mv)[0]]] = True
+        nxt[nodes[movers[~go]]] = True
+        active = np.flatnonzero(nxt)
+    return comm
+
+
 def detect_communities(graph: LabeledGraph, resolution: float = 1.0,
                        seed=0):
     """Label-blind greedy modularity maximization (Louvain scheme).
 
-    Local moving on the symmetrized weighted graph followed by community
-    aggregation, repeated until no move improves the objective.  The node
-    visit order is drawn from ``seed``, making runs deterministic.
+    Seeded synchronous local moving on the symmetrized weighted graph and
+    community aggregation, repeated until no move improves the objective.
     Returns (labels, achieved modularity at this resolution).
     """
     n = graph.num_nodes
@@ -150,28 +210,15 @@ def detect_communities(graph: LabeledGraph, resolution: float = 1.0,
     if graph.num_edges == 0:
         return mapping, 0.0
     rng = np.random.default_rng(seed)
-    indptr, indices, weights = _symmetric_csr(graph)
+    indptr, indices, weights = undirected_csr(graph)
     selfw = np.zeros(n, np.float64)
     two_m = weights.sum()
     while True:
         n_cur = indptr.size - 1
         rows = np.repeat(np.arange(n_cur), np.diff(indptr))
         kdeg = np.bincount(rows, weights=weights, minlength=n_cur) + selfw
-        comm = np.arange(n_cur, dtype=np.int64)
-        comm_s = kdeg.copy()
-        nbr_w = np.zeros(n_cur, np.float64)
-        touched = np.empty(n_cur, np.int64)
-        level_moves = 0
-        while True:
-            order = rng.permutation(n_cur).astype(np.int64)
-            moves = kernels._louvain_pass(indptr, indices, weights, kdeg,
-                                          comm, comm_s, order, two_m,
-                                          float(resolution), nbr_w, touched)
-            level_moves += moves
-            if moves == 0:
-                break
-        if level_moves == 0:
-            break
+        comm = _local_moving(indptr, indices, weights, kdeg, two_m,
+                             float(resolution), rng)
         uniq, compact = np.unique(comm, return_inverse=True)
         mapping = compact[mapping]
         if uniq.size == n_cur:

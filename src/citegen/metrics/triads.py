@@ -74,7 +74,7 @@ def triad_census(graph: LabeledGraph, n_samples: int = None,
         raise MetricError("triad census needs at least 3 nodes")
     out_ptr, out_idx = out_csr(graph)
     if n_samples is None:
-        und_ptr, und_idx = undirected_csr(graph)
+        und_ptr, und_idx, _ = undirected_csr(graph)
         counts = kernels._triad_census_exact(und_ptr, und_idx, out_ptr,
                                              out_idx, n, TRICODE_TABLE)
     else:

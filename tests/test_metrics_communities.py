@@ -1,6 +1,10 @@
+import signal
+
 import numpy as np
 import pytest
 
+from citegen.generator import generate
+from citegen.graph import LabeledGraph, undirected_csr
 from citegen.metrics.communities import (
     conductance,
     density_pair,
@@ -11,6 +15,9 @@ from citegen.metrics.communities import (
     symmetric_modularity,
 )
 from citegen.metrics.distances import MetricError
+from citegen.neardag import inject_back_edges
+
+RESOLUTIONS = (1.0, 0.5, 2.0)
 
 
 def dense_modularity_oracle(graph, labels):
@@ -27,6 +34,94 @@ def dense_modularity_oracle(graph, labels):
             if labels[i] == labels[j]:
                 q += a[i, j] - dout[i] * din[j] / m
     return q / m
+
+
+def _louvain_pass(indptr, indices, weights, kdeg, comm, comm_s, order,
+                  two_m, gamma, nbr_w, touched):
+    moves = 0
+    for oi in range(order.shape[0]):
+        v = order[oi]
+        c0 = comm[v]
+        nt = 0
+        for e in range(indptr[v], indptr[v + 1]):
+            u = indices[e]
+            cu = comm[u]
+            if nbr_w[cu] == 0.0:
+                touched[nt] = cu
+                nt += 1
+            nbr_w[cu] += weights[e]
+        comm_s[c0] -= kdeg[v]
+        best_c = c0
+        best_gain = nbr_w[c0] - gamma * kdeg[v] * comm_s[c0] / two_m
+        for t in range(nt):
+            c = touched[t]
+            if c == c0:
+                continue
+            gain = nbr_w[c] - gamma * kdeg[v] * comm_s[c] / two_m
+            if gain > best_gain + 1e-12:
+                best_gain = gain
+                best_c = c
+        comm_s[best_c] += kdeg[v]
+        if best_c != c0:
+            comm[v] = best_c
+            moves += 1
+        for t in range(nt):
+            nbr_w[touched[t]] = 0.0
+    return moves
+
+
+def scalar_louvain_oracle(graph, resolution, seed):
+    """Sequential Louvain: nodes move one at a time in a seeded random order.
+
+    The detector's former implementation, kept as its quality reference.
+    """
+    n = graph.num_nodes
+    mapping = np.arange(n, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    indptr, indices, weights = undirected_csr(graph)
+    selfw = np.zeros(n, np.float64)
+    two_m = weights.sum()
+    while True:
+        n_cur = indptr.size - 1
+        rows = np.repeat(np.arange(n_cur), np.diff(indptr))
+        kdeg = np.bincount(rows, weights=weights, minlength=n_cur) + selfw
+        comm = np.arange(n_cur, dtype=np.int64)
+        comm_s = kdeg.copy()
+        nbr_w = np.zeros(n_cur, np.float64)
+        touched = np.empty(n_cur, np.int64)
+        level_moves = 0
+        while True:
+            order = rng.permutation(n_cur).astype(np.int64)
+            moves = _louvain_pass(indptr, indices, weights, kdeg, comm,
+                                  comm_s, order, two_m, float(resolution),
+                                  nbr_w, touched)
+            level_moves += moves
+            if moves == 0:
+                break
+        if level_moves == 0:
+            break
+        uniq, compact = np.unique(comm, return_inverse=True)
+        mapping = compact[mapping]
+        if uniq.size == n_cur:
+            break
+        nc = uniq.size
+        cu = compact[rows]
+        cv = compact[indices]
+        intra = cu == cv
+        selfw = (np.bincount(cu[intra], weights=weights[intra], minlength=nc)
+                 + np.bincount(compact, weights=selfw, minlength=nc))
+        uk, inv = np.unique(cu[~intra] * nc + cv[~intra], return_inverse=True)
+        weights = np.bincount(inv, weights=weights[~intra])
+        indices = uk % nc
+        indptr = np.zeros(nc + 1, np.int64)
+        np.cumsum(np.bincount(uk // nc, minlength=nc), out=indptr[1:])
+    return mapping, symmetric_modularity(graph, mapping, resolution)
+
+
+@pytest.fixture(scope="module")
+def near_dags_1k(three_community_params):
+    return [inject_back_edges(generate(three_community_params, 1000, 100 + i),
+                              0.05, 200 + i) for i in range(3)]
 
 
 def clique_pair_edges(cross=False):
@@ -156,6 +251,65 @@ def test_detect_communities_beats_planted_partition(dag_graph):
     planted = symmetric_modularity(dag_graph, dag_graph.labels)
     assert q >= planted - 0.02
     assert 2 <= int(labels.max()) + 1 <= 100
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+def test_detect_communities_matches_scalar_oracle_quality(near_dags_1k,
+                                                          resolution):
+    seeds = range(5)
+    for graph in near_dags_1k:
+        q_new = np.mean([detect_communities(graph, resolution, s)[1]
+                         for s in seeds])
+        q_ref = np.mean([scalar_louvain_oracle(graph, resolution, s)[1]
+                         for s in seeds])
+        assert q_new >= q_ref - 0.005, (q_new, q_ref)
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+def test_detect_communities_repeatable_valid_and_exact_q(near_dags_1k,
+                                                         resolution):
+    for graph in near_dags_1k:
+        la, qa = detect_communities(graph, resolution, 11)
+        lb, qb = detect_communities(graph, resolution, 11)
+        assert np.array_equal(la, lb)
+        assert qa == qb
+        for labels, q in ((la, qa), detect_communities(graph, resolution, 12)):
+            assert labels.dtype == np.int64
+            assert labels.shape == (graph.num_nodes,)
+            assert np.array_equal(np.unique(labels),
+                                  np.arange(int(labels.max()) + 1))
+            assert q == symmetric_modularity(graph, labels, resolution)
+
+
+@pytest.mark.parametrize("resolution", (0.5, 1.0))
+def test_detect_communities_terminates_on_complete_bipartite(resolution):
+    # Every node ties across the bipartition, so unguarded synchronous moves
+    # flip whole sides back and forth forever (K_{80,80} at resolution 1).
+    n = 80
+    graph = LabeledGraph(2 * n, np.repeat(np.arange(n), n),
+                         np.tile(np.arange(n, 2 * n), n))
+
+    def hang(signum, frame):
+        raise TimeoutError("detection did not converge")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        for seed in range(3):
+            labels, q = detect_communities(graph, resolution, seed)
+            q_ref = scalar_louvain_oracle(graph, resolution, seed)[1]
+            assert q == pytest.approx(q_ref, abs=1e-12)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_undirected_csr_weights_count_directed_edges(make_graph):
+    graph = make_graph(4, [(0, 1), (1, 0), (1, 2), (3, 2)])
+    indptr, indices, weights = undirected_csr(graph)
+    assert indptr.tolist() == [0, 1, 3, 5, 6]
+    assert indices.tolist() == [1, 0, 2, 1, 3, 2]
+    assert weights.tolist() == [2.0, 2.0, 1.0, 1.0, 1.0, 1.0]
 
 
 def test_detect_communities_degenerate_inputs(make_graph):
