@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Sequence, Union
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import kernels
 
@@ -270,6 +272,13 @@ def in_csr(graph: LabeledGraph):
     return to_csr(graph.num_nodes, graph.dst, graph.src)
 
 
+def _adjacency(graph: LabeledGraph, dtype=np.float64) -> csr_matrix:
+    """Adjacency matrix A (A[u, v] = 1 for the edge u -> v) as scipy CSR."""
+    n = graph.num_nodes
+    return csr_matrix((np.ones(graph.num_edges, dtype), (graph.src, graph.dst)),
+                      shape=(n, n))
+
+
 def undirected_csr(graph: LabeledGraph):
     """Symmetrized adjacency W = A + A^T as sorted CSR, without diagonal.
 
@@ -385,5 +394,11 @@ def _open_write(stream: PathOrStream):
 
 
 def is_acyclic(graph: LabeledGraph) -> bool:
-    indptr, indices = out_csr(graph)
-    return bool(kernels._topo_check(indptr, indices, graph.num_nodes))
+    """True when the graph has no directed cycle.
+
+    Self-loops are rejected at construction, so the graph is acyclic exactly
+    when each strongly connected component is a single node.
+    """
+    n_comp, _ = connected_components(_adjacency(graph), directed=True,
+                                     connection="strong")
+    return bool(n_comp == graph.num_nodes)

@@ -406,28 +406,7 @@ def _er_edges(n, p, rng):
 
 
 # ---------------------------------------------------------------------------
-# BFS
-
-@njit(cache=True)
-def _bfs_fill(indptr, indices, source, dist, queue):
-    """Distances from source; dist must be prefilled with -1. Returns count reached."""
-    head = 0
-    tail = 0
-    queue[tail] = source
-    tail += 1
-    dist[source] = 0
-    while head < tail:
-        v = queue[head]
-        head += 1
-        dv = dist[v]
-        for e in range(indptr[v], indptr[v + 1]):
-            w = indices[e]
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                queue[tail] = w
-                tail += 1
-    return tail
-
+# BFS subsampling
 
 @njit(cache=True)
 def _bfs_collect(indptr, indices, source, visited, queue, budget):
@@ -451,40 +430,6 @@ def _bfs_collect(indptr, indices, source, visited, queue, budget):
                 if tail >= budget:
                     return tail
     return tail
-
-
-@njit(cache=True)
-def _pair_distances(indptr, indices, pair_src, pair_dst, n):
-    """Directed shortest-path length per pair, -1 when unreachable.
-
-    Pairs are grouped by source so each distinct source costs one BFS.
-    """
-    npairs = pair_src.shape[0]
-    out = np.full(npairs, -1, np.int64)
-    order = np.argsort(pair_src, kind="mergesort")
-    dist = np.full(n, -1, np.int64)
-    queue = np.empty(n, np.int64)
-    i = 0
-    while i < npairs:
-        s = pair_src[order[i]]
-        dist[:] = -1
-        _bfs_fill(indptr, indices, s, dist, queue)
-        while i < npairs and pair_src[order[i]] == s:
-            out[order[i]] = dist[pair_dst[order[i]]]
-            i += 1
-    return out
-
-
-@njit(cache=True)
-def _reach_counts(indptr, indices, sources, n):
-    out = np.empty(sources.shape[0], np.int64)
-    dist = np.full(n, -1, np.int64)
-    queue = np.empty(n, np.int64)
-    for i in range(sources.shape[0]):
-        dist[:] = -1
-        reached = _bfs_fill(indptr, indices, sources[i], dist, queue)
-        out[i] = reached - 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +480,7 @@ def _betweenness(indptr, indices, sources, n):
 
 
 # ---------------------------------------------------------------------------
-# triads and clustering
+# exact triad census
 
 @njit(cache=True)
 def _has_sorted(indices, lo, hi, x):
@@ -631,75 +576,6 @@ def _triad_census_exact(und_indptr, und_indices, out_indptr, out_indices,
     return counts
 
 
-@njit(cache=True)
-def _triad_census_sampled(out_indptr, out_indices, n, table, n_samples, rng):
-    counts = np.zeros(16, np.int64)
-    for _ in range(n_samples):
-        u = _rand_below(rng, n)
-        v = _rand_below(rng, n)
-        while v == u:
-            v = _rand_below(rng, n)
-        w = _rand_below(rng, n)
-        while w == u or w == v:
-            w = _rand_below(rng, n)
-        counts[table[_tricode(out_indptr, out_indices, u, v, w)]] += 1
-    return counts
-
-
-@njit(cache=True)
-def _ffl_count(out_indptr, out_indices, src, dst):
-    total = 0
-    for e in range(src.shape[0]):
-        a = src[e]
-        b = dst[e]
-        ia = out_indptr[a]
-        ea = out_indptr[a + 1]
-        ib = out_indptr[b]
-        eb = out_indptr[b + 1]
-        while ia < ea and ib < eb:
-            x = out_indices[ia]
-            y = out_indices[ib]
-            if x == y:
-                total += 1
-                ia += 1
-                ib += 1
-            elif x < y:
-                ia += 1
-            else:
-                ib += 1
-    return total
-
-
-@njit(cache=True)
-def _triangle_counts(und_indptr, und_indices, n):
-    """Per-node triangle counts on a simple undirected graph (sorted CSR)."""
-    tri = np.zeros(n, np.int64)
-    for u in range(n):
-        for iu in range(und_indptr[u], und_indptr[u + 1]):
-            v = und_indices[iu]
-            if v <= u:
-                continue
-            a = und_indptr[u]
-            ae = und_indptr[u + 1]
-            b = und_indptr[v]
-            be = und_indptr[v + 1]
-            while a < ae and b < be:
-                x = und_indices[a]
-                y = und_indices[b]
-                if x == y:
-                    if x > v:
-                        tri[u] += 1
-                        tri[v] += 1
-                        tri[x] += 1
-                    a += 1
-                    b += 1
-                elif x < y:
-                    a += 1
-                else:
-                    b += 1
-    return tri
-
-
 # ---------------------------------------------------------------------------
 # DAG longest paths
 
@@ -723,31 +599,3 @@ def _longest_path_lengths(indptr, indices, rank, n):
                     best = cand
         lp[v] = best
     return lp
-
-
-@njit(cache=True)
-def _topo_check(indptr, indices, n):
-    """Kahn peeling; returns True when the graph is acyclic."""
-    indeg = np.zeros(n, np.int64)
-    for e in range(indices.shape[0]):
-        indeg[indices[e]] += 1
-    queue = np.empty(n, np.int64)
-    tail = 0
-    for v in range(n):
-        if indeg[v] == 0:
-            queue[tail] = v
-            tail += 1
-    head = 0
-    seen = 0
-    while head < tail:
-        v = queue[head]
-        head += 1
-        seen += 1
-        for e in range(indptr[v], indptr[v + 1]):
-            w = indices[e]
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue[tail] = w
-                tail += 1
-    return seen == n
-

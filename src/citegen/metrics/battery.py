@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from ..graph import LabeledGraph, bfs_subsample, sample_pairs, undirected_csr
 from ..neardag import order_nodes
-from .. import kernels
 from .communities import (conductance, density_pair, detect_communities,
                           detected_sizes, modularity, participation)
 from .distances import MetricError, ape, l1_triad, wasserstein1
@@ -211,11 +211,35 @@ def exogenous_metrics(real, synth, config, detect_seed):
     return entries
 
 
+# Bound on the two-step paths one row block of U @ U may hold in
+# _triangle_counts: a hub's squared degree would otherwise set the memory.
+_WEDGE_BLOCK = 1 << 20
+
+
+def _triangle_counts(indptr, indices, n: int) -> np.ndarray:
+    """Per-node triangle counts of the simple undirected graph U.
+
+    The row sums of ``(U @ U) * U`` count each triangle at a node twice.
+    Rows are taken in blocks whose two-step paths (a row's neighbours'
+    summed degrees) total about ``_WEDGE_BLOCK``.
+    """
+    und = csr_matrix((np.ones(indices.size, np.int64), indices, indptr),
+                     shape=(n, n))
+    block = np.cumsum(und @ np.diff(indptr)) // _WEDGE_BLOCK
+    tri = np.empty(n, np.int64)
+    lo = 0
+    for hi in np.append(np.flatnonzero(np.diff(block)) + 1, n):
+        rows = und[lo:hi]
+        tri[lo:hi] = np.asarray((rows @ und).multiply(rows).sum(axis=1)).ravel() // 2
+        lo = hi
+    return tri
+
+
 def _clustering(graph: LabeledGraph):
     """(global transitivity, per-node local clustering) on the symmetrized graph."""
     indptr, indices, _ = undirected_csr(graph)
     n = graph.num_nodes
-    tri = kernels._triangle_counts(indptr, indices, n)
+    tri = _triangle_counts(indptr, indices, n)
     deg = (indptr[1:] - indptr[:-1]).astype(np.float64)
     wedges = deg * (deg - 1.0) / 2.0
     total_wedges = wedges.sum()

@@ -3,37 +3,59 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .. import kernels
-from ..graph import LabeledGraph, out_csr
+from ..graph import LabeledGraph, _adjacency, out_csr
 from .distances import MetricError
+
+# Cells in one block of BFS distances (sources x n float64, 512 kB), so
+# that many sources on a large graph never allocate a dense sources x n array.
+_BLOCK_CELLS = 1 << 16
+
+
+def _bfs_blocks(graph: LabeledGraph, sources: np.ndarray):
+    """Yield ``(lo, dist)``: directed hop distances from ``sources[lo:lo + k]``.
+
+    ``dist`` is a ``(k, n)`` float64 block of whole numbers, -1 where a node
+    is unreachable.  Callers pass distinct sources, so each costs one
+    traversal.  Dijkstra is named because ``method="auto"`` may choose the
+    dense n x n Floyd-Warshall on a dense graph.
+    """
+    n = graph.num_nodes
+    adj = _adjacency(graph)
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    for lo in range(0, sources.size, step):
+        dist = shortest_path(adj, method="D", unweighted=True,
+                             indices=sources[lo:lo + step])
+        dist[np.isinf(dist)] = -1
+        yield lo, dist
 
 
 def pair_distances(graph: LabeledGraph, pairs: np.ndarray) -> np.ndarray:
     """Directed BFS distances for the given (source, target) pairs; -1 unreachable."""
-    indptr, indices = out_csr(graph)
-    return kernels._pair_distances(indptr, indices,
-                                   np.ascontiguousarray(pairs[:, 0], np.int64),
-                                   np.ascontiguousarray(pairs[:, 1], np.int64),
-                                   graph.num_nodes)
+    pairs = np.asarray(pairs, np.int64)
+    sources, row = np.unique(pairs[:, 0], return_inverse=True)
+    out = np.empty(pairs.shape[0], np.int64)
+    for lo, dist in _bfs_blocks(graph, sources):
+        hit = (row >= lo) & (row < lo + dist.shape[0])
+        out[hit] = dist[row[hit] - lo, pairs[hit, 1]]
+    return out
 
 
 def all_pair_distances(graph: LabeledGraph) -> np.ndarray:
-    """Distances for every ordered node pair (self pairs excluded)."""
+    """Distances for every ordered node pair (self pairs excluded).
+
+    Row-major by source; each row lists the targets in ascending order.
+    """
     n = graph.num_nodes
-    indptr, indices = out_csr(graph)
-    dist = np.empty(n, np.int64)
-    queue = np.empty(n, np.int64)
-    out = np.empty(n * (n - 1), np.int64)
-    pos = 0
-    for s in range(n):
-        dist.fill(-1)
-        kernels._bfs_fill(indptr, indices, s, dist, queue)
-        out[pos:pos + n - 1] = np.delete(dist, s)
-        pos += n - 1
-    return out
+    out = np.empty((n, max(n - 1, 0)), np.int64)
+    for lo, dist in _bfs_blocks(graph, np.arange(n)):
+        k = dist.shape[0]
+        off_diagonal = np.ones(dist.shape, bool)
+        off_diagonal[np.arange(k), lo + np.arange(k)] = False
+        out[lo:lo + k] = dist[off_diagonal].reshape(k, n - 1)
+    return out.ravel()
 
 
 def finite_distances(distances: np.ndarray) -> np.ndarray:
@@ -54,10 +76,11 @@ def average_path_length(distances: np.ndarray) -> float:
 
 def reachability_counts(graph: LabeledGraph, sources: np.ndarray) -> np.ndarray:
     """Nodes reachable from each source (the source itself not counted)."""
-    indptr, indices = out_csr(graph)
-    return kernels._reach_counts(indptr, indices,
-                                 np.ascontiguousarray(sources, np.int64),
-                                 graph.num_nodes)
+    uniq, row = np.unique(np.asarray(sources, np.int64), return_inverse=True)
+    counts = np.empty(uniq.size, np.int64)
+    for lo, dist in _bfs_blocks(graph, uniq):
+        counts[lo:lo + dist.shape[0]] = (dist >= 0).sum(axis=1) - 1
+    return counts[row]
 
 
 def betweenness_values(graph: LabeledGraph, sources: np.ndarray = None) -> np.ndarray:
@@ -85,9 +108,7 @@ def scc_sizes(graph: LabeledGraph) -> np.ndarray:
     n = graph.num_nodes
     if n == 0:
         raise MetricError("empty graph")
-    mat = csr_matrix((np.ones(graph.num_edges, np.int8),
-                      (graph.src, graph.dst)), shape=(n, n))
-    n_comp, assign = connected_components(mat, directed=True,
+    n_comp, assign = connected_components(_adjacency(graph), directed=True,
                                           connection="strong")
     return np.bincount(assign, minlength=n_comp)
 

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from .. import kernels
-from ..graph import LabeledGraph, out_csr, undirected_csr
+from ..graph import LabeledGraph, _adjacency, out_csr, undirected_csr
 from .distances import MetricError
 
 TRIAD_NAMES = ("003", "012", "102", "021D", "021U", "021C", "111D", "111U",
@@ -61,6 +61,38 @@ def _build_code_table() -> np.ndarray:
 TRICODE_TABLE = _build_code_table()
 
 
+def _draw_triples(n: int, n_samples: int, rng: np.random.Generator):
+    """Uniform ordered triples of distinct nodes, drawn all at once.
+
+    ``v`` skips ``u`` and ``w`` skips both, by shifting each draw past the
+    earlier picks it reaches, in ascending order.
+    """
+    u = rng.integers(0, n, n_samples)
+    v = rng.integers(0, n - 1, n_samples)
+    v += (v >= u)
+    w = rng.integers(0, n - 2, n_samples)
+    w += (w >= np.minimum(u, v))
+    w += (w >= np.maximum(u, v))
+    return u, v, w
+
+
+def _classify_triples(graph: LabeledGraph, u, v, w) -> np.ndarray:
+    """Counts of the 16 triad classes over the node triples ``(u, v, w)``.
+
+    Each of the six arc bits is found by binary search on the sorted
+    ``src * n + dst`` edge keys; the 6-bit code maps through TRICODE_TABLE.
+    The key ``n * n`` closes the list, so every search lands on a key.
+    """
+    n = graph.num_nodes
+    keys = np.append(np.sort(graph.src * n + graph.dst), n * n)
+    code = np.zeros(u.shape, np.int64)
+    for bit, (a, b) in enumerate(((u, v), (v, u), (u, w), (w, u),
+                                  (v, w), (w, v))):
+        query = a * n + b
+        code |= (keys[np.searchsorted(keys, query)] == query).astype(np.int64) << bit
+    return np.bincount(TRICODE_TABLE[code], minlength=16)
+
+
 def triad_census(graph: LabeledGraph, n_samples: int = None,
                  seed=None) -> np.ndarray:
     """Proportions of the 16 directed triad classes over node triples.
@@ -72,24 +104,22 @@ def triad_census(graph: LabeledGraph, n_samples: int = None,
     n = graph.num_nodes
     if n < 3:
         raise MetricError("triad census needs at least 3 nodes")
-    out_ptr, out_idx = out_csr(graph)
     if n_samples is None:
+        out_ptr, out_idx = out_csr(graph)
         und_ptr, und_idx, _ = undirected_csr(graph)
         counts = kernels._triad_census_exact(und_ptr, und_idx, out_ptr,
                                              out_idx, n, TRICODE_TABLE)
     else:
-        rng = np.random.default_rng(seed)
-        counts = kernels._triad_census_sampled(out_ptr, out_idx, n,
-                                               TRICODE_TABLE,
-                                               int(n_samples), rng)
+        triples = _draw_triples(n, int(n_samples), np.random.default_rng(seed))
+        counts = _classify_triples(graph, *triples)
     return counts / counts.sum()
 
 
 def ffl_count(graph: LabeledGraph) -> int:
     """Feed-forward loops: ordered triples with a->b, a->c, b->c.
 
-    Counted as one per transitive closing arc, by intersecting the
-    out-neighborhoods of each edge's endpoints.
+    Counted as ``sum((A @ A) * A)``: each arc a->c weighted by its number
+    of two-step paths a->b->c.
     """
-    out_ptr, out_idx = out_csr(graph)
-    return int(kernels._ffl_count(out_ptr, out_idx, graph.src, graph.dst))
+    adj = _adjacency(graph, np.int64)
+    return int((adj @ adj).multiply(adj).sum())

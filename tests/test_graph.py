@@ -227,3 +227,25 @@ def test_is_acyclic(make_graph):
     assert is_acyclic(make_graph(3, [(2, 1), (1, 0)]))
     assert not is_acyclic(make_graph(3, [(0, 1), (1, 2), (2, 0)]))
     assert is_acyclic(make_graph(1, []))
+    assert is_acyclic(make_graph(0, []))
+
+
+def test_is_acyclic_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(23)
+    verdicts = []
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        adj = rng.random((n, n)) < rng.uniform(0.01, 0.15)
+        np.fill_diagonal(adj, False)
+        if rng.random() < 0.5:
+            # keep only arcs from newer to older nodes: a DAG
+            adj = np.tril(adj)
+        src, dst = np.nonzero(adj)
+        graph = LabeledGraph(num_nodes=n, src=src, dst=dst)
+        ref = nx.DiGraph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(zip(src.tolist(), dst.tolist()))
+        verdicts.append(is_acyclic(graph))
+        assert verdicts[-1] == nx.is_directed_acyclic_graph(ref)
+    assert 0 < sum(verdicts) < len(verdicts)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from citegen.graph import LabeledGraph
-from citegen.metrics.battery import CATEGORIES, MetricConfig, MetricReport, compare
+from citegen.metrics import battery
+from citegen.metrics.battery import (CATEGORIES, MetricConfig, MetricReport,
+                                     _clustering, compare)
 from citegen.metrics.distances import MetricError
 from citegen.neardag import cycle_break
 
@@ -103,3 +105,23 @@ def test_compare_detects_structural_differences(near_dag_graph):
     report = compare(near_dag_graph, broken)
     values = [e.value for e in report.active()]
     assert any(v > 0.01 for v in values)
+
+
+@pytest.mark.parametrize("wedge_block", [battery._WEDGE_BLOCK, 8])
+def test_clustering_matches_networkx(monkeypatch, wedge_block):
+    nx = pytest.importorskip("networkx")
+    monkeypatch.setattr(battery, "_WEDGE_BLOCK", wedge_block)
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        n = int(rng.integers(3, 40))
+        adj = rng.random((n, n)) < rng.uniform(0.05, 0.4)
+        np.fill_diagonal(adj, False)
+        src, dst = np.nonzero(adj)
+        graph = LabeledGraph(num_nodes=n, src=src, dst=dst)
+        simple = nx.Graph()
+        simple.add_nodes_from(range(n))
+        simple.add_edges_from(zip(src.tolist(), dst.tolist()))
+        global_c, local = _clustering(graph)
+        assert global_c == nx.transitivity(simple)
+        want = nx.clustering(simple)
+        assert local.tolist() == [want[v] for v in range(n)]

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from citegen.graph import LabeledGraph
+from citegen.metrics import paths
 from citegen.metrics.distances import MetricError
 from citegen.metrics.paths import (
     all_pair_distances,
@@ -18,9 +22,14 @@ from citegen.metrics.paths import (
 
 
 def dist_matrix(graph):
+    """All-pairs hop distances by dense Floyd-Warshall; inf when unreachable."""
     mat = csr_matrix((np.ones(graph.num_edges), (graph.src, graph.dst)),
                      shape=(graph.num_nodes, graph.num_nodes))
-    return shortest_path(mat, directed=True, unweighted=True)
+    return shortest_path(mat, method="FW", directed=True, unweighted=True)
+
+
+def int_distances(dist):
+    return np.where(np.isfinite(dist), dist, -1).astype(np.int64)
 
 
 def betweenness_oracle(graph):
@@ -76,16 +85,66 @@ def random_digraph(make_graph, rng, n, p):
     return make_graph(n, edges)
 
 
-def test_pair_distances_matches_scipy(make_graph):
+# the default block size, and blocks of one to a few sources
+BLOCK_SIZES = (paths._BLOCK_CELLS, 40)
+
+
+def test_pair_distances_matches_scipy(make_graph, monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(20):
         graph = random_digraph(make_graph, rng, 15, 0.12)
         dist = dist_matrix(graph)
         pairs = rng.integers(0, 15, size=(40, 2))
-        got = pair_distances(graph, pairs)
-        want = dist[pairs[:, 0], pairs[:, 1]]
-        want = np.where(np.isfinite(want), want, -1).astype(np.int64)
-        assert np.array_equal(got, want)
+        want = int_distances(dist[pairs[:, 0], pairs[:, 1]])
+        for cells in BLOCK_SIZES:
+            monkeypatch.setattr(paths, "_BLOCK_CELLS", cells)
+            assert np.array_equal(pair_distances(graph, pairs), want)
+
+
+def test_all_pair_distances_matches_scipy(make_graph, monkeypatch):
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        n = int(rng.integers(2, 25))
+        graph = random_digraph(make_graph, rng, n, rng.uniform(0.05, 0.3))
+        off_diagonal = ~np.eye(n, dtype=bool)
+        want = int_distances(dist_matrix(graph)[off_diagonal])
+        for cells in BLOCK_SIZES:
+            monkeypatch.setattr(paths, "_BLOCK_CELLS", cells)
+            assert np.array_equal(all_pair_distances(graph), want)
+
+
+def test_reachability_counts_match_scipy(make_graph, monkeypatch):
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        n = int(rng.integers(2, 25))
+        graph = random_digraph(make_graph, rng, n, rng.uniform(0.05, 0.3))
+        sources = rng.integers(0, n, 30)  # repeats included
+        want = np.isfinite(dist_matrix(graph)).sum(axis=1) - 1
+        for cells in BLOCK_SIZES:
+            monkeypatch.setattr(paths, "_BLOCK_CELLS", cells)
+            assert np.array_equal(reachability_counts(graph, sources),
+                                  want[sources])
+
+
+def test_distance_blocks_stay_small_on_large_graphs():
+    # 300 sources x 200k nodes as one float64 array would take 480 MB.
+    n = 200_000
+    rng = np.random.default_rng(5)
+    newer = np.repeat(np.arange(1, n), 2)
+    keys = np.unique(newer * n + (rng.random(newer.size) * newer).astype(np.int64))
+    graph = LabeledGraph(num_nodes=n, src=keys // n, dst=keys % n)
+    sources = rng.choice(n, 300, replace=False)
+    pairs = np.column_stack([sources, rng.integers(0, n, 300)])
+    tracemalloc.start()
+    try:
+        dist = pair_distances(graph, pairs)
+        reach = reachability_counts(graph, sources)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert dist.shape == (300,) and reach.shape == (300,)
+    assert reach.max() > 100
 
 
 def test_all_pair_distances_chain(make_graph):

@@ -5,7 +5,8 @@ import pytest
 
 from citegen.baselines import ErFit, generate_er
 from citegen.metrics.distances import MetricError
-from citegen.metrics.triads import TRIAD_NAMES, ffl_count, triad_census
+from citegen.metrics.triads import (TRIAD_NAMES, _classify_triples,
+                                    _draw_triples, ffl_count, triad_census)
 
 # Independent representatives of the 16 directed triad classes, written
 # with different node labellings than the library uses; classification
@@ -120,6 +121,35 @@ def test_sampled_census_deterministic(near_dag_graph):
     a = triad_census(near_dag_graph, n_samples=5000, seed=4)
     b = triad_census(near_dag_graph, n_samples=5000, seed=4)
     assert np.array_equal(a, b)
+
+
+def test_triple_classifier_reproduces_exact_census(make_graph):
+    rng = np.random.default_rng(19)
+    for _ in range(30):
+        n = int(rng.integers(3, 16))
+        graph = random_digraph(make_graph, rng, n, rng.uniform(0.05, 0.5))
+        # every triple once, each in a random order of its three nodes
+        triples = np.array(list(itertools.combinations(range(n), 3)))
+        u, v, w = rng.permuted(triples, axis=1).T
+        counts = _classify_triples(graph, u, v, w)
+        assert counts.sum() == len(u)
+        assert np.array_equal(counts / counts.sum(), triad_census(graph))
+    # an edgeless graph has only empty triads, sampled or not
+    empty = triad_census(make_graph(5, []), n_samples=100, seed=0)
+    assert empty[TRIAD_NAMES.index("003")] == 1.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 50])
+def test_drawn_triples_are_distinct_and_uniform(n):
+    u, v, w = _draw_triples(n, 60_000, np.random.default_rng(n))
+    assert ((u != v) & (u != w) & (v != w)).all()
+    for column in (u, v, w):
+        assert column.min() >= 0 and column.max() < n
+    if n == 3:
+        # all six orderings of {0, 1, 2}, each about 10k times
+        codes, hits = np.unique(u * 9 + v * 3 + w, return_counts=True)
+        assert codes.size == 6
+        assert np.abs(hits - 10_000).max() < 500
 
 
 def test_ffl_fixtures(make_graph):
