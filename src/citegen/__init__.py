@@ -14,8 +14,8 @@ from .graph import (GraphError, LabeledGraph, LoadReport, bfs_subsample,
                     induced_subgraph, is_acyclic, load_edge_list, load_labels,
                     load_timestamps, prune_unlabeled, sample_pairs,
                     save_edge_list, save_labels)
-from .metrics import (MetricConfig, MetricEntry, MetricError, MetricReport,
-                      compare)
+from .metrics import (GraphProfile, MetricConfig, MetricEntry, MetricError,
+                      MetricReport, compare, distance, profile)
 from .neardag import (CycleBreakReport, NearDagError, NodeOrdering,
                       back_edge_count, back_edge_ratio, cycle_break,
                       inject_back_edges, order_nodes)
@@ -28,18 +28,18 @@ __all__ = [
     "BaselineError", "BenchConfig", "BenchError", "BenchResult",
     "CommunityStats", "ConfigFit", "CsParams", "CycleBreakReport",
     "DerivedParams", "ErFit", "EstimationError", "FitResult", "GraphError",
-    "LabeledGraph", "LoadReport", "MetricConfig", "MetricEntry",
+    "GraphProfile", "LabeledGraph", "LoadReport", "MetricConfig", "MetricEntry",
     "MetricError", "MetricReport", "NearDagError", "NoValidTargetError",
     "NodeOrdering", "ParamError", "RankTable", "SbmFit", "StatsError",
     "back_edge_count", "back_edge_ratio", "bfs_subsample", "bootstrap_ci",
-    "community_stats", "compare", "cycle_break", "derive",
+    "community_stats", "compare", "cycle_break", "derive", "distance",
     "effective_preferentiality", "empirical_ccdf", "estimate",
     "expected_indegree", "fit_config", "fit_er", "fit_sbm",
     "friedman", "generate", "generate_config", "generate_dcsbm",
     "generate_er", "generate_sbm", "gini", "induced_subgraph", "inject_back_edges",
     "is_acyclic", "ks_to_pareto2", "load_edge_list", "load_labels",
     "load_timestamps", "mann_whitney", "order_nodes", "pareto2_ccdf",
-    "prune_unlabeled", "rank_blocks", "roundtrip_report", "run_bench",
+    "profile", "prune_unlabeled", "rank_blocks", "roundtrip_report", "run_bench",
     "sample_pairs", "save_edge_list", "save_labels", "standardize",
     "wtl_matrix", "write_artifacts",
 ]

@@ -22,7 +22,7 @@ from . import baselines, neardag
 from .estimation import estimate
 from .generator import CsParams, generate
 from .graph import LabeledGraph
-from .metrics import MetricConfig, compare
+from .metrics import MetricConfig, distance, metric_schema, profile
 from .stats import (RankTable, StatsError, bootstrap_ci, friedman,
                     rank_blocks, wtl_matrix)
 
@@ -185,7 +185,9 @@ def run_bench(datasets: Dict[str, LabeledGraph],
 
     Every method sees the identical real-side sampling in a given
     (dataset, replicate) cell: the comparison seed depends only on those
-    two indices.
+    two indices.  So each job is one such pair: it profiles the real graph
+    once and scores every method's replicate against that profile, and at
+    most ``threads`` real profiles are alive at a time.
     """
     config = config or BenchConfig()
     if not datasets:
@@ -195,29 +197,22 @@ def run_bench(datasets: Dict[str, LabeledGraph],
     fits = {name: fit_methods(datasets[name], methods, config.order_strategy)
             for name in names}
 
-    probe = compare(next(iter(datasets.values())),
-                    next(iter(datasets.values())),
-                    replace(config.metric, seed=0))
-    metric_names = tuple(e.name for e in probe.entries)
-    metric_categories = tuple(e.category for e in probe.entries)
-    name_index = {n: i for i, n in enumerate(metric_names)}
-
-    runs = np.full((len(names), len(metric_names), len(methods),
+    schema = metric_schema(config.metric)
+    runs = np.full((len(names), len(schema), len(methods),
                     config.replicates), np.nan)
 
-    def job(d: int, m: int, rep: int):
-        real = datasets[names[d]]
-        synth = realize(methods[m], fits[names[d]], _gen_seed(config.seed, d, m, rep))
+    def job(d: int, rep: int):
         mc = replace(config.metric, seed=_compare_seed(config.seed, d, rep))
-        report = compare(real, synth, mc)
-        for entry in report.entries:
-            if not entry.skipped:
-                runs[d, name_index[entry.name], m, rep] = entry.value
-        return d, m, rep
+        real = profile(datasets[names[d]], mc)
+        for m, method in enumerate(methods):
+            synth = realize(method, fits[names[d]],
+                            _gen_seed(config.seed, d, m, rep))
+            report = distance(real, profile(synth, mc))
+            for i, entry in enumerate(report.entries):
+                if not entry.skipped:
+                    runs[d, i, m, rep] = entry.value
 
-    jobs = [(d, m, rep)
-            for d in range(len(names))
-            for m in range(len(methods))
+    jobs = [(d, rep) for d in range(len(names))
             for rep in range(config.replicates)]
     workers = config.resolve_threads()
     if workers > 1:
@@ -227,8 +222,9 @@ def run_bench(datasets: Dict[str, LabeledGraph],
         for args in jobs:
             job(*args)
     return BenchResult(methods=tuple(methods), datasets=names,
-                       metric_names=metric_names,
-                       metric_categories=metric_categories, runs=runs)
+                       metric_names=tuple(name for name, _, _ in schema),
+                       metric_categories=tuple(c for _, c, _ in schema),
+                       runs=runs)
 
 
 def _write_rank_table(path: Path, table: RankTable):

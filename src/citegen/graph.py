@@ -5,7 +5,8 @@ from __future__ import annotations
 import io
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -77,10 +78,37 @@ class LabeledGraph:
         return int(self.src.size)
 
     def degrees(self) -> "DegreeView":
-        return DegreeView(
-            d_in=np.bincount(self.dst, minlength=self.num_nodes),
-            d_out=np.bincount(self.src, minlength=self.num_nodes),
-        )
+        return self._degrees
+
+    # Views the metric battery reads several times per graph, built once on
+    # first use and kept read-only for the graph's life.  The CSR views and
+    # the adjacency come from the module functions of the same names.
+
+    @cached_property
+    def _degrees(self) -> "DegreeView":
+        return DegreeView(*_read_only(
+            np.bincount(self.dst, minlength=self.num_nodes),
+            np.bincount(self.src, minlength=self.num_nodes)))
+
+    @cached_property
+    def out_csr(self):
+        return _read_only(*out_csr(self))
+
+    @cached_property
+    def undirected_csr(self):
+        return _read_only(*undirected_csr(self))
+
+    @cached_property
+    def adjacency(self) -> csr_matrix:
+        adj = _adjacency(self)
+        _read_only(adj.data, adj.indices, adj.indptr)
+        return adj
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -272,10 +300,10 @@ def in_csr(graph: LabeledGraph):
     return to_csr(graph.num_nodes, graph.dst, graph.src)
 
 
-def _adjacency(graph: LabeledGraph, dtype=np.float64) -> csr_matrix:
-    """Adjacency matrix A (A[u, v] = 1 for the edge u -> v) as scipy CSR."""
+def _adjacency(graph: LabeledGraph) -> csr_matrix:
+    """Adjacency matrix A (A[u, v] = 1.0 for the edge u -> v) as scipy CSR."""
     n = graph.num_nodes
-    return csr_matrix((np.ones(graph.num_edges, dtype), (graph.src, graph.dst)),
+    return csr_matrix((np.ones(graph.num_edges), (graph.src, graph.dst)),
                       shape=(n, n))
 
 
@@ -306,7 +334,7 @@ def bfs_subsample(graph: LabeledGraph, max_nodes: int, seed) -> LabeledGraph:
         raise GraphError("max_nodes must be >= 1")
     if graph.num_nodes <= max_nodes:
         return graph
-    indptr, indices, _ = undirected_csr(graph)
+    indptr, indices, _ = graph.undirected_csr
     rng = np.random.default_rng(seed)
     starts = rng.permutation(graph.num_nodes)
     visited = np.zeros(graph.num_nodes, np.bool_)

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from ..graph import LabeledGraph, bfs_subsample, sample_pairs, undirected_csr
+from ..graph import LabeledGraph, bfs_subsample, sample_pairs
 from ..neardag import order_nodes
 from .communities import (conductance, density_pair, detect_communities,
                           detected_sizes, modularity, participation)
@@ -19,8 +18,22 @@ from .paths import (average_path_length, betweenness_values,
                     all_pair_distances, reachability_counts, scc_sizes)
 from .triads import ffl_count, triad_census
 
-CATEGORIES = ("global-topology", "degree", "meso-endogenous",
-              "meso-exogenous", "local", "flow")
+# Each category's metrics as name:kind, in report order; the detected rows
+# repeat for each resolution, whose tag fills in {tag}
+_SCHEMA = (
+    ("global-topology",
+     "effective_diameter:APE avg_path_length:APE reachability:W1"),
+    ("degree", "in_degree_dist:W1 out_degree_dist:W1 in_assortativity:APE "
+               "out_assortativity:APE"),
+    ("meso-endogenous", "gt_modularity:APE gt_conductance:APE "
+                        "gt_inter_density:APE gt_intra_density:APE "
+                        "gt_in_participation:W1 gt_out_participation:W1"),
+    ("meso-exogenous", "detected_modularity_{tag}:APE detected_sizes_{tag}:W1"),
+    ("local", "global_clustering:APE ffl_count:APE local_clustering_dist:W1 "
+              "triad_census:L1"),
+    ("flow", "betweenness_dist:W1 scc_sizes:W1 longest_path_dist:W1"),
+)
+CATEGORIES = tuple(category for category, _ in _SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -41,6 +54,18 @@ class MetricConfig:
     triad_exact_limit: int = 3000
     triad_samples: int = 200_000
     resolutions: tuple = (1.0, 0.5, 2.0)
+
+
+def _tags(config: MetricConfig) -> list:
+    return [f"r{int(round(res * 100)):03d}" for res in config.resolutions]
+
+
+def metric_schema(config: MetricConfig) -> list:
+    """(name, category, kind) of each metric ``compare`` reports, in order."""
+    return [(name.format(tag=tag), category, kind)
+            for category, rows in _SCHEMA
+            for tag in (_tags(config) if category == "meso-exogenous" else [""])
+            for name, kind in (row.split(":") for row in rows.split())]
 
 
 @dataclass
@@ -69,21 +94,15 @@ class MetricReport:
         return [e for e in self.entries if not e.skipped]
 
     def to_tsv(self) -> str:
-        buf = io.StringIO()
-        buf.write("metric\tcategory\tkind\tvalue\tskipped\tnote\n")
-        for e in self.entries:
-            val = "" if e.value is None else repr(e.value)
-            buf.write(f"{e.name}\t{e.category}\t{e.kind}\t{val}"
-                      f"\t{int(e.skipped)}\t{e.note}\n")
-        return buf.getvalue()
+        rows = [f"{e.name}\t{e.category}\t{e.kind}"
+                f"\t{'' if e.value is None else repr(e.value)}"
+                f"\t{int(e.skipped)}\t{e.note}\n" for e in self.entries]
+        return "metric\tcategory\tkind\tvalue\tskipped\tnote\n" + "".join(rows)
 
     @classmethod
     def from_tsv(cls, text: str) -> "MetricReport":
-        lines = text.splitlines()
         entries = []
-        for line in lines[1:]:
-            if not line:
-                continue
+        for line in filter(None, text.splitlines()[1:]):
             name, category, kind, val, skipped, note = line.split("\t")
             entries.append(MetricEntry(
                 name=name, category=category, kind=kind,
@@ -92,50 +111,28 @@ class MetricReport:
         return cls(entries=entries)
 
 
-def _guard(entries: list, name: str, category: str, kind: str,
-           fn: Callable[[], float]):
+def _try(fn, *args):
+    """``fn(*args)``, or the MetricError it raised, for ``distance`` to raise."""
     try:
-        entries.append(MetricEntry(name, category, kind, float(fn())))
+        return fn(*args)
     except MetricError as exc:
-        entries.append(MetricEntry(name, category, kind, None,
-                                   skipped=True, note=str(exc)))
-
-
-def _age_rank(graph: LabeledGraph) -> np.ndarray:
-    """Rank nodes by age: timestamps when known, else the greedy heuristic."""
-    if graph.timestamps is not None:
-        return order_nodes(graph, "timestamps").rank
-    return order_nodes(graph, "degree-diff").rank
+        return exc
 
 
 def _sample_sources(graph: LabeledGraph, config: MetricConfig, seed):
     if config.exact or graph.num_nodes <= config.n_sources:
         return np.arange(graph.num_nodes, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(graph.num_nodes, config.n_sources,
-                              replace=False)).astype(np.int64)
+    return np.sort(np.random.default_rng(seed).choice(
+        graph.num_nodes, config.n_sources, replace=False)).astype(np.int64)
 
 
-def _distance_samples(graph: LabeledGraph, config: MetricConfig, seed):
-    if config.exact:
-        return all_pair_distances(graph)
-    pairs = sample_pairs(graph, config.n_pairs, seed)
-    return pair_distances(graph, pairs)
-
-
-def global_topology_metrics(real, synth, config, pair_seed, source_seed):
-    entries = []
-    dist_r = _distance_samples(real, config, pair_seed)
-    dist_s = _distance_samples(synth, config, pair_seed)
-    _guard(entries, "effective_diameter", "global-topology", "APE",
-           lambda: ape(effective_diameter(dist_s), effective_diameter(dist_r)))
-    _guard(entries, "avg_path_length", "global-topology", "APE",
-           lambda: ape(average_path_length(dist_s), average_path_length(dist_r)))
-    _guard(entries, "reachability", "global-topology", "W1",
-           lambda: wasserstein1(
-               reachability_counts(real, _sample_sources(real, config, source_seed)),
-               reachability_counts(synth, _sample_sources(synth, config, source_seed))))
-    return entries
+def global_topology_metrics(graph, config, pair_seed, source_seed):
+    dist = all_pair_distances(graph) if config.exact else pair_distances(
+        graph, sample_pairs(graph, config.n_pairs, pair_seed))
+    return {"effective_diameter": _try(effective_diameter, dist),
+            "avg_path_length": _try(average_path_length, dist),
+            "reachability": _try(reachability_counts, graph, _sample_sources(
+                graph, config, source_seed))}
 
 
 def _assortativity(graph: LabeledGraph, which: str) -> float:
@@ -150,65 +147,34 @@ def _assortativity(graph: LabeledGraph, which: str) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def degree_metrics(real, synth, config=None):
-    entries = []
-    deg_r = real.degrees()
-    deg_s = synth.degrees()
-    _guard(entries, "in_degree_dist", "degree", "W1",
-           lambda: wasserstein1(deg_r.d_in, deg_s.d_in))
-    _guard(entries, "out_degree_dist", "degree", "W1",
-           lambda: wasserstein1(deg_r.d_out, deg_s.d_out))
-    for which in ("in", "out"):
-        _guard(entries, f"{which}_assortativity", "degree", "APE",
-               lambda w=which: ape(_assortativity(synth, w),
-                                   _assortativity(real, w)))
-    return entries
+def degree_metrics(graph, config=None):
+    deg = graph.degrees()
+    return {"in_degree_dist": deg.d_in, "out_degree_dist": deg.d_out,
+            "in_assortativity": _try(_assortativity, graph, "in"),
+            "out_assortativity": _try(_assortativity, graph, "out")}
 
 
-def endogenous_metrics(real, synth, config=None):
-    entries = []
-    if real.labels is None or synth.labels is None:
-        return [MetricEntry(name, "meso-endogenous", kind, None, skipped=True,
-                            note="ground-truth labels unavailable")
-                for name, kind in (
-                    ("gt_modularity", "APE"), ("gt_conductance", "APE"),
-                    ("gt_inter_density", "APE"), ("gt_intra_density", "APE"),
-                    ("gt_in_participation", "W1"),
-                    ("gt_out_participation", "W1"))]
-    _guard(entries, "gt_modularity", "meso-endogenous", "APE",
-           lambda: ape(modularity(synth), modularity(real)))
-    _guard(entries, "gt_conductance", "meso-endogenous", "APE",
-           lambda: ape(conductance(synth), conductance(real)))
-    _guard(entries, "gt_inter_density", "meso-endogenous", "APE",
-           lambda: ape(density_pair(synth)[1], density_pair(real)[1]))
-    _guard(entries, "gt_intra_density", "meso-endogenous", "APE",
-           lambda: ape(density_pair(synth)[0], density_pair(real)[0]))
-    for which in ("in", "out"):
-        _guard(entries, f"gt_{which}_participation", "meso-endogenous", "W1",
-               lambda w=which: wasserstein1(participation(real, direction=w),
-                                            participation(synth, direction=w)))
-    return entries
+def endogenous_metrics(graph, config=None):
+    """Ground-truth partition statistics; none without labels."""
+    if graph.labels is None:
+        return {}
+    return {"gt_modularity": _try(modularity, graph),
+            "gt_conductance": _try(conductance, graph),
+            "gt_inter_density": _try(lambda: density_pair(graph)[1]),
+            "gt_intra_density": _try(lambda: density_pair(graph)[0]),
+            "gt_in_participation": _try(participation, graph, None, "in"),
+            "gt_out_participation": _try(participation, graph, None, "out")}
 
 
-def exogenous_metrics(real, synth, config, detect_seed):
-    entries = []
-    for res in config.resolutions:
-        tag = f"r{int(round(res * 100)):03d}"
-        try:
-            lab_r, q_r = detect_communities(real, res, detect_seed)
-            lab_s, q_s = detect_communities(synth, res, detect_seed)
-        except MetricError as exc:
-            for name, kind in ((f"detected_modularity_{tag}", "APE"),
-                               (f"detected_sizes_{tag}", "W1")):
-                entries.append(MetricEntry(name, "meso-exogenous", kind, None,
-                                           skipped=True, note=str(exc)))
-            continue
-        _guard(entries, f"detected_modularity_{tag}", "meso-exogenous", "APE",
-               lambda qs=q_s, qr=q_r: ape(qs, qr))
-        _guard(entries, f"detected_sizes_{tag}", "meso-exogenous", "W1",
-               lambda ls=lab_s, lr=lab_r: wasserstein1(detected_sizes(lr),
-                                                       detected_sizes(ls)))
-    return entries
+def exogenous_metrics(graph, config, detect_seed):
+    """Detected modularity and community sizes at each resolution."""
+    out = {}
+    for res, tag in zip(config.resolutions, _tags(config)):
+        found = _try(detect_communities, graph, res, detect_seed)
+        ok = not isinstance(found, MetricError)
+        out[f"detected_modularity_{tag}"] = found[1] if ok else found
+        out[f"detected_sizes_{tag}"] = detected_sizes(found[0]) if ok else found
+    return out
 
 
 # Bound on the two-step paths one row block of U @ U may hold in
@@ -237,72 +203,113 @@ def _triangle_counts(indptr, indices, n: int) -> np.ndarray:
 
 def _clustering(graph: LabeledGraph):
     """(global transitivity, per-node local clustering) on the symmetrized graph."""
-    indptr, indices, _ = undirected_csr(graph)
+    indptr, indices, _ = graph.undirected_csr
     n = graph.num_nodes
     tri = _triangle_counts(indptr, indices, n)
     deg = (indptr[1:] - indptr[:-1]).astype(np.float64)
     wedges = deg * (deg - 1.0) / 2.0
-    total_wedges = wedges.sum()
-    global_c = 0.0 if total_wedges == 0 else float(tri.sum()) / total_wedges
-    local = np.zeros(n, np.float64)
-    nz = wedges > 0
-    local[nz] = tri[nz] / wedges[nz]
+    global_c = float(tri.sum()) / wedges.sum() if wedges.any() else 0.0
+    local = np.divide(tri, wedges, out=np.zeros(n), where=wedges > 0)
     return global_c, local
 
 
-def _census(graph, config, seed):
-    if config.exact or graph.num_nodes <= config.triad_exact_limit:
-        return triad_census(graph)
-    return triad_census(graph, n_samples=config.triad_samples, seed=seed)
+def local_metrics(graph, config, triad_seed):
+    global_c, local = _clustering(graph)
+    exact = config.exact or graph.num_nodes <= config.triad_exact_limit
+    return {"global_clustering": global_c,
+            "ffl_count": _try(lambda: float(ffl_count(graph))),
+            "local_clustering_dist": local,
+            "triad_census": _try(triad_census, graph, None if exact
+                                 else config.triad_samples, triad_seed)}
 
 
-def local_metrics(real, synth, config, triad_seed):
-    entries = []
-    glob_r, loc_r = _clustering(real)
-    glob_s, loc_s = _clustering(synth)
-    _guard(entries, "global_clustering", "local", "APE",
-           lambda: ape(glob_s, glob_r))
-    _guard(entries, "ffl_count", "local", "APE",
-           lambda: ape(float(ffl_count(synth)), float(ffl_count(real))))
-    _guard(entries, "local_clustering_dist", "local", "W1",
-           lambda: wasserstein1(loc_r, loc_s))
-    _guard(entries, "triad_census", "local", "L1",
-           lambda: l1_triad(_census(real, config, triad_seed),
-                            _census(synth, config, triad_seed)))
-    return entries
+def flow_metrics(graph, config, source_seed):
+    return {"betweenness_dist": _try(betweenness_values, graph,
+                                     _sample_sources(graph, config, source_seed)),
+            "scc_sizes": _try(scc_sizes, graph),
+            # nodes ranked by age: timestamps when known, else the heuristic
+            "longest_path_dist": _try(lambda: longest_path_lengths(
+                graph, order_nodes(graph, "degree-diff" if graph.timestamps
+                                   is None else "timestamps").rank))}
 
 
-def flow_metrics(real, synth, config, source_seed):
-    entries = []
-    _guard(entries, "betweenness_dist", "flow", "W1",
-           lambda: wasserstein1(
-               betweenness_values(real, _sample_sources(real, config, source_seed)),
-               betweenness_values(synth, _sample_sources(synth, config, source_seed))))
-    _guard(entries, "scc_sizes", "flow", "W1",
-           lambda: wasserstein1(scc_sizes(real), scc_sizes(synth)))
-    _guard(entries, "longest_path_dist", "flow", "W1",
-           lambda: wasserstein1(longest_path_lengths(real, _age_rank(real)),
-                                longest_path_lengths(synth, _age_rank(synth))))
-    return entries
+@dataclass(frozen=True)
+class GraphProfile:
+    """One graph's battery quantities under one config, keyed by metric.
+
+    ``graph`` is the subsampled graph they were measured on.  A quantity
+    whose computation failed holds its MetricError, raised when read.  The
+    distance samples (n(n-1) in exact mode) are kept as two statistics.
+    """
+
+    graph: LabeledGraph
+    config: MetricConfig
+    values: dict
+
+    def __getitem__(self, name: str):
+        value = self.values[name]
+        if isinstance(value, MetricError):
+            raise value.with_traceback(None)
+        return value
+
+
+def profile(graph: LabeledGraph, config: MetricConfig = None) -> GraphProfile:
+    """Subsample ``graph`` and compute every per-graph battery quantity.
+
+    Each of the six category functions returns its quantities, keyed by
+    metric.  The sampling seeds are spawned from ``config.seed`` alone, so
+    every graph profiled under one config is sampled alike.
+    """
+    config = config or MetricConfig()
+    ss = np.random.SeedSequence(config.seed)
+    sub_seed, pair_seed, source_seed, triad_seed, detect_seed = ss.spawn(5)
+    graph = bfs_subsample(graph, config.max_nodes, sub_seed)
+    values = {**global_topology_metrics(graph, config, pair_seed, source_seed),
+              **degree_metrics(graph, config),
+              **endogenous_metrics(graph, config),
+              **exogenous_metrics(graph, config, detect_seed),
+              **local_metrics(graph, config, triad_seed),
+              **flow_metrics(graph, config, source_seed)}
+    return GraphProfile(graph, config, values)
+
+
+def distance(real: GraphProfile, synth: GraphProfile) -> MetricReport:
+    """Score two profiles built under one config; failures become skips.
+
+    Ground-truth rows need labels on both sides.  Where both sides failed,
+    the side read first gives the skip note: the synthetic one for APE,
+    except for detection, where it is the real one, as for W1 and L1.
+    """
+    if real.config != synth.config:
+        raise ValueError("profiles were built under different metric configs")
+    report = MetricReport()
+    for name, category, kind in metric_schema(real.config):
+        try:
+            if category == "meso-endogenous" and (
+                    real.graph.labels is None or synth.graph.labels is None):
+                raise MetricError("ground-truth labels unavailable")
+            if kind == "APE" and category != "meso-exogenous":
+                s, r = synth[name], real[name]
+            else:
+                r, s = real[name], synth[name]
+            value = ape(s, r) if kind == "APE" else (
+                wasserstein1 if kind == "W1" else l1_triad)(r, s)
+            report.entries.append(MetricEntry(name, category, kind, float(value)))
+        except MetricError as exc:
+            report.entries.append(MetricEntry(name, category, kind, None,
+                                              skipped=True, note=str(exc)))
+    return report
 
 
 def compare(real: LabeledGraph, synth: LabeledGraph,
             config: MetricConfig = None) -> MetricReport:
     """Run the full battery; per-metric failures become skips, not aborts.
 
-    Both graphs are subsampled by the same procedure and seed; all sampled
-    metrics reuse identical seeds on both sides.
+    Both graphs are profiled under the same config, so they are subsampled
+    by the same procedure and seed, and all sampled metrics reuse identical
+    seeds on both sides.  A graph compared with itself is profiled once.
     """
     config = config or MetricConfig()
-    ss = np.random.SeedSequence(config.seed)
-    sub_seed, pair_seed, source_seed, triad_seed, detect_seed = ss.spawn(5)
-    real = bfs_subsample(real, config.max_nodes, sub_seed)
-    synth = bfs_subsample(synth, config.max_nodes, sub_seed)
-    entries = []
-    entries += global_topology_metrics(real, synth, config, pair_seed, source_seed)
-    entries += degree_metrics(real, synth, config)
-    entries += endogenous_metrics(real, synth, config)
-    entries += exogenous_metrics(real, synth, config, detect_seed)
-    entries += local_metrics(real, synth, config, triad_seed)
-    entries += flow_metrics(real, synth, config, source_seed)
-    return MetricReport(entries=entries)
+    real_profile = profile(real, config)
+    return distance(real_profile, real_profile if synth is real
+                    else profile(synth, config))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph import LabeledGraph, undirected_csr
+from ..graph import LabeledGraph
 from .distances import MetricError
 
 _MOVE_FRACTION = 0.5  # share of a round's improving moves that is applied
@@ -210,7 +210,7 @@ def detect_communities(graph: LabeledGraph, resolution: float = 1.0,
     if graph.num_edges == 0:
         return mapping, 0.0
     rng = np.random.default_rng(seed)
-    indptr, indices, weights = undirected_csr(graph)
+    indptr, indices, weights = graph.undirected_csr
     selfw = np.zeros(n, np.float64)
     two_m = weights.sum()
     while True:

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .. import kernels
-from ..graph import LabeledGraph, _adjacency, out_csr
+from ..graph import LabeledGraph
 from .distances import MetricError
 
 # Cells in one block of BFS distances (sources x n float64, 512 kB), so
@@ -22,11 +22,9 @@ def _bfs_blocks(graph: LabeledGraph, sources: np.ndarray):
     traversal.  Dijkstra is named because ``method="auto"`` may choose the
     dense n x n Floyd-Warshall on a dense graph.
     """
-    n = graph.num_nodes
-    adj = _adjacency(graph)
-    step = max(1, _BLOCK_CELLS // max(n, 1))
+    step = max(1, _BLOCK_CELLS // max(graph.num_nodes, 1))
     for lo in range(0, sources.size, step):
-        dist = shortest_path(adj, method="D", unweighted=True,
+        dist = shortest_path(graph.adjacency, method="D", unweighted=True,
                              indices=sources[lo:lo + step])
         dist[np.isinf(dist)] = -1
         yield lo, dist
@@ -93,14 +91,10 @@ def betweenness_values(graph: LabeledGraph, sources: np.ndarray = None) -> np.nd
     n = graph.num_nodes
     if n < 3:
         raise MetricError("betweenness needs at least 3 nodes")
-    if sources is None:
-        sources = np.arange(n, dtype=np.int64)
-    else:
-        sources = np.ascontiguousarray(sources, np.int64)
-    indptr, indices = out_csr(graph)
-    acc = kernels._betweenness(indptr, indices, sources, n)
-    scale = (n / sources.size) / ((n - 1.0) * (n - 2.0))
-    return acc * scale
+    sources = np.arange(n, dtype=np.int64) if sources is None \
+        else np.ascontiguousarray(sources, np.int64)
+    acc = kernels._betweenness(*graph.out_csr, sources, n)
+    return acc * ((n / sources.size) / ((n - 1.0) * (n - 2.0)))
 
 
 def scc_sizes(graph: LabeledGraph) -> np.ndarray:
@@ -108,7 +102,7 @@ def scc_sizes(graph: LabeledGraph) -> np.ndarray:
     n = graph.num_nodes
     if n == 0:
         raise MetricError("empty graph")
-    n_comp, assign = connected_components(_adjacency(graph), directed=True,
+    n_comp, assign = connected_components(graph.adjacency, directed=True,
                                           connection="strong")
     return np.bincount(assign, minlength=n_comp)
 
@@ -120,7 +114,6 @@ def longest_path_lengths(graph: LabeledGraph, rank: np.ndarray) -> np.ndarray:
     ignored; what remains is acyclic by construction, so a single
     ascending-rank sweep suffices.
     """
-    indptr, indices = out_csr(graph)
-    return kernels._longest_path_lengths(indptr, indices,
+    return kernels._longest_path_lengths(*graph.out_csr,
                                          np.ascontiguousarray(rank, np.int64),
                                          graph.num_nodes)

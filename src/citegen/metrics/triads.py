@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from .. import kernels
-from ..graph import LabeledGraph, _adjacency, out_csr, undirected_csr
+from ..graph import LabeledGraph
 from .distances import MetricError
 
 TRIAD_NAMES = ("003", "012", "102", "021D", "021U", "021C", "111D", "111U",
@@ -105,10 +105,8 @@ def triad_census(graph: LabeledGraph, n_samples: int = None,
     if n < 3:
         raise MetricError("triad census needs at least 3 nodes")
     if n_samples is None:
-        out_ptr, out_idx = out_csr(graph)
-        und_ptr, und_idx, _ = undirected_csr(graph)
-        counts = kernels._triad_census_exact(und_ptr, und_idx, out_ptr,
-                                             out_idx, n, TRICODE_TABLE)
+        counts = kernels._triad_census_exact(*graph.undirected_csr[:2],
+                                             *graph.out_csr, n, TRICODE_TABLE)
     else:
         triples = _draw_triples(n, int(n_samples), np.random.default_rng(seed))
         counts = _classify_triples(graph, *triples)
@@ -121,5 +119,5 @@ def ffl_count(graph: LabeledGraph) -> int:
     Counted as ``sum((A @ A) * A)``: each arc a->c weighted by its number
     of two-step paths a->b->c.
     """
-    adj = _adjacency(graph, np.int64)
+    adj = graph.adjacency.astype(np.int64)
     return int((adj @ adj).multiply(adj).sum())

@@ -1,11 +1,17 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from citegen import bench
 from citegen.bench import (
     BenchConfig,
     BenchError,
     BenchResult,
     METHODS,
+    _compare_seed,
+    _gen_seed,
     fit_methods,
     realize,
     run_bench,
@@ -13,7 +19,7 @@ from citegen.bench import (
 )
 from citegen.generator import CsParams, generate
 from citegen.graph import is_acyclic
-from citegen.metrics import MetricConfig
+from citegen.metrics import MetricConfig, compare
 from citegen.neardag import back_edge_count, inject_back_edges
 
 SMALL_METRIC = MetricConfig(n_pairs=100, n_sources=30, max_nodes=500,
@@ -119,6 +125,49 @@ def test_run_bench_reproducible_and_thread_invariant(small_datasets):
                                      seed=6, metric=SMALL_METRIC, threads=4))
     assert np.array_equal(serial.runs, again.runs, equal_nan=True)
     assert np.array_equal(serial.runs, threaded.runs, equal_nan=True)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_run_bench_equals_per_cell_compare(small_datasets, monkeypatch,
+                                           threads):
+    """The grid equals one compare per cell, with one real profile per
+    (dataset, replicate); er emits no labels, so its cells skip metrics."""
+    config = BenchConfig(methods=("cs", "er", "sbm"), replicates=2, seed=8,
+                         metric=SMALL_METRIC, threads=threads)
+    names = tuple(small_datasets)
+    expected = np.full((2, 26, 3, 2), np.nan)
+    for d, name in enumerate(names):
+        fits = fit_methods(small_datasets[name], config.methods,
+                           config.order_strategy)
+        for m, method in enumerate(config.methods):
+            for rep in range(config.replicates):
+                synth = realize(method, fits, _gen_seed(config.seed, d, m, rep))
+                report = compare(small_datasets[name], synth, replace(
+                    config.metric, seed=_compare_seed(config.seed, d, rep)))
+                for i, entry in enumerate(report.entries):
+                    if not entry.skipped:
+                        expected[d, i, m, rep] = entry.value
+    assert np.isnan(expected).any()
+
+    real_ids = {id(g) for g in small_datasets.values()}
+    real_profiles = []
+    build = bench.profile
+
+    def counting(graph, config):
+        if id(graph) in real_ids:
+            real_profiles.append(id(graph))
+        return build(graph, config)
+
+    monkeypatch.setattr(bench, "profile", counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = run_bench(small_datasets, config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.runs.tobytes() == expected.tobytes()
+    # D x R real profiles: each dataset once per replicate
+    assert sorted(real_profiles) == sorted(2 * list(real_ids))
 
 
 def test_run_bench_requires_datasets():

@@ -1,0 +1,22 @@
+"""Smoke runs of the scripts under ``benchmarks/``, so an API change that
+breaks one fails here rather than when someone next benchmarks."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_kernel_speed_script_runs_and_paths_agree():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # the script starts its two worker subprocesses one after the other
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "kernel_speed.py"),
+         "--n", "2000", "--repeat", "1"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "outputs identical" in proc.stdout

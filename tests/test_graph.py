@@ -3,10 +3,11 @@ import io
 import numpy as np
 import pytest
 
-from citegen.graph import (GraphError, LabeledGraph, bfs_subsample,
+from citegen.graph import (GraphError, LabeledGraph, _adjacency, bfs_subsample,
                            induced_subgraph, is_acyclic, load_edge_list,
-                           load_labels, load_timestamps, prune_unlabeled,
-                           sample_pairs, save_edge_list, save_labels)
+                           load_labels, load_timestamps, out_csr,
+                           prune_unlabeled, sample_pairs, save_edge_list,
+                           save_labels, undirected_csr)
 
 
 def test_load_basic():
@@ -92,6 +93,28 @@ def test_degrees_empty(make_graph):
     deg = make_graph(0, []).degrees()
     assert deg.d_in.size == 0
     assert deg.d_out.size == 0
+
+
+def test_cached_views_built_once_read_only_and_equal_to_builders(make_graph):
+    graph = make_graph(5, [(0, 1), (1, 2), (2, 0), (3, 1), (1, 3), (4, 2)])
+    adj = graph.adjacency
+    views = {
+        "out_csr": (graph.out_csr, out_csr(graph)),
+        "undirected_csr": (graph.undirected_csr, undirected_csr(graph)),
+        "adjacency": ((adj.data, adj.indices, adj.indptr),
+                      (lambda a: (a.data, a.indices, a.indptr))(_adjacency(graph))),
+        "degrees": ((graph.degrees().d_in, graph.degrees().d_out),
+                    (np.bincount(graph.dst, minlength=5),
+                     np.bincount(graph.src, minlength=5))),
+    }
+    for name, (cached, built) in views.items():
+        for got, want in zip(cached, built, strict=True):
+            assert np.array_equal(got, want), name
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = got[0]
+    for name in ("out_csr", "undirected_csr", "adjacency"):
+        assert getattr(graph, name) is getattr(graph, name)
+    assert graph.degrees() is graph.degrees()
 
 
 def test_labels_unknown_node_errors():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from citegen.generator import CsParams, generate
 from citegen.graph import LabeledGraph
 from citegen.metrics import battery
 from citegen.metrics.battery import (CATEGORIES, MetricConfig, MetricReport,
-                                     _clustering, compare)
+                                     _clustering, compare, distance,
+                                     metric_schema, profile)
 from citegen.metrics.distances import MetricError
-from citegen.neardag import cycle_break
+from citegen.neardag import cycle_break, inject_back_edges
 
 EXPECTED_CATEGORY_SIZES = {
     "global-topology": 3,
@@ -125,3 +127,212 @@ def test_clustering_matches_networkx(monkeypatch, wedge_block):
         assert global_c == nx.transitivity(simple)
         want = nx.clustering(simple)
         assert local.tolist() == [want[v] for v in range(n)]
+
+
+# compare(real, synth).to_tsv() as the battery gave it before it was split
+# into per-graph profiles; each fixture skips metrics on one or both sides.
+GOLDEN_SKIP_TSV = {
+    "zero_variance": (
+        "metric\tcategory\tkind\tvalue\tskipped\tnote\n"
+        "effective_diameter\tglobal-topology\tAPE\t0.2857142857142857\t0\t\n"
+        "avg_path_length\tglobal-topology\tAPE\t0.2903337987449459\t0\t\n"
+        "reachability\tglobal-topology\tW1\t11.05\t0\t\n"
+        "in_degree_dist\tdegree\tW1\t2.0000000000000004\t0\t\n"
+        "out_degree_dist\tdegree\tW1\t1.9\t0\t\n"
+        "in_assortativity\tdegree\tAPE\t\t1\tin-assortativity undefined: zero degree variance\n"
+        "out_assortativity\tdegree\tAPE\t\t1\tout-assortativity undefined: zero degree variance\n"
+        "gt_modularity\tmeso-endogenous\tAPE\t0.9833531510107015\t0\t\n"
+        "gt_conductance\tmeso-endogenous\tAPE\t0.3281653746770026\t0\t\n"
+        "gt_inter_density\tmeso-endogenous\tAPE\t0.4135338345864662\t0\t\n"
+        "gt_intra_density\tmeso-endogenous\tAPE\t\t1\tAPE undefined for a zero reference value\n"
+        "gt_in_participation\tmeso-endogenous\tW1\t0.3634166666666666\t0\t\n"
+        "gt_out_participation\tmeso-endogenous\tW1\t0.3780555555555556\t0\t\n"
+        "detected_modularity_r100\tmeso-exogenous\tAPE\t0.038446294094332124\t0\t\n"
+        "detected_sizes_r100\tmeso-exogenous\tW1\t0.6666666666666666\t0\t\n"
+        "detected_modularity_r050\tmeso-exogenous\tAPE\t0.016646848989298357\t0\t\n"
+        "detected_sizes_r050\tmeso-exogenous\tW1\t2.0\t0\t\n"
+        "detected_modularity_r200\tmeso-exogenous\tAPE\t2.6932223543400706\t0\t\n"
+        "detected_sizes_r200\tmeso-exogenous\tW1\t1.2571428571428571\t0\t\n"
+        "global_clustering\tlocal\tAPE\t\t1\tAPE undefined for a zero reference value\n"
+        "ffl_count\tlocal\tAPE\t\t1\tAPE undefined for a zero reference value\n"
+        "local_clustering_dist\tlocal\tW1\t0.2723015873015873\t0\t\n"
+        "triad_census\tlocal\tL1\t0.5724310776942356\t0\t\n"
+        "betweenness_dist\tflow\tW1\t0.3992690058479532\t0\t\n"
+        "scc_sizes\tflow\tW1\t9.0\t0\t\n"
+        "longest_path_dist\tflow\tW1\t1.4500000000000002\t0\t\n"
+    ),
+    "labels_one_side": (
+        "metric\tcategory\tkind\tvalue\tskipped\tnote\n"
+        "effective_diameter\tglobal-topology\tAPE\t0.2\t0\t\n"
+        "avg_path_length\tglobal-topology\tAPE\t0.13312122874382873\t0\t\n"
+        "reachability\tglobal-topology\tW1\t14.05\t0\t\n"
+        "in_degree_dist\tdegree\tW1\t2.0\t0\t\n"
+        "out_degree_dist\tdegree\tW1\t1.9\t0\t\n"
+        "in_assortativity\tdegree\tAPE\t\t1\tin-assortativity undefined: zero degree variance\n"
+        "out_assortativity\tdegree\tAPE\t\t1\tout-assortativity undefined: zero degree variance\n"
+        "gt_modularity\tmeso-endogenous\tAPE\t\t1\tground-truth labels unavailable\n"
+        "gt_conductance\tmeso-endogenous\tAPE\t\t1\tground-truth labels unavailable\n"
+        "gt_inter_density\tmeso-endogenous\tAPE\t\t1\tground-truth labels unavailable\n"
+        "gt_intra_density\tmeso-endogenous\tAPE\t\t1\tground-truth labels unavailable\n"
+        "gt_in_participation\tmeso-endogenous\tW1\t\t1\tground-truth labels unavailable\n"
+        "gt_out_participation\tmeso-endogenous\tW1\t\t1\tground-truth labels unavailable\n"
+        "detected_modularity_r100\tmeso-exogenous\tAPE\t0.7260865139949111\t0\t\n"
+        "detected_sizes_r100\tmeso-exogenous\tW1\t0.8333333333333334\t0\t\n"
+        "detected_modularity_r050\tmeso-exogenous\tAPE\t0.01637426900584786\t0\t\n"
+        "detected_sizes_r050\tmeso-exogenous\tW1\t5.0\t0\t\n"
+        "detected_modularity_r200\tmeso-exogenous\tAPE\t4.023820224719104\t0\t\n"
+        "detected_sizes_r200\tmeso-exogenous\tW1\t1.1904761904761905\t0\t\n"
+        "global_clustering\tlocal\tAPE\t1.0\t0\t\n"
+        "ffl_count\tlocal\tAPE\t1.0\t0\t\n"
+        "local_clustering_dist\tlocal\tW1\t0.27230158730158727\t0\t\n"
+        "triad_census\tlocal\tL1\t1.143859649122807\t0\t\n"
+        "betweenness_dist\tflow\tW1\t0.3992690058479532\t0\t\n"
+        "scc_sizes\tflow\tW1\t9.0\t0\t\n"
+        "longest_path_dist\tflow\tW1\t0.1499999999999999\t0\t\n"
+    ),
+    "two_nodes": (
+        "metric\tcategory\tkind\tvalue\tskipped\tnote\n"
+        "effective_diameter\tglobal-topology\tAPE\t3.0\t0\t\n"
+        "avg_path_length\tglobal-topology\tAPE\t1.4900000000000002\t0\t\n"
+        "reachability\tglobal-topology\tW1\t3.5\t0\t\n"
+        "in_degree_dist\tdegree\tW1\t0.5\t0\t\n"
+        "out_degree_dist\tdegree\tW1\t0.5\t0\t\n"
+        "in_assortativity\tdegree\tAPE\t\t1\tin-assortativity undefined: zero degree variance\n"
+        "out_assortativity\tdegree\tAPE\t\t1\tout-assortativity undefined: zero degree variance\n"
+        "gt_modularity\tmeso-endogenous\tAPE\t\t1\tAPE undefined for a zero reference value\n"
+        "gt_conductance\tmeso-endogenous\tAPE\t1.0\t0\t\n"
+        "gt_inter_density\tmeso-endogenous\tAPE\t\t1\tsingle community: inter-density undefined\n"
+        "gt_intra_density\tmeso-endogenous\tAPE\t\t1\tsingle community: inter-density undefined\n"
+        "gt_in_participation\tmeso-endogenous\tW1\t0.0\t0\t\n"
+        "gt_out_participation\tmeso-endogenous\tW1\t0.0\t0\t\n"
+        "detected_modularity_r100\tmeso-exogenous\tAPE\t\t1\tAPE undefined for a zero reference value\n"
+        "detected_sizes_r100\tmeso-exogenous\tW1\t0.5\t0\t\n"
+        "detected_modularity_r050\tmeso-exogenous\tAPE\t0.0\t0\t\n"
+        "detected_sizes_r050\tmeso-exogenous\tW1\t3.0\t0\t\n"
+        "detected_modularity_r200\tmeso-exogenous\tAPE\t0.6799999999999998\t0\t\n"
+        "detected_sizes_r200\tmeso-exogenous\tW1\t0.6666666666666667\t0\t\n"
+        "global_clustering\tlocal\tAPE\t\t1\tAPE undefined for a zero reference value\n"
+        "ffl_count\tlocal\tAPE\t\t1\tAPE undefined for a zero reference value\n"
+        "local_clustering_dist\tlocal\tW1\t0.0\t0\t\n"
+        "triad_census\tlocal\tL1\t\t1\ttriad census needs at least 3 nodes\n"
+        "betweenness_dist\tflow\tW1\t\t1\tbetweenness needs at least 3 nodes\n"
+        "scc_sizes\tflow\tW1\t4.0\t0\t\n"
+        "longest_path_dist\tflow\tW1\t1.4999999999999998\t0\t\n"
+    ),
+}
+
+
+# As GOLDEN_SKIP_TSV, for a pair that uses every sampling seed: both graphs
+# are subsampled, and pairs, sources and census triples are sampled.
+GOLDEN_SAMPLED_TSV = (
+    "metric\tcategory\tkind\tvalue\tskipped\tnote\n"
+    "effective_diameter\tglobal-topology\tAPE\t0.02040816326530568\t0\t\n"
+    "avg_path_length\tglobal-topology\tAPE\t0.07843137254901962\t0\t\n"
+    "reachability\tglobal-topology\tW1\t6.866666666666666\t0\t\n"
+    "in_degree_dist\tdegree\tW1\t0.62\t0\t\n"
+    "out_degree_dist\tdegree\tW1\t0.23\t0\t\n"
+    "in_assortativity\tdegree\tAPE\t0.25513114152019556\t0\t\n"
+    "out_assortativity\tdegree\tAPE\t1.770607533614091\t0\t\n"
+    "gt_modularity\tmeso-endogenous\tAPE\t0.043824116764383005\t0\t\n"
+    "gt_conductance\tmeso-endogenous\tAPE\t0.25498844780508306\t0\t\n"
+    "gt_inter_density\tmeso-endogenous\tAPE\t0.07552954292084722\t0\t\n"
+    "gt_intra_density\tmeso-endogenous\tAPE\t0.012100463841450512\t0\t\n"
+    "gt_in_participation\tmeso-endogenous\tW1\t0.024365419157447953\t0\t\n"
+    "gt_out_participation\tmeso-endogenous\tW1\t0.038945201135244426\t0\t\n"
+    "detected_modularity_r100\tmeso-exogenous\tAPE\t0.012668803861388677\t0\t\n"
+    "detected_sizes_r100\tmeso-exogenous\tW1\t5.035714285714285\t0\t\n"
+    "detected_modularity_r050\tmeso-exogenous\tAPE\t0.0\t0\t\n"
+    "detected_sizes_r050\tmeso-exogenous\tW1\t0.0\t0\t\n"
+    "detected_modularity_r200\tmeso-exogenous\tAPE\t0.015136640327114686\t0\t\n"
+    "detected_sizes_r200\tmeso-exogenous\tW1\t0.8421052631578947\t0\t\n"
+    "global_clustering\tlocal\tAPE\t0.05596194241937467\t0\t\n"
+    "ffl_count\tlocal\tAPE\t0.1346153846153846\t0\t\n"
+    "local_clustering_dist\tlocal\tW1\t0.03553922122647054\t0\t\n"
+    "triad_census\tlocal\tL1\t0.010000000000000002\t0\t\n"
+    "betweenness_dist\tflow\tW1\t0.0004941212395148743\t0\t\n"
+    "scc_sizes\tflow\tW1\t0.09289617486338808\t0\t\n"
+    "longest_path_dist\tflow\tW1\t0.815\t0\t\n"
+)
+
+
+def test_sampled_compare_matches_the_unsplit_battery():
+    params = CsParams(p=(0.6, 0.4), m=(4.0, 3.0), rho=(0.3, 0.6),
+                      sigma2=(6.0, 5.0))
+    real = inject_back_edges(generate(params, 300, 1), 0.1, 2)
+    synth = generate(params, 260, 3)
+    config = MetricConfig(seed=3, n_pairs=200, n_sources=30, max_nodes=200,
+                          triad_exact_limit=50, triad_samples=2000)
+    assert compare(real, synth, config).to_tsv() == GOLDEN_SAMPLED_TSV
+
+
+def skip_fixtures():
+    """(real, synth) pairs named as in GOLDEN_SKIP_TSV."""
+    def graph(n, edges, labels=None):
+        e = np.array(edges, np.int64).reshape(-1, 2)
+        return LabeledGraph(num_nodes=n, src=e[:, 0], dst=e[:, 1],
+                            labels=None if labels is None else np.asarray(labels))
+
+    ring = graph(8, [(i, (i + 1) % 8) for i in range(8)],
+                 [i % 2 for i in range(8)])
+    rng = np.random.default_rng(5)
+    adj = rng.random((20, 20)) < 0.15
+    np.fill_diagonal(adj, False)
+    labelled = graph(20, np.argwhere(adj), rng.integers(0, 3, 20))
+    bare = graph(20, np.argwhere(adj))
+    single = graph(5, [(i, (i + 1) % 5) for i in range(5)], [0] * 5)
+    pair = graph(2, [(0, 1)], [0, 1])
+    return {"zero_variance": (ring, labelled),
+            "labels_one_side": (bare, single),
+            "two_nodes": (pair, single)}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SKIP_TSV))
+def test_skip_notes_match_the_unsplit_battery(name):
+    real, synth = skip_fixtures()[name]
+    assert compare(real, synth).to_tsv() == GOLDEN_SKIP_TSV[name]
+    config = MetricConfig()
+    assert distance(profile(real, config), profile(synth, config)).to_tsv() \
+        == GOLDEN_SKIP_TSV[name]
+
+
+@pytest.mark.parametrize("resolutions", [(1.0, 0.5, 2.0), (0.25, 3.0)])
+def test_schema_matches_report(near_dag_graph, resolutions):
+    config = MetricConfig(n_pairs=100, n_sources=20, resolutions=resolutions)
+    report = compare(near_dag_graph, near_dag_graph, config)
+    assert metric_schema(config) == [(e.name, e.category, e.kind)
+                                     for e in report.entries]
+    assert len(report.entries) == 20 + 2 * len(resolutions)
+
+
+def test_profile_stores_failures_and_raises_them_on_read(make_graph):
+    pair = make_graph(2, [(0, 1)])
+    prof = profile(pair)
+    assert isinstance(prof.values["betweenness_dist"], MetricError)
+    for _ in range(2):
+        with pytest.raises(MetricError, match="at least 3 nodes"):
+            prof["betweenness_dist"]
+    assert prof["scc_sizes"].tolist() == [1, 1]
+    assert "gt_modularity" not in prof.values
+
+
+def test_distance_rejects_profiles_of_different_configs(make_graph):
+    chain = make_graph(6, [(i + 1, i) for i in range(5)])
+    with pytest.raises(ValueError, match="different metric configs"):
+        distance(profile(chain, MetricConfig(seed=1)),
+                 profile(chain, MetricConfig(seed=2)))
+
+
+def test_self_comparison_builds_one_profile(near_dag_graph, monkeypatch):
+    calls = []
+    detect = battery.detect_communities
+
+    def counting(graph, *args, **kwargs):
+        calls.append(graph)
+        return detect(graph, *args, **kwargs)
+
+    monkeypatch.setattr(battery, "detect_communities", counting)
+    config = MetricConfig(n_pairs=100, n_sources=20)
+    compare(near_dag_graph, near_dag_graph, config)
+    assert len(calls) == 3
+    compare(near_dag_graph, strip_labels(near_dag_graph), config)
+    assert len(calls) == 9
