@@ -1,0 +1,98 @@
+"""Digests of outputs that a refactor must leave byte-identical.
+
+Prints one ``name sha256-prefix`` line per output: ``inject_back_edges``
+(with and without labels), ``cycle_break`` under all three ordering
+strategies, ``generate_sbm`` and ``generate_dcsbm`` on fixed input graphs
+that are built here with numpy alone, so that they do not depend on the
+code under test, and the community labels of ``generate``.  Run it on two
+checkouts and compare:
+
+    PYTHONPATH=src python3 benchmarks/output_digests.py > after.txt
+    diff before.txt after.txt
+"""
+
+import hashlib
+
+import numpy as np
+
+from citegen.baselines import fit_sbm, generate_dcsbm, generate_sbm
+from citegen.generator import CsParams, generate
+from citegen.graph import LabeledGraph
+from citegen.neardag import cycle_break, inject_back_edges
+
+
+def random_graph(n, m, k, seed, dag):
+    """Simple digraph of at most m edges with k labels and timestamps."""
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, n, m)
+    t = rng.integers(0, n, m)
+    keep = s != t
+    s, t = s[keep], t[keep]
+    if dag:
+        s, t = np.maximum(s, t), np.minimum(s, t)
+    keys = np.unique(s * n + t)
+    labels = rng.integers(0, k, n)
+    labels[:k] = np.arange(k)
+    return LabeledGraph(num_nodes=n, src=keys // n, dst=keys % n,
+                        labels=labels,
+                        timestamps=rng.permutation(n).astype(np.float64))
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def main():
+    out = {}
+    inputs = {
+        "dag2k": random_graph(2000, 10000, 4, 1, True),
+        "dag20k": random_graph(20000, 100000, 6, 2, True),
+        "cyc3k": random_graph(3000, 15000, 3, 3, False),
+        # too few free old -> new pairs: injection falls short
+        "dense60": random_graph(60, 3000, 2, 4, False),
+        "tiny": random_graph(12, 40, 2, 5, True),
+    }
+    for name, g in inputs.items():
+        bare = LabeledGraph(num_nodes=g.num_nodes, src=g.src, dst=g.dst)
+        for r, seed in ((0.05, 7), (0.3, 8)):
+            a = inject_back_edges(g, r, seed)
+            out[f"inject/{name}/{r}"] = digest(a.src, a.dst)
+            b = inject_back_edges(bare, r, seed)
+            out[f"inject-nolabels/{name}/{r}"] = digest(b.src, b.dst)
+        for strategy in ("timestamps", "degree-diff", "eades"):
+            for r, seed in ((0.0, 1), (0.1, 2), (0.45, 3)):
+                h, rep = cycle_break(g, r, seed, strategy)
+                out[f"cycle/{name}/{strategy}/{r}"] = digest(
+                    h.src, h.dst,
+                    np.array([rep.collapsed_edges, rep.reversed_edges]),
+                    np.float64(rep.back_edge_ratio))
+        fit = fit_sbm(g)
+        for seed in (11, 12):
+            s = generate_sbm(fit, seed)
+            out[f"sbm/{name}/{seed}"] = digest(s.src, s.dst)
+            d = generate_dcsbm(fit, seed)
+            out[f"dcsbm/{name}/{seed}"] = digest(d.src, d.dst)
+
+    params = [
+        CsParams(p=(0.5, 0.3, 0.2), m=(5.0, 4.0, 3.0), rho=(0.3, 0.5, 0.7),
+                 sigma2=(9.0, 8.0, 4.0)),
+        CsParams(p=(1.0,), m=(5.0,), rho=(0.5,), sigma2=(5.0,)),
+        CsParams(p=(0.1, 0.2, 0.3, 0.25, 0.15), m=(2.0, 8.0, 3.0, 40.0, 1.0),
+                 rho=(0.9, 0.1, 0.5, 0.6, 0.2),
+                 sigma2=(1.0, 30.0, 3.0, 400.0, 0.5)),
+    ]
+    for i, p in enumerate(params):
+        for n, seed in ((5, 0), (1000, 1), (30000, 2)):
+            if n >= p.k:
+                out[f"generate-labels/{i}/{n}/{seed}"] = digest(
+                    generate(p, n, seed).labels)
+
+    for key in sorted(out):
+        print(key, out[key])
+
+
+if __name__ == "__main__":
+    main()

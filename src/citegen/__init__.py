@@ -6,10 +6,10 @@ from .baselines import (BaselineError, ConfigFit, ErFit, SbmFit, fit_config,
 from .bench import BenchConfig, BenchError, BenchResult, run_bench, write_artifacts
 from .estimation import (CommunityStats, EstimationError, FitResult,
                          community_stats, estimate, gini, roundtrip_report)
-from .generator import (CsParams, DerivedParams, NoValidTargetError,
-                        ParamError, derive, effective_preferentiality,
-                        empirical_ccdf, expected_indegree, generate,
-                        ks_to_pareto2, pareto2_ccdf)
+from .generator import (CsParams, DerivedParams, ParamError, derive,
+                        effective_preferentiality, empirical_ccdf,
+                        expected_indegree, generate, ks_to_pareto2,
+                        pareto2_ccdf)
 from .graph import (GraphError, LabeledGraph, LoadReport, bfs_subsample,
                     induced_subgraph, is_acyclic, load_edge_list, load_labels,
                     load_timestamps, prune_unlabeled, sample_pairs,
@@ -29,8 +29,8 @@ __all__ = [
     "CommunityStats", "ConfigFit", "CsParams", "CycleBreakReport",
     "DerivedParams", "ErFit", "EstimationError", "FitResult", "GraphError",
     "GraphProfile", "LabeledGraph", "LoadReport", "MetricConfig", "MetricEntry",
-    "MetricError", "MetricReport", "NearDagError", "NoValidTargetError",
-    "NodeOrdering", "ParamError", "RankTable", "SbmFit", "StatsError",
+    "MetricError", "MetricReport", "NearDagError", "NodeOrdering",
+    "ParamError", "RankTable", "SbmFit", "StatsError",
     "back_edge_count", "back_edge_ratio", "bfs_subsample", "bootstrap_ci",
     "community_stats", "compare", "cycle_break", "derive", "distance",
     "effective_preferentiality", "empirical_ccdf", "estimate",

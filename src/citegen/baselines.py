@@ -177,8 +177,11 @@ def _block_members(labels: np.ndarray, k: int):
     return [order[bounds[c]:bounds[c + 1]] for c in range(k)]
 
 
-def _place_block_edges(counts, draw_src, draw_dst, table, n, rng, max_try=200):
-    """Sample ``counts`` distinct non-self edges via rejection."""
+def _place_block_edges(counts, draw_src, draw_dst, taken, n, rng, max_try=200):
+    """Sample ``counts`` non-self edges via rejection, none of them in ``taken``.
+
+    ``taken`` holds the keys ``src * n + dst`` of edges placed so far.
+    """
     src_out = np.empty(counts, np.int64)
     dst_out = np.empty(counts, np.int64)
     placed = 0
@@ -188,7 +191,9 @@ def _place_block_edges(counts, draw_src, draw_dst, table, n, rng, max_try=200):
             t = draw_dst(rng)
             if s == t:
                 continue
-            if kernels._hs_insert(table, s * n + t):
+            key = s * n + t
+            if key not in taken:
+                taken.add(key)
                 src_out[placed] = s
                 dst_out[placed] = t
                 placed += 1
@@ -205,8 +210,7 @@ def _generate_blockmodel(fit: SbmFit, seed, degree_corrected: bool):
     if degree_corrected:
         out_urns = [np.repeat(members[a], fit.d_out[members[a]]) for a in range(k)]
         in_urns = [np.repeat(members[b], fit.d_in[members[b]]) for b in range(k)]
-    expected_total = int(fit.block_edges.sum())
-    table = kernels.hs_new(max(expected_total * 2, 16))
+    taken = set()
     parts_src, parts_dst = [], []
     shortfall = 0
     for a in range(k):
@@ -232,7 +236,7 @@ def _generate_blockmodel(fit: SbmFit, seed, degree_corrected: bool):
                 draw_src = lambda r, mm=members[a]: int(mm[int(r.random() * mm.size)])
                 draw_dst = lambda r, mm=members[b]: int(mm[int(r.random() * mm.size)])
             s_arr, t_arr = _place_block_edges(count, draw_src, draw_dst,
-                                              table, n, rng)
+                                              taken, n, rng)
             shortfall += count - s_arr.size
             parts_src.append(s_arr)
             parts_dst.append(t_arr)

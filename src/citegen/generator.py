@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -31,10 +31,6 @@ SeedLike = Union[int, np.random.SeedSequence]
 
 class ParamError(ValueError):
     pass
-
-
-class NoValidTargetError(RuntimeError):
-    """Preferential draw has no candidate: empty urn and no other member."""
 
 
 @dataclass(frozen=True)
@@ -139,43 +135,40 @@ def derive(params: CsParams) -> DerivedParams:
     return DerivedParams(mean_accidental=mean_accidental, nu=nu)
 
 
-def sample_out_degree(m: float, sigma2: float, upper: int,
-                      rng: np.random.Generator) -> int:
-    """One out-degree draw, truncated at ``upper``.
+def _draw_node_streams(params: CsParams, n: int, seed: SeedLike):
+    """Community, out-degree and split draws for every node, ahead of growth.
 
-    Overdispersed case (sigma2 > m) draws a Gamma-mixed Poisson whose
-    untruncated mean is m and variance sigma2; otherwise a plain Poisson(m).
+    ``seed`` spawns five streams: community uniforms, Poisson out-degrees,
+    split uniforms, target uniforms and Gamma rates.  Node v >= k joins
+    community c by one uniform against the cumulative ``p``.  Its
+    out-degree is Poisson with rate ``m[c]``, or with a Gamma rate of mean
+    ``m[c]`` when ``sigma2[c] > m[c]``, so that the untruncated draw is
+    negative binomial with variance ``sigma2[c]``; it is then clipped at v.
+    Each of its d edges is accidental when its split uniform falls below
+    ``1 - rho[c]``.  Every stream is consumed node by node in id order, so
+    a shorter run draws an exact prefix of a longer one.  Returns
+    ``(labels, d, n_acc, rng_tgt)``; the seed nodes 0..k-1 have d = 0.
     """
-    if m <= 0:
-        raise ParamError("mean out-degree must be positive")
-    if upper < 0:
-        raise ParamError("upper bound must be nonnegative")
-    return int(kernels._out_degree_draw(rng, float(m), float(sigma2), int(upper)))
-
-
-def split_edges(d_out: int, rho: float, rng: np.random.Generator):
-    """Split an out-degree into (accidental, preferential) counts."""
-    if d_out < 0:
-        raise ParamError("out-degree must be nonnegative")
-    n_acc = int(kernels._binomial_draw(rng, int(d_out), 1.0 - float(rho)))
-    return n_acc, int(d_out) - n_acc
-
-def draw_preferential(urn: Sequence[int], community_members: Sequence[int],
-                      new_node: int, rng: np.random.Generator) -> int:
-    """One preferential target: uniform urn entry, or uniform member on cold start."""
-    if len(urn) > 0:
-        return int(urn[int(rng.random() * len(urn))])
-    candidates = [u for u in community_members if u != new_node]
-    if not candidates:
-        raise NoValidTargetError(
-            f"community of node {new_node} has no other member and an empty urn")
-    return int(candidates[int(rng.random() * len(candidates))])
-
-
-def _spawn_streams(seed: SeedLike):
-    """Independent generators for categorical, out-degree, split, and target draws."""
+    k = params.k
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(4)]
+    rng_cat, rng_deg, rng_split, rng_tgt, rng_gam = (
+        np.random.default_rng(child) for child in ss.spawn(5))
+    labels = np.arange(n, dtype=np.int64)
+    labels[k:] = np.minimum(np.searchsorted(
+        np.cumsum(params.p), rng_cat.random(n - k), side="right"), k - 1)
+    m = params.m[labels[k:]]
+    sigma2 = params.sigma2[labels[k:]]
+    lam = m.copy()
+    over = sigma2 > m
+    excess = sigma2[over] - m[over]
+    lam[over] = rng_gam.gamma(m[over] ** 2 / excess, excess / m[over])
+    d = np.zeros(n, np.int64)
+    d[k:] = np.minimum(rng_deg.poisson(lam), np.arange(k, n))
+    acc = rng_split.random(int(d.sum())) < np.repeat(1.0 - params.rho[labels], d)
+    cum = np.concatenate(([0], np.cumsum(acc)))
+    ends = np.cumsum(d)
+    n_acc = cum[ends] - cum[ends - d]
+    return labels, d, n_acc, rng_tgt
 
 
 def generate(params: CsParams, n: int, seed: SeedLike) -> LabeledGraph:
@@ -189,24 +182,15 @@ def generate(params: CsParams, n: int, seed: SeedLike) -> LabeledGraph:
     k = params.k
     if n < k:
         raise ParamError(f"n={n} is below the community count k={k}")
-    rng_cat, rng_deg, rng_split, rng_tgt = _spawn_streams(seed)
-    cum_p = np.cumsum(params.p)
+    labels, d, n_acc, rng_tgt = _draw_node_streams(params, int(n), seed)
+    members = np.argsort(labels, kind="stable")
+    starts = np.searchsorted(labels[members], np.arange(k))
     mean_m = float(np.sum(params.p * params.m))
-    members = []
-    urns = []
-    for c in range(k):
-        cap = max(16, int(1.2 * n * params.p[c]) + 16)
-        buf = np.empty(cap, np.int64)
-        buf[0] = c
-        members.append(buf)
-        urns.append(np.empty(max(64, int(1.3 * n * params.p[c] * mean_m) + 64),
-                             np.int64))
-    src, dst, labels = kernels._gen_dag(
-        int(n), cum_p, params.m, params.rho, params.sigma2,
-        kernels.make_array_list(members), np.ones(k, np.int64),
-        kernels.make_array_list(urns), np.zeros(k, np.int64),
-        rng_cat, rng_deg, rng_split, rng_tgt,
-    )
+    urns = [np.empty(max(64, int(1.3 * n * params.p[c] * mean_m) + 64), np.int64)
+            for c in range(k)]
+    src, dst = kernels._gen_dag(
+        labels, d, n_acc, members, starts,
+        kernels.make_array_list(urns), np.zeros(k, np.int64), rng_tgt)
     return LabeledGraph(num_nodes=int(n), src=src, dst=dst, labels=labels)
 
 

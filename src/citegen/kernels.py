@@ -1,10 +1,14 @@
-"""Hot numeric kernels with a numba/pure dual path.
+"""Sequential numeric kernels with a numba/pure dual path.
 
-Every kernel below is written once and compiled with numba's ``@njit`` when
-available.  Setting ``CITEGEN_NO_NUMBA=1`` (or running without numba
-installed) selects a pure-Python execution of the very same function bodies.
-All random draws go through ``Generator.random()`` uniforms only, so the two
-paths consume identical RNG streams and produce bit-identical results.
+Only loops whose steps depend on earlier steps live here: the growth
+model's target resolution, ER skip sampling, BFS collection, Brandes
+betweenness, the exact triad census and DAG longest paths.  Each is
+written once and compiled with numba's ``@njit`` when available.  Setting
+``CITEGEN_NO_NUMBA=1`` (or running without numba installed) selects a
+pure-Python execution of the very same function bodies.  The kernels draw
+randomness only as ``Generator.random()`` uniforms, so the two paths
+consume identical RNG streams and produce bit-identical results; callers
+draw every other stream with numpy before entering a kernel.
 
 ``benchmarks/kernel_speed.py`` compares the two paths on the heavy kernels.
 """
@@ -21,7 +25,7 @@ NUMBA_DISABLED = os.environ.get("CITEGEN_NO_NUMBA", "") not in ("", "0")
 try:
     if NUMBA_DISABLED:
         raise ImportError("numba disabled via CITEGEN_NO_NUMBA")
-    from numba import njit as _numba_njit
+    from numba import njit
     from numba.typed import List as _TypedList
 
     HAVE_NUMBA = True
@@ -29,7 +33,7 @@ except ImportError:
     HAVE_NUMBA = False
     _TypedList = None
 
-    def _numba_njit(*args, **kwargs):
+    def njit(*args, **kwargs):
         if args and callable(args[0]):
             return args[0]
 
@@ -37,10 +41,6 @@ except ImportError:
             return func
 
         return wrap
-
-
-def njit(*args, **kwargs):
-    return _numba_njit(*args, **kwargs)
 
 
 def using_numba() -> bool:
@@ -82,7 +82,7 @@ def _push(bufs, counts, idx, value):
 
 
 # ---------------------------------------------------------------------------
-# distribution draws built from Generator.random() uniforms only
+# uniform index draws
 
 @njit(cache=True)
 def _rand_below(rng, n):
@@ -92,284 +92,50 @@ def _rand_below(rng, n):
     return j
 
 
-@njit(cache=True)
-def _categorical(rng, cum_p):
-    u = rng.random()
-    k = cum_p.shape[0]
-    for i in range(k):
-        if u < cum_p[i]:
-            return i
-    return k - 1
-
-
-@njit(cache=True)
-def _normal_draw(rng):
-    # Marsaglia polar method; second variate discarded for a fixed draw order.
-    while True:
-        a = 2.0 * rng.random() - 1.0
-        b = 2.0 * rng.random() - 1.0
-        s = a * a + b * b
-        if s > 0.0 and s < 1.0:
-            return a * math.sqrt(-2.0 * math.log(s) / s)
-
-
-@njit(cache=True)
-def _gamma_draw(rng, shape):
-    # Marsaglia-Tsang squeeze; shape < 1 handled by the boost identity.
-    boost = 1.0
-    a = shape
-    if shape < 1.0:
-        u = rng.random()
-        boost = u ** (1.0 / shape)
-        a = shape + 1.0
-    d = a - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = _normal_draw(rng)
-        t = 1.0 + c * x
-        if t <= 0.0:
-            continue
-        v = t * t * t
-        u = rng.random()
-        if u < 1.0 - 0.0331 * x * x * x * x:
-            return boost * d * v
-        if u < 1e-300:
-            return boost * d * v
-        if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return boost * d * v
-
-
-@njit(cache=True)
-def _poisson_draw(rng, lam):
-    if lam <= 0.0:
-        return 0
-    if lam < 30.0:
-        # Knuth product-of-uniforms
-        limit = math.exp(-lam)
-        k = 0
-        p = rng.random()
-        while p > limit:
-            k += 1
-            p *= rng.random()
-        return k
-    # Hormann PTRS transformed rejection, exact for lam >= 10
-    b = 0.931 + 2.53 * math.sqrt(lam)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    while True:
-        u = rng.random() - 0.5
-        v = rng.random()
-        us = 0.5 - abs(u)
-        k = int(math.floor((2.0 * a / us + b) * u + lam + 0.43))
-        if us >= 0.07 and v <= v_r:
-            return k
-        if k < 0:
-            continue
-        if us < 0.013 and v > us:
-            continue
-        if v < 1e-300:
-            return k
-        if (
-            math.log(v) + math.log(inv_alpha) - math.log(a / (us * us) + b)
-            <= k * math.log(lam) - lam - math.lgamma(k + 1.0)
-        ):
-            return k
-
-
-@njit(cache=True)
-def _binomial_draw(rng, n, p):
-    c = 0
-    for _ in range(n):
-        if rng.random() < p:
-            c += 1
-    return c
-
-
-@njit(cache=True)
-def _geometric_draw(rng, p):
-    # support {1, 2, ...}
-    u = rng.random()
-    return 1 + int(math.floor(math.log1p(-u) / math.log1p(-p)))
-
-
-@njit(cache=True)
-def _out_degree_draw(rng, m, sigma2, upper):
-    if sigma2 > m:
-        r = m * m / (sigma2 - m)
-        p_nb = m / sigma2
-        scale = (1.0 - p_nb) / p_nb
-        lam = _gamma_draw(rng, r) * scale
-        d = _poisson_draw(rng, lam)
-    else:
-        d = _poisson_draw(rng, m)
-    if d > upper:
-        d = upper
-    return d
-
-
-# ---------------------------------------------------------------------------
-# open-addressing int64 hash set (prime capacity, double hashing)
-
-_HS_PRIMES = (
-    53, 97, 193, 389, 769, 1543, 3079, 6151, 12289, 24593, 49157, 98317,
-    196613, 393241, 786433, 1572869, 3145739, 6291469, 12582917, 25165843,
-    50331653, 100663319, 201326611, 402653189, 805306457, 1610612741,
-)
-
-
-def hs_capacity(expected: int) -> int:
-    need = 3 * max(expected, 1)
-    for p in _HS_PRIMES:
-        if p >= need:
-            return p
-    return _HS_PRIMES[-1]
-
-
-def hs_new(expected: int) -> np.ndarray:
-    return np.full(hs_capacity(expected), -1, np.int64)
-
-
-@njit(cache=True)
-def _hs_insert(table, key):
-    # returns True when the key was absent; keys must be >= 0
-    m = table.shape[0]
-    i = key % m
-    step = 1 + key % (m - 2)
-    while True:
-        cur = table[i]
-        if cur == key:
-            return False
-        if cur == -1:
-            table[i] = key
-            return True
-        i += step
-        if i >= m:
-            i -= m
-
-
-@njit(cache=True)
-def _hs_contains(table, key):
-    m = table.shape[0]
-    i = key % m
-    step = 1 + key % (m - 2)
-    while True:
-        cur = table[i]
-        if cur == key:
-            return True
-        if cur == -1:
-            return False
-        i += step
-        if i >= m:
-            i -= m
-
-
-@njit(cache=True)
-def _hs_fill_edges(table, src, dst, n):
-    for e in range(src.shape[0]):
-        _hs_insert(table, src[e] * n + dst[e])
-
-
 # ---------------------------------------------------------------------------
 # growth-model generation
 
 @njit(cache=True)
-def _gen_dag(n, cum_p, m, rho, sigma2, members, mem_n, urns, urn_n,
-             rng_cat, rng_deg, rng_split, rng_tgt):
-    k = cum_p.shape[0]
-    labels = np.empty(n, np.int64)
-    for c in range(k):
-        labels[c] = c
-    esrc = np.empty(1024, np.int64)
-    edst = np.empty(1024, np.int64)
+def _gen_dag(labels, d, n_acc, members, starts, urns, urn_n, rng_tgt):
+    """Resolve the citation targets of nodes k..n-1; return (src, dst).
+
+    Node v makes ``n_acc[v]`` accidental draws, uniform over 0..v-1, then
+    ``d[v] - n_acc[v]`` preferential ones, uniform over its community's
+    urn, or over the community's earlier members while that urn is empty.
+    A repeated target is dropped.  ``members`` lists the nodes by
+    community in id order, community c from ``starts[c]``.  Every cited
+    node then gets one more copy in its own community's urn.
+    """
+    n = labels.shape[0]
+    mem_n = np.ones(starts.shape[0], np.int64)
+    total = d.sum()
+    esrc = np.empty(total, np.int64)
+    edst = np.empty(total, np.int64)
     ne = 0
-    tbuf = np.empty(64, np.int64)
-    for v in range(k, n):
-        c = _categorical(rng_cat, cum_p)
-        labels[v] = c
-        d = _out_degree_draw(rng_deg, m[c], sigma2[c], v)
-        n_acc = _binomial_draw(rng_split, d, 1.0 - rho[c])
-        n_pref = d - n_acc
-        if d > tbuf.shape[0]:
-            tbuf = np.empty(d, np.int64)
-        nt = 0
-        for _ in range(n_acc):
-            u = _rand_below(rng_tgt, v)
-            dup = False
-            for j in range(nt):
-                if tbuf[j] == u:
-                    dup = True
-                    break
-            if not dup:
-                tbuf[nt] = u
-                nt += 1
-        for _ in range(n_pref):
-            if urn_n[c] > 0:
+    for v in range(starts.shape[0], n):
+        c = labels[v]
+        na = n_acc[v]
+        first = ne
+        for a in range(d[v]):
+            if a < na:
+                u = _rand_below(rng_tgt, v)
+            elif urn_n[c] > 0:
                 u = urns[c][_rand_below(rng_tgt, urn_n[c])]
             else:
-                mc = mem_n[c]
-                if mc == 0:
-                    continue
-                u = members[c][_rand_below(rng_tgt, mc)]
+                u = members[starts[c] + _rand_below(rng_tgt, mem_n[c])]
             dup = False
-            for j in range(nt):
-                if tbuf[j] == u:
+            for j in range(first, ne):
+                if edst[j] == u:
                     dup = True
                     break
             if not dup:
-                tbuf[nt] = u
-                nt += 1
-        if ne + nt > esrc.shape[0]:
-            esrc = _grow(esrc, ne + nt)
-            edst = _grow(edst, ne + nt)
-        for j in range(nt):
-            u = tbuf[j]
-            esrc[ne] = v
-            edst[ne] = u
-            ne += 1
-            _push(urns, urn_n, labels[u], u)
-        _push(members, mem_n, c, v)
-    return esrc[:ne].copy(), edst[:ne].copy(), labels
-
-
-# ---------------------------------------------------------------------------
-# back-edge injection
-
-@njit(cache=True)
-def _inject_back_edges(n, n_back, table, labels, has_labels, eligible,
-                       p_geom, p_intra, max_try, rng):
-    bsrc = np.empty(n_back, np.int64)
-    bdst = np.empty(n_back, np.int64)
-    added = 0
-    for _ in range(n_back):
-        intra = has_labels and eligible.shape[0] > 0 and rng.random() < p_intra
-        placed = False
-        for phase in range(2):
-            # phase 0 honors the intra constraint, phase 1 retries without it
-            if phase == 1 and not intra:
-                break
-            want_intra = intra and phase == 0
-            for _t in range(max_try):
-                if want_intra:
-                    v = eligible[_rand_below(rng, eligible.shape[0])]
-                else:
-                    v = _rand_below(rng, n)
-                g = _geometric_draw(rng, p_geom)
-                if g > v:
-                    continue
-                u = v - g
-                if want_intra and labels[u] != labels[v]:
-                    continue
-                key = u * n + v
-                if _hs_insert(table, key):
-                    bsrc[added] = u
-                    bdst[added] = v
-                    added += 1
-                    placed = True
-                    break
-            if placed:
-                break
-    return bsrc[:added].copy(), bdst[:added].copy()
+                esrc[ne] = v
+                edst[ne] = u
+                ne += 1
+        for j in range(first, ne):
+            _push(urns, urn_n, labels[edst[j]], edst[j])
+        mem_n[c] += 1
+    return esrc[:ne].copy(), edst[:ne].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -144,15 +144,17 @@ def _batch_gain(indptr, indices, weights, kdeg, comm, comm_s, mv, new, scale):
     return d_intra - 0.5 * scale * np.dot(dsum, 2.0 * comm_s + dsum)
 
 
-def _local_moving(indptr, indices, weights, kdeg, two_m, resolution, rng):
-    """Synchronous local moving; returns each node's community.
+def _local_moving(indptr, indices, weights, kdeg, two_m, resolution, rng,
+                  comm=None):
+    """Synchronous local moving from ``comm`` (default: singletons);
+    returns each node's community.
 
     Each round, every active node picks its best neighbouring community.
     A seeded random half of the improving moves is applied if together
     they gain, else the best one alone, so the objective rises each round.
     """
     n = kdeg.size
-    comm = np.arange(n, dtype=np.int64)
+    comm = np.arange(n, dtype=np.int64) if comm is None else comm.copy()
     scale = resolution / two_m
     active = np.flatnonzero(indptr[1:] > indptr[:-1])
     while active.size:
@@ -200,8 +202,10 @@ def detect_communities(graph: LabeledGraph, resolution: float = 1.0,
     """Label-blind greedy modularity maximization (Louvain scheme).
 
     Seeded synchronous local moving on the symmetrized weighted graph and
-    community aggregation, repeated until no move improves the objective.
-    Returns (labels, achieved modularity at this resolution).
+    community aggregation, repeated until no move improves the objective,
+    then one more local moving on the input graph from that partition, so
+    that nodes merged into a community at a coarse level can still leave
+    it.  Returns (labels, achieved modularity at this resolution).
     """
     n = graph.num_nodes
     if n == 0:
@@ -213,10 +217,13 @@ def detect_communities(graph: LabeledGraph, resolution: float = 1.0,
     indptr, indices, weights = graph.undirected_csr
     selfw = np.zeros(n, np.float64)
     two_m = weights.sum()
+    level0 = None
     while True:
         n_cur = indptr.size - 1
         rows = np.repeat(np.arange(n_cur), np.diff(indptr))
         kdeg = np.bincount(rows, weights=weights, minlength=n_cur) + selfw
+        if level0 is None:
+            level0 = indptr, indices, weights, kdeg
         comm = _local_moving(indptr, indices, weights, kdeg, two_m,
                              float(resolution), rng)
         uniq, compact = np.unique(comm, return_inverse=True)
@@ -238,6 +245,8 @@ def detect_communities(graph: LabeledGraph, resolution: float = 1.0,
         indptr = np.zeros(nc + 1, np.int64)
         np.cumsum(counts, out=indptr[1:])
         indices, weights, selfw = indices_new, w_new, new_selfw
+    comm = _local_moving(*level0, two_m, float(resolution), rng, mapping)
+    mapping = np.unique(comm, return_inverse=True)[1]
     q = symmetric_modularity(graph, mapping, resolution)
     return mapping, q
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .graph import LabeledGraph, in_csr, out_csr
 
 log = logging.getLogger(__name__)
@@ -196,21 +195,48 @@ def inject_back_edges(dag: LabeledGraph, r: float, seed) -> LabeledGraph:
         return dag
     n = dag.num_nodes
     rng = np.random.default_rng(seed)
-    table = kernels.hs_new(dag.num_edges + n_back)
-    kernels._hs_fill_edges(table, dag.src, dag.dst, n)
+    # added edges run from a smaller id to a larger one, so only existing
+    # edges of that direction can collide with them
+    fwd = dag.src < dag.dst
+    taken = set((dag.src[fwd] * n + dag.dst[fwd]).tolist())
     if dag.labels is not None:
         first_seen = np.full(dag.labels.max() + 1, n, np.int64)
         np.minimum.at(first_seen, dag.labels, np.arange(n))
-        eligible = np.flatnonzero(np.arange(n) > first_seen[dag.labels])
-        has_labels = True
-        labels = dag.labels
+        eligible = np.flatnonzero(np.arange(n) > first_seen[dag.labels]).tolist()
+        labels = dag.labels.tolist()
     else:
-        eligible = np.empty(0, np.int64)
-        has_labels = False
-        labels = np.zeros(n, np.int64)
-    bsrc, bdst = kernels._inject_back_edges(
-        n, n_back, table, labels, has_labels, eligible,
-        BACK_EDGE_GAP_P, INTRA_COMMUNITY_P, 200, rng)
+        eligible = []
+    n_elig = len(eligible)
+    log_q = math.log1p(-BACK_EDGE_GAP_P)
+    bsrc, bdst = [], []
+    for _ in range(n_back):
+        intra = n_elig > 0 and rng.random() < INTRA_COMMUNITY_P
+        # an intra-community pass first, if drawn, then an unconstrained one
+        for want_intra in ((True, False) if intra else (False,)):
+            placed = False
+            for _t in range(200):
+                if want_intra:
+                    v = eligible[min(int(rng.random() * n_elig), n_elig - 1)]
+                else:
+                    v = min(int(rng.random() * n), n - 1)
+                # geometric gap on {1, 2, ...}
+                g = 1 + int(math.floor(math.log1p(-rng.random()) / log_q))
+                if g > v:
+                    continue
+                u = v - g
+                if want_intra and labels[u] != labels[v]:
+                    continue
+                key = u * n + v
+                if key not in taken:
+                    taken.add(key)
+                    bsrc.append(u)
+                    bdst.append(v)
+                    placed = True
+                    break
+            if placed:
+                break
+    bsrc = np.array(bsrc, np.int64)
+    bdst = np.array(bdst, np.int64)
     if bsrc.size < n_back:
         log.warning("injected %d of %d requested back-edges "
                     "(candidate space exhausted)", bsrc.size, n_back)
@@ -234,8 +260,8 @@ def cycle_break(graph: LabeledGraph, r: float, seed, strategy: str,
     Step 2 points every edge from the later-ranked node to the
     earlier-ranked one; a pair linked in both directions collapses to one
     edge (counted in the report).  Step 3 reverses round(r * |E|) distinct
-    random edges, resampling any reversal that would duplicate an existing
-    edge.  Returns (graph, report).
+    random edges; as all edges then point the same way in the ordering, no
+    reversal duplicates an edge.  Returns (graph, report).
     """
     if not 0.0 <= r < 1.0:
         raise NearDagError("back-edge ratio must lie in [0, 1)")
@@ -253,21 +279,13 @@ def cycle_break(graph: LabeledGraph, r: float, seed, strategy: str,
     rng = np.random.default_rng(seed)
     done = 0
     if n_rev > 0:
-        table = kernels.hs_new(n_edges)
-        kernels._hs_fill_edges(table, src, dst, n)
         chosen = np.zeros(n_edges, bool)
-        done = 0
         attempts = 0
         max_attempts = 200 * n_rev + 10_000
         while done < n_rev and attempts < max_attempts:
             attempts += 1
             e = int(rng.integers(0, n_edges))
             if chosen[e]:
-                continue
-            rev_key = dst[e] * n + src[e]
-            if kernels._hs_contains(table, rev_key):
-                continue
-            if not kernels._hs_insert(table, rev_key):
                 continue
             chosen[e] = True
             done += 1

@@ -5,11 +5,10 @@ import pytest
 import scipy.stats
 
 from citegen import kernels
-from citegen.generator import (CsParams, NoValidTargetError, ParamError,
-                               derive, draw_preferential,
-                               effective_preferentiality, empirical_ccdf,
-                               expected_indegree, generate, ks_to_pareto2,
-                               pareto2_ccdf, sample_out_degree, split_edges)
+from citegen.generator import (CsParams, ParamError, _draw_node_streams,
+                               derive, effective_preferentiality,
+                               empirical_ccdf, expected_indegree, generate,
+                               ks_to_pareto2, pareto2_ccdf)
 from citegen.graph import is_acyclic
 
 
@@ -141,10 +140,17 @@ def test_ks_bulk_quantile_restricts_support():
 
 # --- samplers ----------------------------------------------------------------
 
+def out_degrees(m, sigma2, count, seed, skip=50):
+    """``count`` out-degree draws of one community, past the first ``skip``
+    nodes, where the clip at the node id could bite."""
+    params = CsParams(p=(1.0,), m=(m,), rho=(0.5,), sigma2=(sigma2,))
+    _, d, _, _ = _draw_node_streams(params, 1 + skip + count, seed)
+    return d[1 + skip:]
+
+
 def test_out_degree_poisson_moments_and_fit():
-    rng = np.random.default_rng(0)
     m = 4.0
-    draws = np.array([sample_out_degree(m, m, 1000, rng) for _ in range(20000)])
+    draws = out_degrees(m, m, 20000, 0)
     assert draws.mean() == pytest.approx(m, abs=4 * math.sqrt(m / 20000))
     counts = np.bincount(draws, minlength=15)[:15]
     expected = scipy.stats.poisson.pmf(np.arange(15), m) * draws.size
@@ -154,10 +160,8 @@ def test_out_degree_poisson_moments_and_fit():
 
 
 def test_out_degree_negative_binomial_moments_and_fit():
-    rng = np.random.default_rng(1)
     m, sigma2 = 4.0, 10.0
-    draws = np.array([sample_out_degree(m, sigma2, 1000, rng)
-                      for _ in range(20000)])
+    draws = out_degrees(m, sigma2, 20000, 1)
     assert draws.mean() == pytest.approx(m, abs=4 * math.sqrt(sigma2 / 20000))
     assert draws.var() == pytest.approx(sigma2, rel=0.15)
     r = m * m / (sigma2 - m)
@@ -170,41 +174,91 @@ def test_out_degree_negative_binomial_moments_and_fit():
 
 
 def test_out_degree_truncates_at_upper():
-    rng = np.random.default_rng(2)
-    draws = [sample_out_degree(6.0, 12.0, 3, rng) for _ in range(500)]
-    assert max(draws) <= 3
-    assert all(sample_out_degree(5.0, 5.0, 0, rng) == 0 for _ in range(10))
+    # node v can cite at most the v nodes before it; seeds cite nothing
+    params = CsParams(p=(0.5, 0.5), m=(30.0, 40.0), rho=(0.5, 0.5),
+                      sigma2=(60.0, 40.0))
+    _, d, n_acc, _ = _draw_node_streams(params, 500, 2)
+    ids = np.arange(500)
+    assert (d <= ids).all()
+    assert d[:2].tolist() == [0, 0]
+    assert d[2:10].tolist() == list(range(2, 10))
+    assert (d[2:] > 0).all()
+    assert (n_acc[:2] == 0).all()
 
 
 def test_split_edges_binomial_moments():
-    rng = np.random.default_rng(3)
-    d, rho = 10, 0.3
-    draws = np.array([split_edges(d, rho, rng)[0] for _ in range(20000)])
-    assert (draws >= 0).all() and (draws <= d).all()
-    mean = d * (1 - rho)
-    sd = math.sqrt(d * rho * (1 - rho))
-    assert draws.mean() == pytest.approx(mean, abs=4 * sd / math.sqrt(20000))
-    n_acc, n_pref = split_edges(7, 0.4, np.random.default_rng(0))
-    assert n_acc + n_pref == 7
+    rho = (0.3, 0.8)
+    params = CsParams(p=(0.5, 0.5), m=(10.0, 10.0), rho=rho,
+                      sigma2=(10.0, 30.0))
+    labels, d, n_acc, _ = _draw_node_streams(params, 20000, 3)
+    assert (n_acc >= 0).all() and (n_acc <= d).all()
+    for c in range(2):
+        mask = labels == c
+        total = d[mask].sum()
+        sd = math.sqrt(total * rho[c] * (1 - rho[c]))
+        assert n_acc[mask].sum() == pytest.approx(total * (1 - rho[c]),
+                                                  abs=4 * sd)
+        # the split is binomial given d: check the nodes with d = 10
+        ten = mask & (d == 10)
+        sd10 = math.sqrt(10 * rho[c] * (1 - rho[c]))
+        assert n_acc[ten].mean() == pytest.approx(
+            10 * (1 - rho[c]), abs=4 * sd10 / math.sqrt(ten.sum()))
+
+
+def test_node_streams_match_scalar_draws():
+    # Reference: the per-node scalar loops the array draws replaced.  A
+    # community is the first cumulative share above one uniform; each
+    # edge is accidental when one uniform falls below 1 - rho.
+    params = CsParams(p=(0.2, 0.5, 0.3), m=(3.0, 6.0, 2.0),
+                      rho=(0.3, 0.6, 0.9), sigma2=(3.0, 20.0, 1.0))
+    n, seed = 3000, 17
+    labels, d, n_acc, _ = _draw_node_streams(params, n, seed)
+    rng_cat, _, rng_split, _, _ = (
+        np.random.default_rng(child)
+        for child in np.random.SeedSequence(seed).spawn(5))
+    cum_p = np.cumsum(params.p)
+    for v in range(params.k, n):
+        u = rng_cat.random()
+        c = next((i for i in range(params.k) if u < cum_p[i]), params.k - 1)
+        assert labels[v] == c
+        acc = sum(rng_split.random() < 1.0 - params.rho[c] for _ in range(d[v]))
+        assert n_acc[v] == acc
+
+
+def preferential_targets(urn, n_old, calls, rng):
+    """Targets of one new node making a single preferential draw.
+
+    Nodes 0..n_old-1 form the one community and ``urn`` is its urn;
+    the state is rebuilt for every call, so all draws see the same urn.
+    """
+    n = n_old + 1
+    labels = np.zeros(n, np.int64)
+    d = np.zeros(n, np.int64)
+    d[-1] = 1
+    n_acc = np.zeros(n, np.int64)
+    members = np.arange(n, dtype=np.int64)
+    starts = np.zeros(1, np.int64)
+    out = []
+    for _ in range(calls):
+        # spare slots: the kernel pushes the cited node after the draw
+        urns = kernels.make_array_list([np.array(list(urn) + [0] * 4, np.int64)])
+        src, dst = kernels._gen_dag(labels, d, n_acc, members, starts, urns,
+                                    np.array([len(urn)], np.int64), rng)
+        assert src.tolist() == [n_old]
+        out.append(int(dst[0]))
+    return np.array(out)
 
 
 def test_draw_preferential_proportional_to_multiplicity():
-    rng = np.random.default_rng(4)
-    urn = np.array([0, 0, 1], np.int64)
-    draws = np.array([draw_preferential(urn, np.array([0, 1]), 5, rng)
-                      for _ in range(30000)])
+    draws = preferential_targets([0, 0, 1], 2, 30000, np.random.default_rng(4))
     freq0 = (draws == 0).mean()
     assert freq0 == pytest.approx(2.0 / 3.0, abs=0.02)
 
 
 def test_draw_preferential_cold_start_excludes_new_node():
-    rng = np.random.default_rng(5)
-    urn = np.array([], np.int64)
-    members = np.array([3, 9], np.int64)
-    draws = {draw_preferential(urn, members, 9, rng) for _ in range(200)}
-    assert draws == {3}
-    with pytest.raises(NoValidTargetError):
-        draw_preferential(urn, np.array([9], np.int64), 9, rng)
+    # an empty urn falls back to the community's earlier members
+    draws = preferential_targets([], 3, 300, np.random.default_rng(5))
+    assert set(draws.tolist()) == {0, 1, 2}
 
 
 # --- generation ---------------------------------------------------------------
@@ -255,42 +309,34 @@ def test_generate_single_community():
 def test_urn_multiplicity_equals_in_degree(three_community_params):
     # Replay generate()'s setup so the kernel's urn state can be inspected:
     # after the run, node u must appear in its community urn exactly
-    # d_in(u) times, and the member lists must hold each community once.
+    # d_in(u) times.
     params = three_community_params
     n, seed = 500, 13
     k = params.k
-    ss = np.random.SeedSequence(seed)
-    rngs = [np.random.default_rng(child) for child in ss.spawn(4)]
-    cum_p = np.cumsum(params.p)
-    mean_m = float(np.sum(params.p * params.m))
-    members, urns = [], []
-    for c in range(k):
-        buf = np.empty(max(16, int(1.2 * n * params.p[c]) + 16), np.int64)
-        buf[0] = c
-        members.append(buf)
-        urns.append(np.empty(max(64, int(1.3 * n * params.p[c] * mean_m) + 64),
-                             np.int64))
-    mem_n = np.ones(k, np.int64)
+    labels, d, n_acc, rng_tgt = _draw_node_streams(params, n, seed)
+    members = np.argsort(labels, kind="stable")
+    starts = np.searchsorted(labels[members], np.arange(k))
+    urns = kernels.make_array_list([np.empty(4, np.int64) for _ in range(k)])
     urn_n = np.zeros(k, np.int64)
-    members_l = kernels.make_array_list(members)
-    urns_l = kernels.make_array_list(urns)
-    src, dst, labels = kernels._gen_dag(
-        n, cum_p, params.m, params.rho, params.sigma2,
-        members_l, mem_n, urns_l, urn_n, *rngs)
+    src, dst = kernels._gen_dag(labels, d, n_acc, members, starts, urns,
+                                urn_n, rng_tgt)
 
     reference = generate(params, n, seed)
     assert np.array_equal(src, reference.src)
     assert np.array_equal(dst, reference.dst)
+    assert np.array_equal(labels, reference.labels)
 
     d_in = np.bincount(dst, minlength=n)
     for c in range(k):
-        urn = np.asarray(urns_l[c][:urn_n[c]])
+        urn = np.asarray(urns[c][:urn_n[c]])
         counts = np.bincount(urn, minlength=n)
         community = labels == c
         assert np.array_equal(counts[community], d_in[community])
         assert counts[~community].sum() == 0
-        mem = np.asarray(members_l[c][:mem_n[c]])
-        assert np.array_equal(np.sort(mem), np.flatnonzero(community))
+        assert np.array_equal(members[starts[c]:starts[c] + community.sum()],
+                              np.flatnonzero(community))
+    # each node cites d[v] targets before deduplication, never more
+    assert (np.bincount(src, minlength=n) <= d).all()
 
 
 def test_generate_mean_out_degree(three_community_params):

@@ -84,32 +84,6 @@ def test_pure_path_bit_identical_to_numba_path():
     assert numba_digest == pure_digest
 
 
-def test_hash_set_insert_and_contains():
-    table = kernels.hs_new(8)
-    assert kernels._hs_insert(table, 5)
-    assert not kernels._hs_insert(table, 5)
-    assert kernels._hs_contains(table, 5)
-    assert not kernels._hs_contains(table, 6)
-
-
-def test_hash_set_holds_expected_load():
-    table = kernels.hs_new(200)
-    keys = np.arange(0, 2000, 10)
-    for key in keys:
-        assert kernels._hs_insert(table, int(key))
-    for key in keys:
-        assert kernels._hs_contains(table, int(key))
-    assert not kernels._hs_contains(table, 5)
-
-
-def test_hash_set_fill_edges():
-    table = kernels.hs_new(4)
-    kernels._hs_fill_edges(table, np.array([0, 1]), np.array([1, 2]), 3)
-    assert kernels._hs_contains(table, 0 * 3 + 1)
-    assert kernels._hs_contains(table, 1 * 3 + 2)
-    assert not kernels._hs_contains(table, 2 * 3 + 1)
-
-
 def test_array_list_push_grows():
     bufs = kernels.make_array_list([np.empty(1, np.int64)])
     counts = np.zeros(1, np.int64)

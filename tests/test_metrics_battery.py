@@ -223,35 +223,39 @@ GOLDEN_SKIP_TSV = {
 
 
 # As GOLDEN_SKIP_TSV, for a pair that uses every sampling seed: both graphs
-# are subsampled, and pairs, sources and census triples are sampled.
+# are subsampled, and pairs, sources and census triples are sampled.  The
+# inputs come from `generate` and the detected rows from
+# `detect_communities`; after a change to either, the unsplit battery of
+# the git history, given the same generator and detector, is the oracle
+# that recomputes these values.
 GOLDEN_SAMPLED_TSV = (
     "metric\tcategory\tkind\tvalue\tskipped\tnote\n"
-    "effective_diameter\tglobal-topology\tAPE\t0.02040816326530568\t0\t\n"
-    "avg_path_length\tglobal-topology\tAPE\t0.07843137254901962\t0\t\n"
-    "reachability\tglobal-topology\tW1\t6.866666666666666\t0\t\n"
-    "in_degree_dist\tdegree\tW1\t0.62\t0\t\n"
-    "out_degree_dist\tdegree\tW1\t0.23\t0\t\n"
-    "in_assortativity\tdegree\tAPE\t0.25513114152019556\t0\t\n"
-    "out_assortativity\tdegree\tAPE\t1.770607533614091\t0\t\n"
-    "gt_modularity\tmeso-endogenous\tAPE\t0.043824116764383005\t0\t\n"
-    "gt_conductance\tmeso-endogenous\tAPE\t0.25498844780508306\t0\t\n"
-    "gt_inter_density\tmeso-endogenous\tAPE\t0.07552954292084722\t0\t\n"
-    "gt_intra_density\tmeso-endogenous\tAPE\t0.012100463841450512\t0\t\n"
-    "gt_in_participation\tmeso-endogenous\tW1\t0.024365419157447953\t0\t\n"
-    "gt_out_participation\tmeso-endogenous\tW1\t0.038945201135244426\t0\t\n"
-    "detected_modularity_r100\tmeso-exogenous\tAPE\t0.012668803861388677\t0\t\n"
-    "detected_sizes_r100\tmeso-exogenous\tW1\t5.035714285714285\t0\t\n"
-    "detected_modularity_r050\tmeso-exogenous\tAPE\t0.0\t0\t\n"
-    "detected_sizes_r050\tmeso-exogenous\tW1\t0.0\t0\t\n"
-    "detected_modularity_r200\tmeso-exogenous\tAPE\t0.015136640327114686\t0\t\n"
-    "detected_sizes_r200\tmeso-exogenous\tW1\t0.8421052631578947\t0\t\n"
-    "global_clustering\tlocal\tAPE\t0.05596194241937467\t0\t\n"
-    "ffl_count\tlocal\tAPE\t0.1346153846153846\t0\t\n"
-    "local_clustering_dist\tlocal\tW1\t0.03553922122647054\t0\t\n"
-    "triad_census\tlocal\tL1\t0.010000000000000002\t0\t\n"
-    "betweenness_dist\tflow\tW1\t0.0004941212395148743\t0\t\n"
-    "scc_sizes\tflow\tW1\t0.09289617486338808\t0\t\n"
-    "longest_path_dist\tflow\tW1\t0.815\t0\t\n"
+    "effective_diameter\tglobal-topology\tAPE\t0.2833333333333332\t0\t\n"
+    "avg_path_length\tglobal-topology\tAPE\t0.20329670329670324\t0\t\n"
+    "reachability\tglobal-topology\tW1\t10.066666666666666\t0\t\n"
+    "in_degree_dist\tdegree\tW1\t0.585\t0\t\n"
+    "out_degree_dist\tdegree\tW1\t0.325\t0\t\n"
+    "in_assortativity\tdegree\tAPE\t0.1574793078306846\t0\t\n"
+    "out_assortativity\tdegree\tAPE\t0.11484085087393021\t0\t\n"
+    "gt_modularity\tmeso-endogenous\tAPE\t0.005541401117474389\t0\t\n"
+    "gt_conductance\tmeso-endogenous\tAPE\t0.0806516899413074\t0\t\n"
+    "gt_inter_density\tmeso-endogenous\tAPE\t0.12653384632671166\t0\t\n"
+    "gt_intra_density\tmeso-endogenous\tAPE\t0.09018230550613464\t0\t\n"
+    "gt_in_participation\tmeso-endogenous\tW1\t0.03189388302408096\t0\t\n"
+    "gt_out_participation\tmeso-endogenous\tW1\t0.034064371451656555\t0\t\n"
+    "detected_modularity_r100\tmeso-exogenous\tAPE\t0.041663732415725074\t0\t\n"
+    "detected_sizes_r100\tmeso-exogenous\tW1\t6.793650793650795\t0\t\n"
+    "detected_modularity_r050\tmeso-exogenous\tAPE\t0.017852336250878294\t0\t\n"
+    "detected_sizes_r050\tmeso-exogenous\tW1\t11.0\t0\t\n"
+    "detected_modularity_r200\tmeso-exogenous\tAPE\t0.059142101257464844\t0\t\n"
+    "detected_sizes_r200\tmeso-exogenous\tW1\t0.9090909090909093\t0\t\n"
+    "global_clustering\tlocal\tAPE\t0.0808890201976794\t0\t\n"
+    "ffl_count\tlocal\tAPE\t0.2786259541984733\t0\t\n"
+    "local_clustering_dist\tlocal\tW1\t0.03227679666007949\t0\t\n"
+    "triad_census\tlocal\tL1\t0.017999999999999943\t0\t\n"
+    "betweenness_dist\tflow\tW1\t0.0010110315889210362\t0\t\n"
+    "scc_sizes\tflow\tW1\t0.11731843575418988\t0\t\n"
+    "longest_path_dist\tflow\tW1\t0.96\t0\t\n"
 )
 
 

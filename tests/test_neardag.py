@@ -206,6 +206,16 @@ def test_inject_warns_when_candidates_run_out(make_graph, caplog):
     assert "1 of 3" in caplog.text
 
 
+def test_inject_skips_existing_old_to_new_edges(make_graph, caplog):
+    # The input already holds four of the six old -> new pairs; only the
+    # two free ones, (0, 3) and (2, 3), can be added.
+    graph = make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (3, 0), (2, 0)])
+    with caplog.at_level(logging.WARNING):
+        out = inject_back_edges(graph, 0.5, 4)
+    assert edge_set(out) - edge_set(graph) == {(0, 3), (2, 3)}
+    assert "2 of 6" in caplog.text
+
+
 # ---------------------------------------------------------------- breaking
 
 
