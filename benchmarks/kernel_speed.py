@@ -5,8 +5,9 @@ default (compiled) kernels and once with CITEGEN_NO_NUMBA=1, and prints
 a per-stage timing table.  Both paths draw from identical RNG streams,
 so the digests printed by each worker must match; the benchmark fails
 loudly if they do not.  Back-edge injection, cycle breaking, community
-detection and the sampled triad census have no compiled variant (plain
-Python or numpy); their times are printed apart from the kernel table.
+detection, the sampled triad census and betweenness have no compiled
+variant (plain Python or numpy); their times are printed apart from the
+kernel table.
 
 Usage:
     python3 benchmarks/kernel_speed.py [--n 50000] [--repeat 3]
@@ -71,7 +72,7 @@ def worker(n, repeat):
     single_timings["detect_communities"], detected = best(
         lambda: detect_communities(near, seed=2))
     sources = np.arange(0, near.num_nodes, max(1, near.num_nodes // 200))
-    timings["betweenness"], betw = best(
+    single_timings["betweenness"], betw = best(
         lambda: betweenness_values(near, sources=sources))
 
     digest = hashlib.sha256()

@@ -4,8 +4,9 @@ Prints one ``name sha256-prefix`` line per output: ``inject_back_edges``
 (with and without labels), ``cycle_break`` under all three ordering
 strategies, ``generate_sbm`` and ``generate_dcsbm`` on fixed input graphs
 that are built here with numpy alone, so that they do not depend on the
-code under test, and the community labels of ``generate``.  Run it on two
-checkouts and compare:
+code under test; ``betweenness_values`` and one ``compare`` report on
+some of those graphs; and the community labels of ``generate``.  Run it on
+two checkouts and compare:
 
     PYTHONPATH=src python3 benchmarks/output_digests.py > after.txt
     diff before.txt after.txt
@@ -18,6 +19,8 @@ import numpy as np
 from citegen.baselines import fit_sbm, generate_dcsbm, generate_sbm
 from citegen.generator import CsParams, generate
 from citegen.graph import LabeledGraph
+from citegen.metrics.battery import compare
+from citegen.metrics.paths import betweenness_values
 from citegen.neardag import cycle_break, inject_back_edges
 
 
@@ -75,6 +78,16 @@ def main():
             out[f"sbm/{name}/{seed}"] = digest(s.src, s.dst)
             d = generate_dcsbm(fit, seed)
             out[f"dcsbm/{name}/{seed}"] = digest(d.src, d.dst)
+
+    sampled = np.random.default_rng(6).choice(2000, 200, replace=False)
+    for name, sources in (("dag2k", None), ("dag2k", sampled),
+                          ("cyc3k", sampled), ("dense60", None)):
+        label = "all" if sources is None else sources.size
+        out[f"betweenness/{name}/{label}"] = digest(
+            betweenness_values(inputs[name], sources))
+    report = compare(inputs["dag2k"], inputs["dense60"])
+    out["compare/dag2k/dense60"] = digest(
+        np.frombuffer(report.to_tsv().encode(), np.uint8))
 
     params = [
         CsParams(p=(0.5, 0.3, 0.2), m=(5.0, 4.0, 3.0), rho=(0.3, 0.5, 0.7),

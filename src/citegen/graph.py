@@ -292,6 +292,14 @@ def to_csr(num_nodes: int, src: np.ndarray, dst: np.ndarray):
     return indptr, np.ascontiguousarray(d, np.int64)
 
 
+def _row_edges(indptr, rows):
+    """Edge ids of ``rows`` in a CSR, row after row, and their row sizes."""
+    lens = indptr[rows + 1] - indptr[rows]
+    ends = np.cumsum(lens)
+    eids = np.repeat(indptr[rows] - ends + lens, lens) + np.arange(ends[-1])
+    return eids, lens
+
+
 def out_csr(graph: LabeledGraph):
     return to_csr(graph.num_nodes, graph.src, graph.dst)
 

@@ -1,9 +1,9 @@
 """Sequential numeric kernels with a numba/pure dual path.
 
 Only loops whose steps depend on earlier steps live here: the growth
-model's target resolution, ER skip sampling, BFS collection, Brandes
-betweenness, the exact triad census and DAG longest paths.  Each is
-written once and compiled with numba's ``@njit`` when available.  Setting
+model's target resolution, ER skip sampling, BFS collection, the exact
+triad census and DAG longest paths.  Each is written once and compiled
+with numba's ``@njit`` when available.  Setting
 ``CITEGEN_NO_NUMBA=1`` (or running without numba installed) selects a
 pure-Python execution of the very same function bodies.  The kernels draw
 randomness only as ``Generator.random()`` uniforms, so the two paths
@@ -196,53 +196,6 @@ def _bfs_collect(indptr, indices, source, visited, queue, budget):
                 if tail >= budget:
                     return tail
     return tail
-
-
-# ---------------------------------------------------------------------------
-# betweenness (Brandes accumulation from a set of sources)
-
-@njit(cache=True)
-def _betweenness(indptr, indices, sources, n):
-    bc = np.zeros(n, np.float64)
-    dist = np.empty(n, np.int64)
-    sigma = np.empty(n, np.float64)
-    delta = np.empty(n, np.float64)
-    queue = np.empty(n, np.int64)
-    for si in range(sources.shape[0]):
-        s = sources[si]
-        dist[:] = -1
-        sigma[:] = 0.0
-        delta[:] = 0.0
-        head = 0
-        tail = 0
-        queue[tail] = s
-        tail += 1
-        dist[s] = 0
-        sigma[s] = 1.0
-        while head < tail:
-            v = queue[head]
-            head += 1
-            dv = dist[v]
-            for e in range(indptr[v], indptr[v + 1]):
-                w = indices[e]
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue[tail] = w
-                    tail += 1
-                if dist[w] == dv + 1:
-                    sigma[w] += sigma[v]
-        for qi in range(tail - 1, -1, -1):
-            v = queue[qi]
-            dv = dist[v]
-            acc = 0.0
-            for e in range(indptr[v], indptr[v + 1]):
-                w = indices[e]
-                if dist[w] == dv + 1 and sigma[w] > 0.0:
-                    acc += sigma[v] / sigma[w] * (1.0 + delta[w])
-            delta[v] = acc
-            if v != s:
-                bc[v] += acc
-    return bc
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph import LabeledGraph
+from ..graph import LabeledGraph, _row_edges
 from .distances import MetricError
 
 _MOVE_FRACTION = 0.5  # share of a round's improving moves that is applied
@@ -116,14 +116,6 @@ def symmetric_modularity(graph: LabeledGraph, labels,
     k = int(labels.max()) + 1
     s = np.bincount(labels, weights=kdeg, minlength=k)
     return intra / two_m - resolution * float(np.sum((s / two_m) ** 2))
-
-
-def _row_edges(indptr, rows):
-    """Edge ids of ``rows`` in a CSR, row after row, and their row sizes."""
-    lens = indptr[rows + 1] - indptr[rows]
-    ends = np.cumsum(lens)
-    eids = np.repeat(indptr[rows] - ends + lens, lens) + np.arange(ends[-1])
-    return eids, lens
 
 
 def _batch_gain(indptr, indices, weights, kdeg, comm, comm_s, mv, new, scale):

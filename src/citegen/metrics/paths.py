@@ -6,7 +6,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .. import kernels
-from ..graph import LabeledGraph
+from ..graph import LabeledGraph, _row_edges
 from .distances import MetricError
 
 # Cells in one block of BFS distances (sources x n float64, 512 kB), so
@@ -81,20 +81,77 @@ def reachability_counts(graph: LabeledGraph, sources: np.ndarray) -> np.ndarray:
     return counts[row]
 
 
+def _out_edges(indptr, indices, n, frontier):
+    """Out-edges of the flat entries ``row * n + node`` in ``frontier``.
+
+    Returns ``(entry, target)``: each edge's position in ``frontier`` and
+    its flat target ``row * n + w``, grouped by entry and in CSR order
+    within one entry.
+    """
+    node = frontier % n
+    eids, count = _row_edges(indptr, node)
+    entry = np.repeat(np.arange(frontier.size), count)
+    return entry, frontier[entry] - node[entry] + indices[eids]
+
+
 def betweenness_values(graph: LabeledGraph, sources: np.ndarray = None) -> np.ndarray:
     """Per-node shortest-path betweenness, directed, normalized.
 
     ``sources`` restricts the Brandes accumulation to sampled source nodes;
     contributions are rescaled by n / |sources| so values estimate the
     all-source quantity, then divided by (n-1)(n-2).
+
+    Brandes (2001) runs level-synchronously over blocks of
+    ``_BLOCK_CELLS // n`` sources, one row of the flat ``dist``, ``sigma``
+    and ``delta`` arrays per source.  The result is bit-identical to the
+    scalar one-source-at-a-time loop: path counts are whole numbers, exact
+    in float64 below 2**53, so their summation order does not matter; each
+    node's dependency is summed by ``np.bincount`` from 0.0 over its
+    out-edges in CSR order, as the scalar loop sums them; and the rows are
+    added to the result one at a time, in source order.
     """
     n = graph.num_nodes
     if n < 3:
         raise MetricError("betweenness needs at least 3 nodes")
     sources = np.arange(n, dtype=np.int64) if sources is None \
-        else np.ascontiguousarray(sources, np.int64)
-    acc = kernels._betweenness(*graph.out_csr, sources, n)
-    return acc * ((n / sources.size) / ((n - 1.0) * (n - 2.0)))
+        else np.asarray(sources, np.int64)
+    indptr, indices = graph.out_csr
+    bc = np.zeros(n)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, sources.size, step):
+        block = sources[lo:lo + step]
+        k = block.size
+        dist = np.full(k * n, -1, np.int64)
+        sigma = np.zeros(k * n)
+        delta = np.zeros(k * n)
+        frontier = np.arange(k) * n + block
+        dist[frontier] = 0
+        sigma[frontier] = 1.0
+        levels = []
+        while frontier.size:
+            levels.append(frontier)
+            entry, target = _out_edges(indptr, indices, n, frontier)
+            # len(levels) is now the depth of the next frontier
+            dist[target[dist[target] < 0]] = len(levels)
+            keep = dist[target] == len(levels)
+            frontier, up = np.unique(target[keep], return_inverse=True)
+            sigma[frontier] = np.bincount(
+                up, sigma[levels[-1][entry[keep]]], frontier.size)
+        # the deepest level has no successors, so its delta stays 0
+        for d in range(len(levels) - 2, -1, -1):
+            frontier = levels[d]
+            entry, w = _out_edges(indptr, indices, n, frontier)
+            # every reached node has sigma >= 1: no sigma > 0 guard needed
+            keep = dist[w] == d + 1
+            entry, w = entry[keep], w[keep]
+            delta[frontier] = np.bincount(
+                entry, sigma[frontier[entry]] / sigma[w] * (1.0 + delta[w]),
+                frontier.size)
+        delta = delta.reshape(k, n)
+        delta[np.arange(k), block] = 0.0
+        for row in delta:
+            bc += row
+    return bc * ((n / sources.size) / ((n - 1.0) * (n - 2.0)))
 
 
 def scc_sizes(graph: LabeledGraph) -> np.ndarray:

@@ -5,6 +5,8 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from citegen.baselines import fit_er, fit_sbm, generate_dcsbm, generate_er
+from citegen.generator import generate
 from citegen.graph import LabeledGraph
 from citegen.metrics import paths
 from citegen.metrics.distances import MetricError
@@ -19,6 +21,7 @@ from citegen.metrics.paths import (
     reachability_counts,
     scc_sizes,
 )
+from citegen.neardag import inject_back_edges
 
 
 def dist_matrix(graph):
@@ -59,6 +62,54 @@ def betweenness_oracle(graph):
                 if dist[s, v] + dist[v, t] == dist[s, t]:
                     acc[v] += sigma[s, v] * sigma[v, t] / sigma[s, t]
     return acc / ((n - 1.0) * (n - 2.0))
+
+
+def scalar_betweenness(indptr, indices, sources, n):
+    """Brandes accumulation one source at a time: the batched kernel's oracle.
+
+    Unnormalised, summed over ``sources`` in order; ``betweenness_values``
+    must equal it bit for bit after its normalisation.
+    """
+    bc = np.zeros(n, np.float64)
+    dist = np.empty(n, np.int64)
+    sigma = np.empty(n, np.float64)
+    delta = np.empty(n, np.float64)
+    queue = np.empty(n, np.int64)
+    for si in range(sources.shape[0]):
+        s = sources[si]
+        dist[:] = -1
+        sigma[:] = 0.0
+        delta[:] = 0.0
+        head = 0
+        tail = 0
+        queue[tail] = s
+        tail += 1
+        dist[s] = 0
+        sigma[s] = 1.0
+        while head < tail:
+            v = queue[head]
+            head += 1
+            dv = dist[v]
+            for e in range(indptr[v], indptr[v + 1]):
+                w = indices[e]
+                if dist[w] < 0:
+                    dist[w] = dv + 1
+                    queue[tail] = w
+                    tail += 1
+                if dist[w] == dv + 1:
+                    sigma[w] += sigma[v]
+        for qi in range(tail - 1, -1, -1):
+            v = queue[qi]
+            dv = dist[v]
+            acc = 0.0
+            for e in range(indptr[v], indptr[v + 1]):
+                w = indices[e]
+                if dist[w] == dv + 1 and sigma[w] > 0.0:
+                    acc += sigma[v] / sigma[w] * (1.0 + delta[w])
+            delta[v] = acc
+            if v != s:
+                bc[v] += acc
+    return bc
 
 
 def longest_path_oracle(graph, rank):
@@ -126,13 +177,18 @@ def test_reachability_counts_match_scipy(make_graph, monkeypatch):
                                   want[sources])
 
 
+def older_citations_graph(n, rng):
+    """Each node after the first cites up to 2 uniformly drawn older nodes."""
+    newer = np.repeat(np.arange(1, n), 2)
+    keys = np.unique(newer * n + (rng.random(newer.size) * newer).astype(np.int64))
+    return LabeledGraph(num_nodes=n, src=keys // n, dst=keys % n)
+
+
 def test_distance_blocks_stay_small_on_large_graphs():
     # 300 sources x 200k nodes as one float64 array would take 480 MB.
     n = 200_000
     rng = np.random.default_rng(5)
-    newer = np.repeat(np.arange(1, n), 2)
-    keys = np.unique(newer * n + (rng.random(newer.size) * newer).astype(np.int64))
-    graph = LabeledGraph(num_nodes=n, src=keys // n, dst=keys % n)
+    graph = older_citations_graph(n, rng)
     sources = rng.choice(n, 300, replace=False)
     pairs = np.column_stack([sources, rng.integers(0, n, 300)])
     tracemalloc.start()
@@ -194,6 +250,56 @@ def test_betweenness_sampled_sources_unbiased(make_graph):
     exact = betweenness_values(graph)
     listed = betweenness_values(graph, sources=np.arange(4))
     assert np.allclose(exact, listed)
+
+
+def betweenness_cases(make_graph, three_community_params):
+    """(graph, sources) pairs: near-DAG, cyclic baselines, grid, small graphs."""
+    near = inject_back_edges(generate(three_community_params, 1000, 11), 0.05, 12)
+    rng = np.random.default_rng(41)
+    yield near, np.sort(rng.choice(near.num_nodes, 200, replace=False))
+    yield generate_er(fit_er(near), 3), np.arange(0, near.num_nodes, 5)
+    yield generate_dcsbm(fit_sbm(near), 4), np.arange(0, near.num_nodes, 3)
+    side = 30
+    grid = [(r * side + c, r * side + c + 1) for r in range(side)
+            for c in range(side - 1)]
+    grid += [(r * side + c, (r + 1) * side + c) for r in range(side - 1)
+             for c in range(side)]
+    yield make_graph(side * side, grid), None  # many tied shortest paths
+    for _ in range(30):
+        n = int(rng.integers(3, 20))
+        graph = random_digraph(make_graph, rng, n, rng.uniform(0.05, 0.4))
+        yield graph, rng.integers(0, n, int(rng.integers(1, 2 * n)))
+
+
+def test_betweenness_matches_scalar_oracle_bitwise(
+        make_graph, three_community_params, monkeypatch):
+    default = paths._BLOCK_CELLS
+    for graph, sources in betweenness_cases(make_graph, three_community_params):
+        n = graph.num_nodes
+        listed = np.arange(n) if sources is None else sources
+        acc = scalar_betweenness(*graph.out_csr, listed, n)
+        want = acc * ((n / listed.size) / ((n - 1.0) * (n - 2.0)))
+        # the default budget, blocks of three sources, one source per block
+        for cells in (default, 3 * n, 1):
+            monkeypatch.setattr(paths, "_BLOCK_CELLS", cells)
+            got = betweenness_values(graph, sources)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_betweenness_blocks_stay_small_on_large_graphs():
+    # Each level expands only the block's frontier edges, never sources x E.
+    n = 200_000
+    rng = np.random.default_rng(6)
+    graph = older_citations_graph(n, rng)
+    sources = rng.choice(n, 20, replace=False)
+    tracemalloc.start()
+    try:
+        bc = betweenness_values(graph, sources)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert bc.shape == (n,) and bc.max() > 0
 
 
 def test_betweenness_needs_three_nodes(make_graph):
