@@ -5,9 +5,9 @@ default (compiled) kernels and once with CITEGEN_NO_NUMBA=1, and prints
 a per-stage timing table.  Both paths draw from identical RNG streams,
 so the digests printed by each worker must match; the benchmark fails
 loudly if they do not.  Back-edge injection, cycle breaking, community
-detection, the sampled triad census and betweenness have no compiled
-variant (plain Python or numpy); their times are printed apart from the
-kernel table.
+detection, the sampled and exact triad census, betweenness and ER
+sampling have no compiled variant (plain Python or numpy); their times
+are printed apart from the kernel table.
 
 Usage:
     python3 benchmarks/kernel_speed.py [--n 50000] [--repeat 3]
@@ -41,6 +41,7 @@ def worker(n, repeat):
     import numpy as np
 
     from citegen import kernels
+    from citegen.baselines import fit_er, generate_er
     from citegen.generator import CsParams, generate
     from citegen.metrics.communities import detect_communities
     from citegen.metrics.paths import betweenness_values
@@ -69,16 +70,20 @@ def worker(n, repeat):
         lambda: cycle_break(near, 0.1, 9, "degree-diff"))
     single_timings["triad_census"], census = best(
         lambda: triad_census(near, n_samples=200_000, seed=1))
+    single_timings["triad_census_exact"], exact = best(
+        lambda: triad_census(near))
     single_timings["detect_communities"], detected = best(
         lambda: detect_communities(near, seed=2))
     sources = np.arange(0, near.num_nodes, max(1, near.num_nodes // 200))
     single_timings["betweenness"], betw = best(
         lambda: betweenness_values(near, sources=sources))
+    single_timings["generate_er"], er = best(
+        lambda: generate_er(fit_er(near), 3))
 
     digest = hashlib.sha256()
     for arr in (dag.src, dag.dst, near.src, near.dst,
-                broken[0].src, broken[0].dst, census,
-                detected[0], betw):
+                broken[0].src, broken[0].dst, census, exact,
+                detected[0], betw, er.src, er.dst):
         digest.update(np.ascontiguousarray(arr).tobytes())
     digest.update(repr(round(float(detected[1]), 12)).encode())
     print(json.dumps({"numba": kernels.using_numba(),

@@ -4,8 +4,10 @@ Prints one ``name sha256-prefix`` line per output: ``inject_back_edges``
 (with and without labels), ``cycle_break`` under all three ordering
 strategies, ``generate_sbm`` and ``generate_dcsbm`` on fixed input graphs
 that are built here with numpy alone, so that they do not depend on the
-code under test; ``betweenness_values`` and one ``compare`` report on
-some of those graphs; and the community labels of ``generate``.  Run it on
+code under test; ``betweenness_values``, the exact ``triad_census`` and
+one ``compare`` report on some of those graphs; ``generate_er`` over a
+grid of sizes and edge probabilities; and the community labels of
+``generate``.  Run it on
 two checkouts and compare:
 
     PYTHONPATH=src python3 benchmarks/output_digests.py > after.txt
@@ -16,11 +18,13 @@ import hashlib
 
 import numpy as np
 
-from citegen.baselines import fit_sbm, generate_dcsbm, generate_sbm
+from citegen.baselines import (ErFit, fit_sbm, generate_dcsbm, generate_er,
+                               generate_sbm)
 from citegen.generator import CsParams, generate
 from citegen.graph import LabeledGraph
 from citegen.metrics.battery import compare
 from citegen.metrics.paths import betweenness_values
+from citegen.metrics.triads import triad_census
 from citegen.neardag import cycle_break, inject_back_edges
 
 
@@ -85,9 +89,17 @@ def main():
         label = "all" if sources is None else sources.size
         out[f"betweenness/{name}/{label}"] = digest(
             betweenness_values(inputs[name], sources))
+    for name in ("tiny", "dense60", "dag2k", "cyc3k"):
+        out[f"census/{name}"] = digest(triad_census(inputs[name]))
     report = compare(inputs["dag2k"], inputs["dense60"])
     out["compare/dag2k/dense60"] = digest(
         np.frombuffer(report.to_tsv().encode(), np.uint8))
+
+    for n in (2, 3, 50, 1000):
+        for p in (1e-6, 0.01, 0.3, 0.99, 1.0):
+            for seed in (0, 1):
+                g = generate_er(ErFit(n=n, p=p), seed)
+                out[f"er/{n}/{p}/{seed}"] = digest(g.src, g.dst)
 
     params = [
         CsParams(p=(0.5, 0.3, 0.2), m=(5.0, 4.0, 3.0), rho=(0.3, 0.5, 0.7),

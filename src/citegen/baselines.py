@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .graph import LabeledGraph
 
 log = logging.getLogger(__name__)
@@ -46,17 +46,34 @@ def fit_er(graph: LabeledGraph) -> ErFit:
 def generate_er(fit: ErFit, seed) -> LabeledGraph:
     """Each ordered pair appears independently with probability p.
 
-    Skip-sampling walks the linearized pair index with geometric gaps, so
-    the cost is proportional to the number of realized edges.
+    Skip-sampling walks the linearized pair index with geometric gaps
+    ``1 + floor(log1p(-u) / log1p(-p))``, so the cost is proportional to
+    the number of realized edges.  The uniforms are drawn in chunks, and
+    the gaps summed, until the walk passes the last pair.
     """
     if not 0.0 <= fit.p <= 1.0:
         raise BaselineError("edge probability outside [0, 1]")
     rng = np.random.default_rng(seed)
-    if fit.n < 2 or fit.p == 0.0:
-        return LabeledGraph(num_nodes=fit.n, src=np.empty(0, np.int64),
+    n, p = fit.n, fit.p
+    if n < 2 or p == 0.0:
+        return LabeledGraph(num_nodes=n, src=np.empty(0, np.int64),
                             dst=np.empty(0, np.int64))
-    src, dst = kernels._er_edges(fit.n, fit.p, rng)
-    return LabeledGraph(num_nodes=fit.n, src=src, dst=dst)
+    total = n * (n - 1)
+    log1mp = math.log1p(-p) if p < 1.0 else -math.inf
+    chunk = min(int(total * p * 1.1) + 64, 1 << 20)
+    last, parts = -1, []
+    while last < total:
+        # any gap of at least ``total`` ends the walk; the clip keeps the
+        # huge gaps of a tiny p inside int64
+        gaps = np.minimum(np.log1p(-rng.random(chunk)) / log1mp, total)
+        parts.append(last + np.cumsum(1 + gaps.astype(np.int64)))
+        last = parts[-1][-1]
+    idx = np.concatenate(parts)
+    idx = idx[idx < total]
+    src = idx // (n - 1)
+    dst = idx % (n - 1)
+    dst += dst >= src
+    return LabeledGraph(num_nodes=n, src=src, dst=dst)
 
 
 @dataclass(frozen=True)

@@ -131,8 +131,8 @@ def community_stats(graph: LabeledGraph, labels: np.ndarray = None) -> Community
     if labels.min() < 0:
         raise EstimationError("labels must be dense nonnegative integers")
     k = int(labels.max()) + 1
-    d_in = np.bincount(graph.dst, minlength=graph.num_nodes)
-    d_out = np.bincount(graph.src, minlength=graph.num_nodes)
+    deg = graph.degrees()
+    d_in, d_out = deg.d_in, deg.d_out
     sizes = np.bincount(labels, minlength=k)
     out_totals = np.bincount(labels, weights=d_out, minlength=k).astype(np.int64)
     in_totals = np.bincount(labels, weights=d_in, minlength=k).astype(np.int64)
@@ -178,7 +178,7 @@ def estimate(graph: LabeledGraph, labels: np.ndarray = None) -> FitResult:
     sizes = stats.sizes.astype(np.float64)
     p_hat = sizes / n
     m_hat = stats.out_totals / (sizes - 1.0)
-    d_out = np.bincount(graph.src, minlength=n).astype(np.float64)
+    d_out = graph.degrees().d_out.astype(np.float64)
     sq_totals = np.bincount(labels, weights=d_out * d_out, minlength=k)
     sigma2_raw = (sq_totals - sizes * m_hat * m_hat) / (sizes - 1.0)
     g = stats.gini_in

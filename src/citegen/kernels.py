@@ -1,21 +1,20 @@
 """Sequential numeric kernels with a numba/pure dual path.
 
 Only loops whose steps depend on earlier steps live here: the growth
-model's target resolution, ER skip sampling, BFS collection, the exact
-triad census and DAG longest paths.  Each is written once and compiled
-with numba's ``@njit`` when available.  Setting
-``CITEGEN_NO_NUMBA=1`` (or running without numba installed) selects a
-pure-Python execution of the very same function bodies.  The kernels draw
-randomness only as ``Generator.random()`` uniforms, so the two paths
-consume identical RNG streams and produce bit-identical results; callers
-draw every other stream with numpy before entering a kernel.
+model's target resolution (the urn walk), BFS collection and DAG longest
+paths.  Each is written once and compiled with numba's ``@njit`` when
+available.  Setting ``CITEGEN_NO_NUMBA=1`` (or running without numba
+installed) selects a pure-Python execution of the very same function
+bodies.  The kernels draw randomness only as ``Generator.random()``
+uniforms, so the two paths consume identical RNG streams and produce
+bit-identical results; callers draw every other stream with numpy before
+entering a kernel.
 
 ``benchmarks/kernel_speed.py`` compares the two paths on the heavy kernels.
 """
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
@@ -61,21 +60,14 @@ def make_array_list(arrays):
 # growable buffers
 
 @njit(cache=True)
-def _grow(arr, need):
-    cap = arr.shape[0]
-    while cap < need:
-        cap *= 2
-    out = np.empty(cap, np.int64)
-    out[: arr.shape[0]] = arr
-    return out
-
-
-@njit(cache=True)
 def _push(bufs, counts, idx, value):
+    """Append ``value`` to buffer ``idx``; a full buffer of n grows to 2n + 1."""
     buf = bufs[idx]
     n = counts[idx]
     if n >= buf.shape[0]:
-        buf = _grow(buf, n + 1)
+        grown = np.empty(2 * n + 1, np.int64)
+        grown[:n] = buf
+        buf = grown
         bufs[idx] = buf
     buf[n] = value
     counts[idx] = n + 1
@@ -139,39 +131,6 @@ def _gen_dag(labels, d, n_acc, members, starts, urns, urn_n, rng_tgt):
 
 
 # ---------------------------------------------------------------------------
-# Erdos-Renyi skip sampling over ordered non-self pairs
-
-@njit(cache=True)
-def _er_edges(n, p, rng):
-    total = n * (n - 1)
-    cap = int(total * p * 1.2) + 64
-    esrc = np.empty(cap, np.int64)
-    edst = np.empty(cap, np.int64)
-    ne = 0
-    log1mp = math.log1p(-p) if p < 1.0 else -math.inf
-    idx = -1
-    while True:
-        if p >= 1.0:
-            gap = 1
-        else:
-            u = rng.random()
-            gap = 1 + int(math.floor(math.log1p(-u) / log1mp))
-        idx += gap
-        if idx >= total:
-            break
-        s = idx // (n - 1)
-        off = idx % (n - 1)
-        t = off if off < s else off + 1
-        if ne >= esrc.shape[0]:
-            esrc = _grow(esrc, ne + 1)
-            edst = _grow(edst, ne + 1)
-        esrc[ne] = s
-        edst[ne] = t
-        ne += 1
-    return esrc[:ne].copy(), edst[:ne].copy()
-
-
-# ---------------------------------------------------------------------------
 # BFS subsampling
 
 @njit(cache=True)
@@ -196,103 +155,6 @@ def _bfs_collect(indptr, indices, source, visited, queue, budget):
                 if tail >= budget:
                     return tail
     return tail
-
-
-# ---------------------------------------------------------------------------
-# exact triad census
-
-@njit(cache=True)
-def _has_sorted(indices, lo, hi, x):
-    while lo < hi:
-        mid = (lo + hi) // 2
-        v = indices[mid]
-        if v == x:
-            return True
-        if v < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return False
-
-
-@njit(cache=True)
-def _tricode(out_indptr, out_indices, u, v, w):
-    code = 0
-    if _has_sorted(out_indices, out_indptr[u], out_indptr[u + 1], v):
-        code += 1
-    if _has_sorted(out_indices, out_indptr[v], out_indptr[v + 1], u):
-        code += 2
-    if _has_sorted(out_indices, out_indptr[u], out_indptr[u + 1], w):
-        code += 4
-    if _has_sorted(out_indices, out_indptr[w], out_indptr[w + 1], u):
-        code += 8
-    if _has_sorted(out_indices, out_indptr[v], out_indptr[v + 1], w):
-        code += 16
-    if _has_sorted(out_indices, out_indptr[w], out_indptr[w + 1], v):
-        code += 32
-    return code
-
-
-@njit(cache=True)
-def _triad_census_exact(und_indptr, und_indices, out_indptr, out_indices,
-                        n, table):
-    counts = np.zeros(16, np.int64)
-    for u in range(n):
-        for iu in range(und_indptr[u], und_indptr[u + 1]):
-            v = und_indices[iu]
-            if v <= u:
-                continue
-            # size of the joint neighborhood of u and v (excluding u, v)
-            a = und_indptr[u]
-            ae = und_indptr[u + 1]
-            b = und_indptr[v]
-            be = und_indptr[v + 1]
-            union = 0
-            while a < ae or b < be:
-                if a < ae and (b >= be or und_indices[a] < und_indices[b]):
-                    x = und_indices[a]
-                    a += 1
-                elif b < be and (a >= ae or und_indices[b] < und_indices[a]):
-                    x = und_indices[b]
-                    b += 1
-                else:
-                    x = und_indices[a]
-                    a += 1
-                    b += 1
-                if x != u and x != v:
-                    union += 1
-            mutual = _has_sorted(out_indices, out_indptr[u], out_indptr[u + 1], v) and \
-                _has_sorted(out_indices, out_indptr[v], out_indptr[v + 1], u)
-            if mutual:
-                counts[2] += n - union - 2
-            else:
-                counts[1] += n - union - 2
-            # connected triples, counted once per Batagelj-Mrvar rule
-            a = und_indptr[u]
-            b = und_indptr[v]
-            while a < ae or b < be:
-                if a < ae and (b >= be or und_indices[a] < und_indices[b]):
-                    x = und_indices[a]
-                    a += 1
-                elif b < be and (a >= ae or und_indices[b] < und_indices[a]):
-                    x = und_indices[b]
-                    b += 1
-                else:
-                    x = und_indices[a]
-                    a += 1
-                    b += 1
-                if x == u or x == v:
-                    continue
-                if v < x or (u < x and x < v and
-                             not _has_sorted(und_indices, und_indptr[u],
-                                             und_indptr[u + 1], x)):
-                    counts[table[_tricode(out_indptr, out_indices, u, v, x)]] += 1
-    total = n * (n - 1) * (n - 2) // 6
-    rest = 0
-    for i in range(1, 16):
-        rest += counts[i]
-    counts[0] = total - rest
-    return counts
 
 
 # ---------------------------------------------------------------------------

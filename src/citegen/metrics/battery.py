@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from ..graph import LabeledGraph, bfs_subsample, sample_pairs
 from ..neardag import order_nodes
@@ -16,7 +15,7 @@ from .distances import MetricError, ape, l1_triad, wasserstein1
 from .paths import (average_path_length, betweenness_values,
                     effective_diameter, longest_path_lengths, pair_distances,
                     all_pair_distances, reachability_counts, scc_sizes)
-from .triads import ffl_count, triad_census
+from .triads import _triangle_counts, ffl_count, triad_census
 
 # Each category's metrics as name:kind, in report order; the detected rows
 # repeat for each resolution, whose tag fills in {tag}
@@ -175,30 +174,6 @@ def exogenous_metrics(graph, config, detect_seed):
         out[f"detected_modularity_{tag}"] = found[1] if ok else found
         out[f"detected_sizes_{tag}"] = detected_sizes(found[0]) if ok else found
     return out
-
-
-# Bound on the two-step paths one row block of U @ U may hold in
-# _triangle_counts: a hub's squared degree would otherwise set the memory.
-_WEDGE_BLOCK = 1 << 20
-
-
-def _triangle_counts(indptr, indices, n: int) -> np.ndarray:
-    """Per-node triangle counts of the simple undirected graph U.
-
-    The row sums of ``(U @ U) * U`` count each triangle at a node twice.
-    Rows are taken in blocks whose two-step paths (a row's neighbours'
-    summed degrees) total about ``_WEDGE_BLOCK``.
-    """
-    und = csr_matrix((np.ones(indices.size, np.int64), indices, indptr),
-                     shape=(n, n))
-    block = np.cumsum(und @ np.diff(indptr)) // _WEDGE_BLOCK
-    tri = np.empty(n, np.int64)
-    lo = 0
-    for hi in np.append(np.flatnonzero(np.diff(block)) + 1, n):
-        rows = und[lo:hi]
-        tri[lo:hi] = np.asarray((rows @ und).multiply(rows).sum(axis=1)).ravel() // 2
-        lo = hi
-    return tri
 
 
 def _clustering(graph: LabeledGraph):

@@ -1,12 +1,13 @@
-"""Directed triad census (16 isomorphism classes) and feed-forward loops."""
+"""Directed triad census (16 isomorphism classes), feed-forward loops and
+the undirected triangle counts behind clustering."""
 
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .. import kernels
 from ..graph import LabeledGraph
 from .distances import MetricError
 
@@ -76,37 +77,121 @@ def _draw_triples(n: int, n_samples: int, rng: np.random.Generator):
     return u, v, w
 
 
+def _find(keys, query):
+    """Which of ``query`` are in the sorted ``keys``, and their positions.
+
+    ``keys`` ends with a sentinel above every query, so every search lands
+    on a key.
+    """
+    at = np.searchsorted(keys, query)
+    hit = keys[at] == query
+    return hit, at[hit]
+
+
 def _classify_triples(graph: LabeledGraph, u, v, w) -> np.ndarray:
     """Counts of the 16 triad classes over the node triples ``(u, v, w)``.
 
-    Each of the six arc bits is found by binary search on the sorted
-    ``src * n + dst`` edge keys; the 6-bit code maps through TRICODE_TABLE.
-    The key ``n * n`` closes the list, so every search lands on a key.
+    Each of the six arc bits is a search for the key ``src * n + dst``
+    among the directed edge keys, which ``graph.out_csr`` lists in sorted
+    order; the 6-bit code maps through TRICODE_TABLE.
     """
     n = graph.num_nodes
-    keys = np.append(np.sort(graph.src * n + graph.dst), n * n)
-    code = np.zeros(u.shape, np.int64)
+    indptr, indices = graph.out_csr
+    keys = np.append(np.repeat(np.arange(n) * n, np.diff(indptr)) + indices,
+                     n * n)
+    code = np.zeros(u.shape, np.uint8)
     for bit, (a, b) in enumerate(((u, v), (v, u), (u, w), (w, u),
                                   (v, w), (w, v))):
-        query = a * n + b
-        code |= (keys[np.searchsorted(keys, query)] == query).astype(np.int64) << bit
+        code |= _find(keys, a * n + b)[0].astype(np.uint8) << bit
     return np.bincount(TRICODE_TABLE[code], minlength=16)
+
+
+# Bound on the wedges (two-step paths) one block may hold, in the exact
+# census and in _triangle_counts: a hub's squared degree would otherwise
+# set the memory.
+_WEDGE_BLOCK = 1 << 20
+
+
+def _exact_counts(graph: LabeledGraph) -> np.ndarray:
+    """Counts of the 16 triad classes over all C(n, 3) node triples.
+
+    A wedge is a centre x with two neighbours y < z in the undirected view.
+    Its triple is connected, and it is the triple's only wedge unless y and
+    z are linked too; such a triangle is classified from its smallest
+    centre alone.  Every closed wedge adds one common neighbour to its pair
+    (y, z).  A triple with exactly one linked pair (u, v) has its third
+    node outside both neighbourhoods, which leaves
+    ``n - deg u - deg v + common(u, v)`` of them: class 102 for a mutual
+    pair, else 012.  Class 003 takes the remaining triples.  Wedges are
+    taken in blocks of consecutive first slots (edge positions ``x -> y``)
+    holding about ``_WEDGE_BLOCK`` wedges; one slot adds fewer than n.
+    """
+    n = graph.num_nodes
+    indptr, indices, weights = graph.undirected_csr
+    deg = np.diff(indptr)
+    rows = np.repeat(np.arange(n), deg)
+    pair_keys = np.append(rows * n + indices, n * n)
+    slots = np.arange(indices.size)
+    per_slot = indptr[rows + 1] - 1 - slots
+    upper = rows < indices
+    common = np.zeros(indices.size, np.int64)
+    counts = np.zeros(16, np.int64)
+    block = np.cumsum(per_slot) // _WEDGE_BLOCK
+    lo = 0
+    for hi in np.append(np.flatnonzero(np.diff(block)) + 1, indices.size):
+        c = per_slot[lo:hi]
+        y = np.repeat(indices[lo:hi], c)
+        z = indices[np.repeat(slots[lo:hi] + 1 - np.cumsum(c) + c, c)
+                    + np.arange(c.sum())]
+        closed, pairs = _find(pair_keys, y * n + z)
+        common += np.bincount(pairs, minlength=indices.size)
+        # x < y exactly when the first slot lies above the diagonal
+        keep = ~closed | np.repeat(upper[lo:hi], c)
+        x, y, z = np.repeat(rows[lo:hi], c)[keep], y[keep], z[keep]
+        counts += _classify_triples(graph, x, y, z)
+        lo = hi
+    one_link = n - deg[rows[upper]] - deg[indices[upper]] + common[upper]
+    mutual = weights[upper] == 2
+    counts[1] = one_link[~mutual].sum()
+    counts[2] = one_link[mutual].sum()
+    counts[0] = n * (n - 1) * (n - 2) // 6 - counts[1:].sum()
+    return counts
+
+
+def _triangle_counts(indptr, indices, n: int) -> np.ndarray:
+    """Per-node triangle counts of the simple undirected graph U.
+
+    The row sums of ``(U @ U) * U`` count each triangle at a node twice.
+    Rows are taken in blocks whose two-step paths (a row's neighbours'
+    summed degrees) total about ``_WEDGE_BLOCK``.
+    """
+    und = csr_matrix((np.ones(indices.size, np.int64), indices, indptr),
+                     shape=(n, n))
+    block = np.cumsum(und @ np.diff(indptr)) // _WEDGE_BLOCK
+    tri = np.empty(n, np.int64)
+    lo = 0
+    for hi in np.append(np.flatnonzero(np.diff(block)) + 1, n):
+        rows = und[lo:hi]
+        tri[lo:hi] = np.asarray((rows @ und).multiply(rows).sum(axis=1)).ravel() // 2
+        lo = hi
+    return tri
 
 
 def triad_census(graph: LabeledGraph, n_samples: int = None,
                  seed=None) -> np.ndarray:
     """Proportions of the 16 directed triad classes over node triples.
 
-    Exhaustive when ``n_samples`` is None (all C(n,3) triples, via the
-    linked-pair enumeration); otherwise classifies ``n_samples`` uniformly
-    random distinct triples.
+    Exhaustive when ``n_samples`` is None: all C(n,3) triples, counted
+    from the wedges of the undirected view and its linked pairs
+    (``_exact_counts``).  Otherwise classifies ``n_samples`` uniformly
+    random distinct triples.  Both modes classify triples with
+    ``_classify_triples``.
     """
     n = graph.num_nodes
     if n < 3:
         raise MetricError("triad census needs at least 3 nodes")
     if n_samples is None:
-        counts = kernels._triad_census_exact(*graph.undirected_csr[:2],
-                                             *graph.out_csr, n, TRICODE_TABLE)
+        counts = _exact_counts(graph)
     else:
         triples = _draw_triples(n, int(n_samples), np.random.default_rng(seed))
         counts = _classify_triples(graph, *triples)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,43 @@ def test_generate_er_deterministic():
     a = generate_er(fit, 9)
     b = generate_er(fit, 9)
     assert np.array_equal(a.src, b.src) and np.array_equal(a.dst, b.dst)
+
+
+def er_walk_oracle(n, p, seed):
+    """The scalar skip-sampling walk: one uniform, one geometric gap a step."""
+    rng = np.random.default_rng(seed)
+    total = n * (n - 1)
+    log1mp = math.log1p(-p) if p < 1.0 else -math.inf
+    src, dst = [], []
+    idx = -1
+    while True:
+        if p >= 1.0:
+            gap = 1
+        else:
+            gap = 1 + int(math.floor(math.log1p(-rng.random()) / log1mp))
+        idx += gap
+        if idx >= total:
+            break
+        s, off = divmod(idx, n - 1)
+        src.append(s)
+        dst.append(off if off < s else off + 1)
+    return src, dst
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 200])
+@pytest.mark.parametrize("p", [1e-6, 0.003, 0.05, 0.5, 0.97, 1.0])
+def test_generate_er_matches_scalar_walk(n, p):
+    for seed in range(5):
+        graph = generate_er(ErFit(n=n, p=p), seed)
+        src, dst = er_walk_oracle(n, p, seed)
+        assert graph.src.tolist() == src and graph.dst.tolist() == dst
+
+
+def test_generate_er_matches_scalar_walk_over_several_chunks():
+    # about 1.1M edges: more than one chunk of uniforms
+    graph = generate_er(ErFit(n=1500, p=0.5), 3)
+    src, dst = er_walk_oracle(1500, 0.5, 3)
+    assert graph.src.tolist() == src and graph.dst.tolist() == dst
 
 
 def test_er_fit_json_round_trip():

@@ -3,7 +3,7 @@ import pytest
 
 from citegen.generator import CsParams, generate
 from citegen.graph import LabeledGraph
-from citegen.metrics import battery
+from citegen.metrics import battery, triads
 from citegen.metrics.battery import (CATEGORIES, MetricConfig, MetricReport,
                                      _clustering, compare, distance,
                                      metric_schema, profile)
@@ -109,10 +109,10 @@ def test_compare_detects_structural_differences(near_dag_graph):
     assert any(v > 0.01 for v in values)
 
 
-@pytest.mark.parametrize("wedge_block", [battery._WEDGE_BLOCK, 8])
+@pytest.mark.parametrize("wedge_block", [triads._WEDGE_BLOCK, 8])
 def test_clustering_matches_networkx(monkeypatch, wedge_block):
     nx = pytest.importorskip("networkx")
-    monkeypatch.setattr(battery, "_WEDGE_BLOCK", wedge_block)
+    monkeypatch.setattr(triads, "_WEDGE_BLOCK", wedge_block)
     rng = np.random.default_rng(41)
     for _ in range(30):
         n = int(rng.integers(3, 40))

@@ -1,12 +1,18 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from citegen.baselines import ErFit, generate_er
+from citegen.baselines import ErFit, fit_sbm, generate_dcsbm, generate_er
+from citegen.generator import generate
+from citegen.graph import LabeledGraph
+from citegen.metrics import triads
 from citegen.metrics.distances import MetricError
 from citegen.metrics.triads import (TRIAD_NAMES, _classify_triples,
                                     _draw_triples, ffl_count, triad_census)
+from citegen.neardag import inject_back_edges
 
 # Independent representatives of the 16 directed triad classes, written
 # with different node labellings than the library uses; classification
@@ -137,6 +143,71 @@ def test_triple_classifier_reproduces_exact_census(make_graph):
     # an edgeless graph has only empty triads, sampled or not
     empty = triad_census(make_graph(5, []), n_samples=100, seed=0)
     assert empty[TRIAD_NAMES.index("003")] == 1.0
+
+
+def star_with_mutual_arcs(n):
+    """Every leaf cites hub 0; the hub cites every 7th leaf back."""
+    leaves = np.arange(1, n)
+    back = leaves[::7]
+    return LabeledGraph(num_nodes=n,
+                        src=np.concatenate([leaves, np.zeros_like(back)]),
+                        dst=np.concatenate([np.zeros_like(leaves), back]))
+
+
+def star_census(n):
+    """Triad counts of ``star_with_mutual_arcs(n)``, by hand.
+
+    Three leaves are unlinked; the hub with two leaves makes 021U, 111D or
+    201 as zero, one or two of the leaves are mutual.
+    """
+    mutual = len(range(1, n, 7))
+    plain = n - 1 - mutual
+    counts = dict.fromkeys(TRIAD_NAMES, 0)
+    counts.update({"003": math.comb(n - 1, 3), "021U": math.comb(plain, 2),
+                   "111D": plain * mutual, "201": math.comb(mutual, 2)})
+    return np.array([counts[name] for name in TRIAD_NAMES])
+
+
+def networkx_census(graph):
+    nx = pytest.importorskip("networkx")
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(range(graph.num_nodes))
+    digraph.add_edges_from(zip(graph.src.tolist(), graph.dst.tolist()))
+    found = nx.triadic_census(digraph)
+    return np.array([found[name] for name in TRIAD_NAMES])
+
+
+def test_exact_census_matches_networkx(three_community_params):
+    dag = generate(three_community_params, 1000, 5)
+    graphs = [inject_back_edges(dag, 0.1, 6),
+              generate_er(ErFit(n=400, p=0.02), 7),
+              generate_dcsbm(fit_sbm(dag), 8),
+              star_with_mutual_arcs(60)]
+    for graph in graphs:
+        counts = networkx_census(graph)
+        assert np.array_equal(triad_census(graph), counts / counts.sum())
+    # networkx takes about 40 s on the 3000-node star, so the hand count,
+    # checked against networkx on the small star, stands in for it there
+    assert np.array_equal(counts, star_census(60))
+    counts = star_census(3000)
+    assert np.array_equal(triad_census(star_with_mutual_arcs(3000)),
+                          counts / counts.sum())
+
+
+@pytest.mark.parametrize("wedge_block", [triads._WEDGE_BLOCK, 64])
+def test_census_blocks_stay_small_on_hub_graphs(monkeypatch, wedge_block):
+    # the hub's 4.5M wedges in one block would take about 220 MB
+    graph = star_with_mutual_arcs(3000)
+    expected = triad_census(graph)
+    monkeypatch.setattr(triads, "_WEDGE_BLOCK", wedge_block)
+    tracemalloc.start()
+    try:
+        census = triad_census(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert np.array_equal(census, expected)
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 50])
