@@ -5,9 +5,9 @@ default (compiled) kernels and once with CITEGEN_NO_NUMBA=1, and prints
 a per-stage timing table.  Both paths draw from identical RNG streams,
 so the digests printed by each worker must match; the benchmark fails
 loudly if they do not.  Back-edge injection, cycle breaking, community
-detection, the sampled and exact triad census, betweenness and ER
-sampling have no compiled variant (plain Python or numpy); their times
-are printed apart from the kernel table.
+detection, the sampled and exact triad census, betweenness, and ER, SBM
+and DC-SBM sampling have no compiled variant (plain Python or numpy);
+their times are printed apart from the kernel table.
 
 Usage:
     python3 benchmarks/kernel_speed.py [--n 50000] [--repeat 3]
@@ -41,7 +41,8 @@ def worker(n, repeat):
     import numpy as np
 
     from citegen import kernels
-    from citegen.baselines import fit_er, generate_er
+    from citegen.baselines import (fit_er, fit_sbm, generate_dcsbm,
+                                   generate_er, generate_sbm)
     from citegen.generator import CsParams, generate
     from citegen.metrics.communities import detect_communities
     from citegen.metrics.paths import betweenness_values
@@ -79,11 +80,17 @@ def worker(n, repeat):
         lambda: betweenness_values(near, sources=sources))
     single_timings["generate_er"], er = best(
         lambda: generate_er(fit_er(near), 3))
+    sbm_fit = fit_sbm(near)
+    single_timings["generate_sbm"], sbm = best(
+        lambda: generate_sbm(sbm_fit, 4))
+    single_timings["generate_dcsbm"], dcsbm = best(
+        lambda: generate_dcsbm(sbm_fit, 5))
 
     digest = hashlib.sha256()
     for arr in (dag.src, dag.dst, near.src, near.dst,
                 broken[0].src, broken[0].dst, census, exact,
-                detected[0], betw, er.src, er.dst):
+                detected[0], betw, er.src, er.dst, sbm.src, sbm.dst,
+                dcsbm.src, dcsbm.dst):
         digest.update(np.ascontiguousarray(arr).tobytes())
     digest.update(repr(round(float(detected[1]), 12)).encode())
     print(json.dumps({"numba": kernels.using_numba(),

@@ -6,9 +6,8 @@ strategies, ``generate_sbm`` and ``generate_dcsbm`` on fixed input graphs
 that are built here with numpy alone, so that they do not depend on the
 code under test; ``betweenness_values``, the exact ``triad_census`` and
 one ``compare`` report on some of those graphs; ``generate_er`` over a
-grid of sizes and edge probabilities; and the community labels of
-``generate``.  Run it on
-two checkouts and compare:
+grid of sizes and edge probabilities; and the community labels and the
+edge lists of ``generate``.  Run it on two checkouts and compare:
 
     PYTHONPATH=src python3 benchmarks/output_digests.py > after.txt
     diff before.txt after.txt
@@ -112,8 +111,9 @@ def main():
     for i, p in enumerate(params):
         for n, seed in ((5, 0), (1000, 1), (30000, 2)):
             if n >= p.k:
-                out[f"generate-labels/{i}/{n}/{seed}"] = digest(
-                    generate(p, n, seed).labels)
+                g = generate(p, n, seed)
+                out[f"generate-labels/{i}/{n}/{seed}"] = digest(g.labels)
+                out[f"generate-edges/{i}/{n}/{seed}"] = digest(g.src, g.dst)
 
     for key in sorted(out):
         print(key, out[key])

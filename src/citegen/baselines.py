@@ -49,7 +49,9 @@ def generate_er(fit: ErFit, seed) -> LabeledGraph:
     Skip-sampling walks the linearized pair index with geometric gaps
     ``1 + floor(log1p(-u) / log1p(-p))``, so the cost is proportional to
     the number of realized edges.  The uniforms are drawn in chunks, and
-    the gaps summed, until the walk passes the last pair.
+    the gaps summed, until the walk passes the last pair.  Ratios within a
+    few ulps of an integer are recomputed with ``math.log1p``: ``np.log1p``
+    may differ from it in the last bit, depending on the numpy build.
     """
     if not 0.0 <= fit.p <= 1.0:
         raise BaselineError("edge probability outside [0, 1]")
@@ -63,9 +65,15 @@ def generate_er(fit: ErFit, seed) -> LabeledGraph:
     chunk = min(int(total * p * 1.1) + 64, 1 << 20)
     last, parts = -1, []
     while last < total:
+        u = rng.random(chunk)
+        gaps = np.log1p(-u) / log1mp
+        near = np.flatnonzero((gaps > 0) & (gaps < total + 1)
+                              & (np.abs(gaps - np.rint(gaps))
+                                 <= 4 * np.spacing(gaps)))
+        gaps[near] = [math.log1p(-x) / log1mp for x in u[near].tolist()]
         # any gap of at least ``total`` ends the walk; the clip keeps the
         # huge gaps of a tiny p inside int64
-        gaps = np.minimum(np.log1p(-rng.random(chunk)) / log1mp, total)
+        gaps = np.minimum(gaps, total)
         parts.append(last + np.cumsum(1 + gaps.astype(np.int64)))
         last = parts[-1][-1]
     idx = np.concatenate(parts)
@@ -194,31 +202,32 @@ def _block_members(labels: np.ndarray, k: int):
     return [order[bounds[c]:bounds[c + 1]] for c in range(k)]
 
 
-def _place_block_edges(counts, draw_src, draw_dst, taken, n, rng, max_try=200):
-    """Sample ``counts`` non-self edges via rejection, none of them in ``taken``.
+def _place_block_edges(count, pool_src, pool_dst, n, rng):
+    """Up to ``count`` distinct non-self edges from ``pool_src`` to ``pool_dst``.
 
-    ``taken`` holds the keys ``src * n + dst`` of edges placed so far.
+    Each of at most 200 rounds draws one uniform candidate per unfilled
+    slot; self-loops and repeats are dropped and the first occurrences
+    kept in draw order.  That is edge-by-edge rejection sampling run in
+    rounds, so it has the same distribution.  Returns the keys
+    ``src * n + dst``.
     """
-    src_out = np.empty(counts, np.int64)
-    dst_out = np.empty(counts, np.int64)
-    placed = 0
-    for _ in range(counts):
-        for _attempt in range(max_try):
-            s = draw_src(rng)
-            t = draw_dst(rng)
-            if s == t:
-                continue
-            key = s * n + t
-            if key not in taken:
-                taken.add(key)
-                src_out[placed] = s
-                dst_out[placed] = t
-                placed += 1
-                break
-    return src_out[:placed], dst_out[:placed]
+    keys = np.empty(0, np.int64)
+    for _ in range(200):
+        need = count - keys.size
+        if need == 0:
+            break
+        s = pool_src[rng.integers(0, pool_src.size, need)]
+        t = pool_dst[rng.integers(0, pool_dst.size, need)]
+        ok = s != t
+        keys = np.concatenate([keys, s[ok] * n + t[ok]])
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)]
+    return keys
 
 
 def _generate_blockmodel(fit: SbmFit, seed, degree_corrected: bool):
+    """Poisson count per block pair, then edges placed pair by pair; an
+    edge's endpoint labels fix its pair, so no two pairs place one edge."""
     rng = np.random.default_rng(seed)
     k = fit.k
     n = fit.labels.size
@@ -227,8 +236,9 @@ def _generate_blockmodel(fit: SbmFit, seed, degree_corrected: bool):
     if degree_corrected:
         out_urns = [np.repeat(members[a], fit.d_out[members[a]]) for a in range(k)]
         in_urns = [np.repeat(members[b], fit.d_in[members[b]]) for b in range(k)]
-    taken = set()
-    parts_src, parts_dst = [], []
+    else:
+        out_urns = in_urns = members
+    parts = []
     shortfall = 0
     for a in range(k):
         for b in range(k):
@@ -241,27 +251,18 @@ def _generate_blockmodel(fit: SbmFit, seed, degree_corrected: bool):
             count = min(int(rng.poisson(e_ab)), pairs)
             if count == 0:
                 continue
-            if degree_corrected:
-                urn_a, urn_b = out_urns[a], in_urns[b]
-                if urn_a.size == 0 or urn_b.size == 0:
-                    log.warning("block pair (%d,%d) has zero propensity; skipped",
-                                a, b)
-                    continue
-                draw_src = lambda r, u=urn_a: int(u[int(r.random() * u.size)])
-                draw_dst = lambda r, u=urn_b: int(u[int(r.random() * u.size)])
-            else:
-                draw_src = lambda r, mm=members[a]: int(mm[int(r.random() * mm.size)])
-                draw_dst = lambda r, mm=members[b]: int(mm[int(r.random() * mm.size)])
-            s_arr, t_arr = _place_block_edges(count, draw_src, draw_dst,
-                                              taken, n, rng)
-            shortfall += count - s_arr.size
-            parts_src.append(s_arr)
-            parts_dst.append(t_arr)
+            if out_urns[a].size == 0 or in_urns[b].size == 0:
+                log.warning("block pair (%d,%d) has zero propensity; skipped",
+                            a, b)
+                continue
+            keys = _place_block_edges(count, out_urns[a], in_urns[b], n, rng)
+            shortfall += count - keys.size
+            parts.append(keys)
     if shortfall:
         log.warning("block sampling dropped %d colliding edges", shortfall)
-    src = np.concatenate(parts_src) if parts_src else np.empty(0, np.int64)
-    dst = np.concatenate(parts_dst) if parts_dst else np.empty(0, np.int64)
-    return LabeledGraph(num_nodes=n, src=src, dst=dst, labels=fit.labels)
+    keys = np.concatenate([np.empty(0, np.int64)] + parts)
+    return LabeledGraph(num_nodes=n, src=keys // n, dst=keys % n,
+                        labels=fit.labels)
 
 
 def generate_sbm(fit: SbmFit, seed) -> LabeledGraph:

@@ -255,22 +255,25 @@ def cmd_baseline(args) -> int:
     return 0
 
 
+# metric flag -> MetricConfig field, besides --resolutions
+_METRIC_FIELDS = {"pairs": "n_pairs", "sources": "n_sources",
+                  "max_nodes": "max_nodes", "exact": "exact",
+                  "triad_exact_limit": "triad_exact_limit",
+                  "triad_samples": "triad_samples"}
+
+
 def _metric_config(opts: Options, seed: int) -> MetricConfig:
-    resolutions = opts.get("resolutions", "1.0,0.5,2.0")
-    if isinstance(resolutions, str):
-        resolutions = tuple(float(tok) for tok in resolutions.split(","))
-    else:
-        resolutions = tuple(float(x) for x in resolutions)
-    return MetricConfig(
-        seed=seed,
-        n_pairs=int(opts.get("pairs", 2000)),
-        n_sources=int(opts.get("sources", 200)),
-        max_nodes=int(opts.get("max_nodes", 50_000)),
-        exact=bool(opts.get("exact", False)),
-        triad_exact_limit=int(opts.get("triad_exact_limit", 3000)),
-        triad_samples=int(opts.get("triad_samples", 200_000)),
-        resolutions=resolutions,
-    )
+    """MetricConfig defaults, overridden by the metric flags given."""
+    config = MetricConfig(seed=seed)
+    given = {field: type(getattr(config, field))(opts.get(flag))
+             for flag, field in _METRIC_FIELDS.items()
+             if opts.get(flag) is not None}
+    resolutions = opts.get("resolutions")
+    if resolutions is not None:
+        if isinstance(resolutions, str):
+            resolutions = resolutions.split(",")
+        given["resolutions"] = tuple(float(x) for x in resolutions)
+    return dc_replace(config, **given)
 
 
 def cmd_compare(args) -> int:
@@ -393,17 +396,20 @@ def _add_common(sp):
 
 def _add_metric_flags(sp):
     sp.add_argument("--pairs", type=int, default=None,
-                    help="sampled node pairs for distance metrics (default 2000)")
+                    help="sampled node pairs for distance metrics "
+                         f"(default {MetricConfig.n_pairs})")
     sp.add_argument("--sources", type=int, default=None,
-                    help="BFS sources for betweenness/reachability (default 200)")
+                    help="BFS sources for betweenness/reachability "
+                         f"(default {MetricConfig.n_sources})")
     sp.add_argument("--max-nodes", type=int, default=None,
-                    help="BFS subsample cap (default 50000)")
+                    help=f"BFS subsample cap (default {MetricConfig.max_nodes})")
     sp.add_argument("--triad-samples", type=int, default=None)
     sp.add_argument("--triad-exact-limit", type=int, default=None)
     sp.add_argument("--exact", action="store_const", const=True, default=None,
                     help="exhaustive distances, triads, and betweenness")
     sp.add_argument("--resolutions", default=None,
-                    help="comma-separated detector resolutions (default 1.0,0.5,2.0)")
+                    help="comma-separated detector resolutions (default "
+                         f"{','.join(map(str, MetricConfig.resolutions))})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -145,9 +145,11 @@ def _draw_node_streams(params: CsParams, n: int, seed: SeedLike):
     ``m[c]`` when ``sigma2[c] > m[c]``, so that the untruncated draw is
     negative binomial with variance ``sigma2[c]``; it is then clipped at v.
     Each of its d edges is accidental when its split uniform falls below
-    ``1 - rho[c]``.  Every stream is consumed node by node in id order, so
-    a shorter run draws an exact prefix of a longer one.  Returns
-    ``(labels, d, n_acc, rng_tgt)``; the seed nodes 0..k-1 have d = 0.
+    ``1 - rho[c]``.  The urn walk takes one target uniform per edge
+    attempt, accidental attempts first, so all ``d.sum()`` are drawn here.
+    Every stream is consumed node by node in id order, so a shorter run
+    draws an exact prefix of a longer one.  Returns
+    ``(labels, d, n_acc, u_tgt)``; the seed nodes 0..k-1 have d = 0.
     """
     k = params.k
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -168,7 +170,7 @@ def _draw_node_streams(params: CsParams, n: int, seed: SeedLike):
     cum = np.concatenate(([0], np.cumsum(acc)))
     ends = np.cumsum(d)
     n_acc = cum[ends] - cum[ends - d]
-    return labels, d, n_acc, rng_tgt
+    return labels, d, n_acc, rng_tgt.random(acc.size)
 
 
 def generate(params: CsParams, n: int, seed: SeedLike) -> LabeledGraph:
@@ -182,7 +184,7 @@ def generate(params: CsParams, n: int, seed: SeedLike) -> LabeledGraph:
     k = params.k
     if n < k:
         raise ParamError(f"n={n} is below the community count k={k}")
-    labels, d, n_acc, rng_tgt = _draw_node_streams(params, int(n), seed)
+    labels, d, n_acc, u_tgt = _draw_node_streams(params, int(n), seed)
     members = np.argsort(labels, kind="stable")
     starts = np.searchsorted(labels[members], np.arange(k))
     mean_m = float(np.sum(params.p * params.m))
@@ -190,7 +192,7 @@ def generate(params: CsParams, n: int, seed: SeedLike) -> LabeledGraph:
             for c in range(k)]
     src, dst = kernels._gen_dag(
         labels, d, n_acc, members, starts,
-        kernels.make_array_list(urns), np.zeros(k, np.int64), rng_tgt)
+        kernels.make_array_list(urns), np.zeros(k, np.int64), u_tgt)
     return LabeledGraph(num_nodes=int(n), src=src, dst=dst, labels=labels)
 
 

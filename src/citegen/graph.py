@@ -56,8 +56,10 @@ class LabeledGraph:
                 raise GraphError("edge endpoint outside [0, num_nodes)")
             if (src == dst).any():
                 raise GraphError("self-loop in edge list")
-            keys = src * self.num_nodes + dst
-            if np.unique(keys).size != keys.size:
+            # a sort, not np.unique: numpy's hash-based unique is slower
+            # here, and super-linear in the edge count
+            keys = np.sort(src * self.num_nodes + dst)
+            if (keys[1:] == keys[:-1]).any():
                 raise GraphError("duplicate edge in edge list")
         if self.labels is not None:
             lab = np.ascontiguousarray(self.labels, dtype=np.int64)
@@ -435,6 +437,6 @@ def is_acyclic(graph: LabeledGraph) -> bool:
     Self-loops are rejected at construction, so the graph is acyclic exactly
     when each strongly connected component is a single node.
     """
-    n_comp, _ = connected_components(_adjacency(graph), directed=True,
+    n_comp, _ = connected_components(graph.adjacency, directed=True,
                                      connection="strong")
     return bool(n_comp == graph.num_nodes)

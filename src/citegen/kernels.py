@@ -5,10 +5,9 @@ model's target resolution (the urn walk), BFS collection and DAG longest
 paths.  Each is written once and compiled with numba's ``@njit`` when
 available.  Setting ``CITEGEN_NO_NUMBA=1`` (or running without numba
 installed) selects a pure-Python execution of the very same function
-bodies.  The kernels draw randomness only as ``Generator.random()``
-uniforms, so the two paths consume identical RNG streams and produce
-bit-identical results; callers draw every other stream with numpy before
-entering a kernel.
+bodies.  The kernels draw no randomness: callers draw every stream with
+numpy before entering a kernel and pass the uniforms in as arrays, so the
+two paths produce bit-identical results.
 
 ``benchmarks/kernel_speed.py`` compares the two paths on the heavy kernels.
 """
@@ -74,29 +73,19 @@ def _push(bufs, counts, idx, value):
 
 
 # ---------------------------------------------------------------------------
-# uniform index draws
-
-@njit(cache=True)
-def _rand_below(rng, n):
-    j = int(rng.random() * n)
-    if j >= n:
-        j = n - 1
-    return j
-
-
-# ---------------------------------------------------------------------------
 # growth-model generation
 
 @njit(cache=True)
-def _gen_dag(labels, d, n_acc, members, starts, urns, urn_n, rng_tgt):
+def _gen_dag(labels, d, n_acc, members, starts, urns, urn_n, u_tgt):
     """Resolve the citation targets of nodes k..n-1; return (src, dst).
 
     Node v makes ``n_acc[v]`` accidental draws, uniform over 0..v-1, then
     ``d[v] - n_acc[v]`` preferential ones, uniform over its community's
     urn, or over the community's earlier members while that urn is empty.
-    A repeated target is dropped.  ``members`` lists the nodes by
-    community in id order, community c from ``starts[c]``.  Every cited
-    node then gets one more copy in its own community's urn.
+    Each draw scales the next uniform of ``u_tgt`` (one per draw, in node
+    order) to an index.  A repeated target is dropped.  ``members`` lists
+    the nodes by community in id order, community c from ``starts[c]``.
+    Every cited node then gets one more copy in its own community's urn.
     """
     n = labels.shape[0]
     mem_n = np.ones(starts.shape[0], np.int64)
@@ -104,17 +93,20 @@ def _gen_dag(labels, d, n_acc, members, starts, urns, urn_n, rng_tgt):
     esrc = np.empty(total, np.int64)
     edst = np.empty(total, np.int64)
     ne = 0
+    t = 0
     for v in range(starts.shape[0], n):
         c = labels[v]
         na = n_acc[v]
         first = ne
         for a in range(d[v]):
+            x = u_tgt[t]
+            t += 1
             if a < na:
-                u = _rand_below(rng_tgt, v)
+                u = min(int(x * v), v - 1)
             elif urn_n[c] > 0:
-                u = urns[c][_rand_below(rng_tgt, urn_n[c])]
+                u = urns[c][min(int(x * urn_n[c]), urn_n[c] - 1)]
             else:
-                u = members[starts[c] + _rand_below(rng_tgt, mem_n[c])]
+                u = members[starts[c] + min(int(x * mem_n[c]), mem_n[c] - 1)]
             dup = False
             for j in range(first, ne):
                 if edst[j] == u:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LabeledGraph, in_csr, out_csr
+from .graph import LabeledGraph, in_csr
 
 log = logging.getLogger(__name__)
 
@@ -88,7 +88,7 @@ def _eades_sequence(graph: LabeledGraph) -> np.ndarray:
     in-degree to the front.  Bucketed score lists keep it O(N + E).
     """
     n = graph.num_nodes
-    out_ptr, out_idx = out_csr(graph)
+    out_ptr, out_idx = graph.out_csr
     in_ptr, in_idx = in_csr(graph)
     dout = (out_ptr[1:] - out_ptr[:-1]).astype(np.int64)
     din = (in_ptr[1:] - in_ptr[:-1]).astype(np.int64)
@@ -259,9 +259,9 @@ def cycle_break(graph: LabeledGraph, r: float, seed, strategy: str,
 
     Step 2 points every edge from the later-ranked node to the
     earlier-ranked one; a pair linked in both directions collapses to one
-    edge (counted in the report).  Step 3 reverses round(r * |E|) distinct
-    random edges; as all edges then point the same way in the ordering, no
-    reversal duplicates an edge.  Returns (graph, report).
+    edge (counted in the report).  Step 3 reverses a uniform random subset
+    of round(r * |E|) edges; as all edges then point the same way in the
+    ordering, no reversal duplicates an edge.  Returns (graph, report).
     """
     if not 0.0 <= r < 1.0:
         raise NearDagError("back-edge ratio must lie in [0, 1)")
@@ -275,24 +275,10 @@ def cycle_break(graph: LabeledGraph, r: float, seed, strategy: str,
     src = keys // n
     dst = keys % n
     n_edges = src.size
+    # r < 1, so n_rev <= n_edges
     n_rev = _round_half_up(r * n_edges)
-    rng = np.random.default_rng(seed)
-    done = 0
-    if n_rev > 0:
-        chosen = np.zeros(n_edges, bool)
-        attempts = 0
-        max_attempts = 200 * n_rev + 10_000
-        while done < n_rev and attempts < max_attempts:
-            attempts += 1
-            e = int(rng.integers(0, n_edges))
-            if chosen[e]:
-                continue
-            chosen[e] = True
-            done += 1
-        if done < n_rev:
-            log.warning("reversed %d of %d requested edges "
-                        "(collision space exhausted)", done, n_rev)
-        src[chosen], dst[chosen] = dst[chosen].copy(), src[chosen].copy()
+    chosen = np.random.default_rng(seed).choice(n_edges, n_rev, replace=False)
+    src[chosen], dst[chosen] = dst[chosen], src[chosen]
     out = LabeledGraph(
         num_nodes=n, src=src, dst=dst,
         labels=graph.labels, timestamps=graph.timestamps,
@@ -300,7 +286,7 @@ def cycle_break(graph: LabeledGraph, r: float, seed, strategy: str,
     )
     report = CycleBreakReport(
         strategy=strategy, collapsed_edges=int(collapsed),
-        reversed_edges=done,
-        back_edge_ratio=0.0 if n_edges == 0 else done / n_edges,
+        reversed_edges=n_rev,
+        back_edge_ratio=0.0 if n_edges == 0 else n_rev / n_edges,
     )
     return out, report

@@ -1,13 +1,17 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from citegen.baselines import (
     BaselineError,
     ConfigFit,
     ErFit,
     SbmFit,
+    _place_block_edges,
     fit_config,
     fit_er,
     fit_sbm,
@@ -93,6 +97,31 @@ def test_generate_er_matches_scalar_walk_over_several_chunks():
     # about 1.1M edges: more than one chunk of uniforms
     graph = generate_er(ErFit(n=1500, p=0.5), 3)
     src, dst = er_walk_oracle(1500, 0.5, 3)
+    assert graph.src.tolist() == src and graph.dst.tolist() == dst
+
+
+def test_generate_er_floor_ignores_last_bit_of_np_log1p(monkeypatch):
+    # At p = 0.5 the uniforms u = 1 - 2^-j give gap ratios of exactly j.
+    # np.log1p shifted up by one ulp puts each ratio just below j, so the
+    # floor would follow the numpy build unless near-integer ratios are
+    # recomputed with math.log1p, as the scalar walk does.
+    values = [1.0 - 2.0 ** -j for j in range(1, 11)]
+
+    class Uniforms:
+        def __init__(self, seed):
+            self.values = itertools.cycle(values)
+
+        def random(self, size=None):
+            if size is None:
+                return next(self.values)
+            return np.array([next(self.values) for _ in range(size)])
+
+    log1p = np.log1p
+    monkeypatch.setattr(np, "log1p", lambda x: np.nextafter(log1p(x), np.inf))
+    monkeypatch.setattr(np.random, "default_rng", Uniforms)
+    graph = generate_er(ErFit(n=30, p=0.5), 0)
+    src, dst = er_walk_oracle(30, 0.5, 0)
+    assert len(src) > 100
     assert graph.src.tolist() == src and graph.dst.tolist() == dst
 
 
@@ -239,7 +268,34 @@ def test_generate_sbm_truncates_to_available_pairs():
                  block_edges=np.array([[10]]),
                  d_out=np.ones(2, np.int64), d_in=np.ones(2, np.int64))
     graph = generate_sbm(fit, 0)
-    assert graph.num_edges <= 2
+    assert graph.num_edges == 2
+
+
+def test_place_block_edges_matches_per_edge_rejection():
+    # Placement in rounds against the edge-by-edge rejection it replaces:
+    # both keep the first `count` distinct non-self candidates of one
+    # i.i.d. stream, so the frequencies of the placed edge sets agree
+    # (two-sample chi-square).  The weighted pools make node 0 a likely
+    # source and node 2 a likely target.
+    pool_src = np.array([0, 0, 0, 1, 2])
+    pool_dst = np.array([0, 1, 1, 2, 2, 2])
+    n, count, reps = 3, 3, 10000
+    rng = np.random.default_rng(1)
+    rounds, oracle = Counter(), Counter()
+    for _ in range(reps):
+        keys = _place_block_edges(count, pool_src, pool_dst, n, rng)
+        rounds[frozenset(keys.tolist())] += 1
+        taken = set()
+        while len(taken) < count:
+            s = pool_src[rng.integers(pool_src.size)]
+            t = pool_dst[rng.integers(pool_dst.size)]
+            if s != t:
+                taken.add(int(s * n + t))
+        oracle[frozenset(taken)] += 1
+    sets = set(rounds) | set(oracle)
+    stat = sum((rounds[k] - oracle[k]) ** 2 / (rounds[k] + oracle[k])
+               for k in sets)
+    assert scipy.stats.chi2.sf(stat, len(sets) - 1) > 1e-4
 
 
 def test_generate_sbm_deterministic(dag_graph):

@@ -6,7 +6,7 @@ import pytest
 from citegen.cli import main
 from citegen.generator import CsParams, generate
 from citegen.graph import is_acyclic, load_edge_list, save_edge_list, save_labels
-from citegen.metrics import MetricReport
+from citegen.metrics import MetricConfig, MetricReport, compare
 from citegen.neardag import inject_back_edges
 
 SMALL_METRIC_FLAGS = ["--pairs", "100", "--sources", "20",
@@ -159,6 +159,17 @@ def test_compare_self_is_zero(cli_files, tmp_path):
     active = report.active()
     assert len(active) == 26
     assert all(e.value == 0.0 for e in active)
+
+
+def test_compare_without_metric_flags_uses_metric_config_defaults(
+        cli_files, tmp_path):
+    out = tmp_path / "report.tsv"
+    assert main(["compare", str(cli_files["edges"]), str(cli_files["edges2"]),
+                 "--seed", "5", "--out", str(out)]) == 0
+    real, _ = load_edge_list(cli_files["edges"])
+    synth, _ = load_edge_list(cli_files["edges2"])
+    assert out.read_text() == compare(real, synth,
+                                      MetricConfig(seed=5)).to_tsv()
 
 
 def test_bench_cli_artifacts_reproducible(cli_files, tmp_path, capsys):

@@ -230,6 +230,7 @@ def preferential_targets(urn, n_old, calls, rng):
 
     Nodes 0..n_old-1 form the one community and ``urn`` is its urn;
     the state is rebuilt for every call, so all draws see the same urn.
+    Each call passes the kernel one uniform of ``rng``.
     """
     n = n_old + 1
     labels = np.zeros(n, np.int64)
@@ -243,7 +244,8 @@ def preferential_targets(urn, n_old, calls, rng):
         # spare slots: the kernel pushes the cited node after the draw
         urns = kernels.make_array_list([np.array(list(urn) + [0] * 4, np.int64)])
         src, dst = kernels._gen_dag(labels, d, n_acc, members, starts, urns,
-                                    np.array([len(urn)], np.int64), rng)
+                                    np.array([len(urn)], np.int64),
+                                    rng.random(1))
         assert src.tolist() == [n_old]
         out.append(int(dst[0]))
     return np.array(out)
@@ -262,6 +264,84 @@ def test_draw_preferential_cold_start_excludes_new_node():
 
 
 # --- generation ---------------------------------------------------------------
+
+def gen_dag_oracle(labels, d, n_acc, members, starts, rng_tgt):
+    """The urn walk drawing each target uniform when it needs it.
+
+    Every target attempt calls ``rng_tgt.random()`` once and scales it to
+    an index below the range, accidental attempts first, so the kernel,
+    which reads the same uniforms from an array, must give the same edges.
+    """
+    def rand_below(rng, n):
+        j = int(rng.random() * n)
+        if j >= n:
+            j = n - 1
+        return j
+
+    n = labels.shape[0]
+    k = starts.shape[0]
+    urns = kernels.make_array_list([np.empty(4, np.int64) for _ in range(k)])
+    urn_n = np.zeros(k, np.int64)
+    mem_n = np.ones(k, np.int64)
+    total = d.sum()
+    esrc = np.empty(total, np.int64)
+    edst = np.empty(total, np.int64)
+    ne = 0
+    for v in range(k, n):
+        c = labels[v]
+        na = n_acc[v]
+        first = ne
+        for a in range(d[v]):
+            if a < na:
+                u = rand_below(rng_tgt, v)
+            elif urn_n[c] > 0:
+                u = urns[c][rand_below(rng_tgt, urn_n[c])]
+            else:
+                u = members[starts[c] + rand_below(rng_tgt, mem_n[c])]
+            dup = False
+            for j in range(first, ne):
+                if edst[j] == u:
+                    dup = True
+                    break
+            if not dup:
+                esrc[ne] = v
+                edst[ne] = u
+                ne += 1
+        for j in range(first, ne):
+            kernels._push(urns, urn_n, labels[edst[j]], edst[j])
+        mem_n[c] += 1
+    return esrc[:ne].copy(), edst[:ne].copy()
+
+
+@pytest.mark.parametrize("p,m,rho,sigma2,n,seed", [
+    # one community
+    ((1.0,), (5.0,), (0.5,), (5.0,), 800, 1),
+    # sigma2 > m: Gamma-Poisson out-degrees
+    ((0.5, 0.3, 0.2), (5.0, 4.0, 3.0), (0.3, 0.5, 0.7), (9.0, 8.0, 4.0),
+     1500, 2),
+    # n = k: only the seed nodes, no edges
+    ((0.5, 0.3, 0.2), (5.0, 4.0, 3.0), (0.3, 0.5, 0.7), (9.0, 8.0, 4.0),
+     3, 3),
+    # nearly all draws preferential over small communities: many draws
+    # fall back to the members of a community whose urn is still empty
+    ((0.25, 0.25, 0.25, 0.25), (3.0, 3.0, 3.0, 3.0),
+     (0.999, 0.999, 0.999, 0.999), (3.0, 3.0, 3.0, 3.0), 60, 4),
+    # the five communities of benchmarks/output_digests.py
+    ((0.1, 0.2, 0.3, 0.25, 0.15), (2.0, 8.0, 3.0, 40.0, 1.0),
+     (0.9, 0.1, 0.5, 0.6, 0.2), (1.0, 30.0, 3.0, 400.0, 0.5), 2000, 5),
+])
+def test_generate_matches_scalar_draw_oracle(p, m, rho, sigma2, n, seed):
+    params = CsParams(p=p, m=m, rho=rho, sigma2=sigma2)
+    graph = generate(params, n, seed)
+    labels, d, n_acc, _ = _draw_node_streams(params, n, seed)
+    members = np.argsort(labels, kind="stable")
+    starts = np.searchsorted(labels[members], np.arange(params.k))
+    # the target stream is the fourth of the five spawned children
+    rng_tgt = np.random.default_rng(np.random.SeedSequence(seed).spawn(5)[3])
+    src, dst = gen_dag_oracle(labels, d, n_acc, members, starts, rng_tgt)
+    assert graph.src.tobytes() == src.tobytes()
+    assert graph.dst.tobytes() == dst.tobytes()
+
 
 def test_generate_seeds_and_direction(three_community_params, dag_graph):
     k = three_community_params.k
@@ -313,13 +393,13 @@ def test_urn_multiplicity_equals_in_degree(three_community_params):
     params = three_community_params
     n, seed = 500, 13
     k = params.k
-    labels, d, n_acc, rng_tgt = _draw_node_streams(params, n, seed)
+    labels, d, n_acc, u_tgt = _draw_node_streams(params, n, seed)
     members = np.argsort(labels, kind="stable")
     starts = np.searchsorted(labels[members], np.arange(k))
     urns = kernels.make_array_list([np.empty(4, np.int64) for _ in range(k)])
     urn_n = np.zeros(k, np.int64)
     src, dst = kernels._gen_dag(labels, d, n_acc, members, starts, urns,
-                                urn_n, rng_tgt)
+                                urn_n, u_tgt)
 
     reference = generate(params, n, seed)
     assert np.array_equal(src, reference.src)

@@ -93,8 +93,18 @@ def test_array_list_push_grows():
     assert bufs[0][:10].tolist() == list(range(10))
 
 
-def test_rand_below_is_in_range():
-    rng = np.random.default_rng(0)
-    draws = [kernels._rand_below(rng, 7) for _ in range(200)]
-    assert min(draws) >= 0 and max(draws) <= 6
-    assert len(set(draws)) == 7
+def test_gen_dag_top_uniform_stays_in_range():
+    # The largest double below 1 resolves to the last index of each range:
+    # node 1's cold-start draw to the only earlier member, each accidental
+    # draw to node v - 1, and each urn draw to the urn's last entry
+    # (node 0, after the urn fills as [0], then [0, 1, 0]).
+    labels = np.zeros(4, np.int64)
+    d = np.array([0, 1, 2, 2], np.int64)
+    n_acc = np.array([0, 0, 1, 1], np.int64)
+    urns = kernels.make_array_list([np.empty(1, np.int64)])
+    u_tgt = np.full(int(d.sum()), np.nextafter(1.0, 0.0))
+    src, dst = kernels._gen_dag(labels, d, n_acc, np.arange(4, dtype=np.int64),
+                                np.zeros(1, np.int64), urns,
+                                np.zeros(1, np.int64), u_tgt)
+    assert src.tolist() == [1, 2, 2, 3, 3]
+    assert dst.tolist() == [0, 1, 0, 2, 0]

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from citegen.graph import LabeledGraph, is_acyclic
 from citegen.neardag import (
@@ -268,6 +269,24 @@ def test_cycle_break_reverses_exact_random_subset(dag_graph):
     flipped = out_edges - base_edges
     assert len(flipped) == n_rev
     assert all((v, u) in base_edges for u, v in flipped)
+
+
+def test_cycle_break_reverses_each_edge_with_frequency_r(make_graph):
+    # Over many seeds every edge is reversed in about r of the runs.  The
+    # per-edge counts are binomial and sum to seeds * n_rev, so the scaled
+    # sum of squared deviations is chi-square with n_edges - 1 degrees
+    # of freedom.
+    n_edges, r, seeds = 20, 0.25, 2000
+    graph = make_graph(n_edges + 1, [(i + 1, i) for i in range(n_edges)],
+                       timestamps=list(range(n_edges + 1)))
+    counts = np.zeros(n_edges)
+    for seed in range(seeds):
+        out, report = cycle_break(graph, r, seed, "timestamps")
+        assert report.reversed_edges == 5
+        counts[out.src[out.src < out.dst]] += 1
+    var = seeds * r * (1 - r)
+    stat = (n_edges - 1) / n_edges * ((counts - seeds * r) ** 2).sum() / var
+    assert scipy.stats.chi2.sf(stat, n_edges - 1) > 1e-4
 
 
 def test_cycle_break_deterministic(dag_graph):
