@@ -2,9 +2,12 @@
 
 Prints one ``name sha256-prefix`` line per output: ``inject_back_edges``
 (with and without labels), ``cycle_break`` under all three ordering
-strategies, ``generate_sbm`` and ``generate_dcsbm`` on fixed input graphs
-that are built here with numpy alone, so that they do not depend on the
-code under test; ``betweenness_values``, the exact ``triad_census`` and
+strategies, ``generate_sbm``, ``generate_dcsbm`` and ``generate_config``
+on fixed input graphs that are built here with numpy alone, so that they
+do not depend on the code under test; the bytes ``save_edge_list`` writes
+for those graphs, with and without node names, and the graph and report
+``load_edge_list`` reads back from a file with repeated edges;
+``betweenness_values``, the exact ``triad_census`` and
 one ``compare`` report on some of those graphs; ``generate_er`` over a
 grid of sizes and edge probabilities; and the community labels and the
 edge lists of ``generate``.  Run it on two checkouts and compare:
@@ -14,13 +17,14 @@ edge lists of ``generate``.  Run it on two checkouts and compare:
 """
 
 import hashlib
+import io
 
 import numpy as np
 
-from citegen.baselines import (ErFit, fit_sbm, generate_dcsbm, generate_er,
-                               generate_sbm)
+from citegen.baselines import (ErFit, fit_config, fit_sbm, generate_config,
+                               generate_dcsbm, generate_er, generate_sbm)
 from citegen.generator import CsParams, generate
-from citegen.graph import LabeledGraph
+from citegen.graph import LabeledGraph, load_edge_list, save_edge_list
 from citegen.metrics.battery import compare
 from citegen.metrics.paths import betweenness_values
 from citegen.metrics.triads import triad_census
@@ -49,6 +53,16 @@ def digest(*arrays):
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()[:16]
+
+
+def text_bytes(text):
+    return np.frombuffer(text.encode(), np.uint8)
+
+
+def saved(graph):
+    buf = io.StringIO()
+    save_edge_list(graph, buf)
+    return buf.getvalue()
 
 
 def main():
@@ -81,6 +95,21 @@ def main():
             out[f"sbm/{name}/{seed}"] = digest(s.src, s.dst)
             d = generate_dcsbm(fit, seed)
             out[f"dcsbm/{name}/{seed}"] = digest(d.src, d.dst)
+            c, erased = generate_config(fit_config(g), seed)
+            out[f"config/{name}/{seed}"] = digest(c.src, c.dst,
+                                                  np.array([erased]))
+        out[f"save/{name}"] = digest(text_bytes(saved(bare)))
+        named = LabeledGraph(
+            num_nodes=g.num_nodes, src=g.src, dst=g.dst,
+            names=tuple(f"v{i:x}" for i in range(g.num_nodes)))
+        text = saved(named)
+        out[f"save-names/{name}"] = digest(text_bytes(text))
+        # the file again after the edges of a reorientation: most repeat
+        loaded, rep = load_edge_list(io.StringIO(
+            saved(cycle_break(named, 0.45, 3, "eades")[0]) + text))
+        out[f"load/{name}"] = digest(
+            loaded.src, loaded.dst, text_bytes("\t".join(loaded.names)),
+            np.array([rep.lines, rep.duplicate_edges, rep.self_loops]))
 
     sampled = np.random.default_rng(6).choice(2000, 200, replace=False)
     for name, sources in (("dag2k", None), ("dag2k", sampled),

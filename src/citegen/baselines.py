@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LabeledGraph
+from .graph import LabeledGraph, _sorted_unique
 
 log = logging.getLogger(__name__)
 
@@ -131,7 +131,7 @@ def generate_config(fit: ConfigFit, seed):
     targets = np.repeat(np.arange(n, dtype=np.int64), fit.in_seq)
     targets = rng.permutation(targets)
     keep = sources != targets
-    keys = np.unique(sources[keep] * n + targets[keep])
+    keys = _sorted_unique(sources[keep] * n + targets[keep])
     erased = int(sources.size - keys.size)
     if erased:
         log.info("configuration model erased %d stub pairings", erased)

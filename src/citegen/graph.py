@@ -7,6 +7,7 @@ import logging
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, repeat
 from typing import IO, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -132,6 +133,85 @@ def _open(stream: PathOrStream):
     return stream, False
 
 
+# Lines per block of edge-list and node-column I/O: enough to amortise the
+# per-block numpy work, few enough that no whole-file string or token list
+# is ever built.
+_BLOCK = 8192
+
+
+def _tsv_blocks(stream: PathOrStream, what: str, has_header: bool,
+                known: Optional[dict] = None):
+    """Yield the fields of a two-column TSV file, one block of lines at a time.
+
+    Each block is a flat list ``[first, second, first, second, ...]`` of the
+    fields of its non-blank lines, with trailing ``\\n`` then ``\\r``
+    stripped.  A line holds exactly one tab and a nonempty first field.  In
+    an edge list (``known`` is None) the second field is nonempty too; in a
+    node column it may be empty, and the first field must be a key of
+    ``known``.  The first bad line raises GraphError with its line number.
+    """
+    fh, close = _open(stream)
+    try:
+        lines = iter(fh)
+        lineno = 1
+        if has_header:
+            next(lines, None)
+            lineno = 2
+        while True:
+            block = list(islice(lines, _BLOCK))
+            if not block:
+                return
+            body = list(filter(None, map(str.rstrip, map(
+                str.rstrip, block, repeat("\n")), repeat("\r"))))
+            tokens = _split_pairs(body, known)
+            if tokens is None:
+                _raise_bad_line(block, lineno, what, known)
+            lineno += len(block)
+            yield tokens
+    finally:
+        if close:
+            fh.close()
+
+
+def _split_pairs(lines: list, known: Optional[dict]) -> Optional[list]:
+    """The fields of ``lines`` flattened as in :func:`_tsv_blocks`, or None
+    when one of them breaks its rules."""
+    if not lines:
+        return []
+    tokens = "\t".join(lines).split("\t")
+    if len(tokens) != 2 * len(lines):
+        return None
+    size = np.fromiter(map(len, tokens), np.int64, len(tokens))
+    first, second = size[0::2], size[1::2]
+    # with the total right, every line holds exactly one tab only when each
+    # pair of fields spans its whole line
+    if not (first + second + 1
+            == np.fromiter(map(len, lines), np.int64, len(lines))).all():
+        return None
+    if not first.all():
+        return None
+    if known is None:
+        return tokens if second.all() else None
+    return tokens if all(map(known.__contains__, tokens[0::2])) else None
+
+
+def _raise_bad_line(block: list, lineno: int, what: str,
+                    known: Optional[dict]):
+    """Raise GraphError for the first line of ``block`` (starting at line
+    ``lineno``) that breaks the rules of :func:`_tsv_blocks`."""
+    for lineno, raw in enumerate(block, start=lineno):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or (known is None and not parts[1]):
+            raise GraphError(f"malformed {what} line {lineno}: {raw!r}")
+        if known is not None and parts[0] not in known:
+            raise GraphError(
+                f"{what} line {lineno} references unknown node {parts[0]!r}")
+    raise AssertionError("no bad line in a block that failed its checks")
+
+
 def load_edge_list(stream: PathOrStream, has_header: bool = False):
     """Parse ``src<TAB>dst`` lines into a graph.
 
@@ -139,48 +219,33 @@ def load_edge_list(stream: PathOrStream, has_header: bool = False):
     order.  Returns ``(graph, report)`` where the report carries the dropped
     self-loop and duplicate counts.
     """
-    fh, close = _open(stream)
-    report = LoadReport()
     ids: dict = {}
-    src_list: list = []
-    dst_list: list = []
-    seen: set = set()
-    try:
-        for lineno, raw in enumerate(fh, start=1):
-            if has_header and lineno == 1:
-                continue
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise GraphError(f"malformed edge line {lineno}: {raw!r}")
-            report.lines += 1
-            a = ids.setdefault(parts[0], len(ids))
-            b = ids.setdefault(parts[1], len(ids))
-            if a == b:
-                report.self_loops += 1
-                continue
-            if (a, b) in seen:
-                report.duplicate_edges += 1
-                continue
-            seen.add((a, b))
-            src_list.append(a)
-            dst_list.append(b)
-    finally:
-        if close:
-            fh.close()
+    codes = [np.zeros(0, np.int64)]
+    for tokens in _tsv_blocks(stream, "edge", has_header):
+        new = [t for t in dict.fromkeys(tokens) if t not in ids]
+        ids.update(zip(new, range(len(ids), len(ids) + len(new))))
+        codes.append(np.fromiter(map(ids.__getitem__, tokens), np.int64,
+                                 len(tokens)))
+    codes = np.concatenate(codes)
+    src, dst = codes[0::2], codes[1::2]
+    report = LoadReport(lines=int(src.size))
+    loop = src == dst
+    report.self_loops = int(loop.sum())
+    src, dst = src[~loop], dst[~loop]
+    # a stable sort puts each edge's first line ahead of its repeats
+    keys = src * len(ids) + dst
+    order = np.argsort(keys, kind="stable")
+    repeat = keys[order[1:]] == keys[order[:-1]]
+    keep = np.ones(keys.size, bool)
+    keep[order[1:][repeat]] = False
+    report.duplicate_edges = int(repeat.sum())
     if report.self_loops or report.duplicate_edges:
         log.warning(
             "dropped %d self-loops and %d duplicate edges on load",
             report.self_loops, report.duplicate_edges,
         )
-    graph = LabeledGraph(
-        num_nodes=len(ids),
-        src=np.array(src_list, np.int64),
-        dst=np.array(dst_list, np.int64),
-        names=tuple(ids),
-    )
+    graph = LabeledGraph(num_nodes=len(ids), src=src[keep], dst=dst[keep],
+                         names=tuple(ids))
     return graph, report
 
 
@@ -190,25 +255,10 @@ def _load_node_column(stream: PathOrStream, graph: LabeledGraph, what: str,
         name_to_id = {str(i): i for i in range(graph.num_nodes)}
     else:
         name_to_id = {name: i for i, name in enumerate(graph.names)}
-    fh, close = _open(stream)
     out: dict = {}
-    try:
-        for lineno, raw in enumerate(fh, start=1):
-            if has_header and lineno == 1:
-                continue
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0]:
-                raise GraphError(f"malformed {what} line {lineno}: {raw!r}")
-            if parts[0] not in name_to_id:
-                raise GraphError(
-                    f"{what} line {lineno} references unknown node {parts[0]!r}")
-            out[name_to_id[parts[0]]] = parts[1]
-    finally:
-        if close:
-            fh.close()
+    for tokens in _tsv_blocks(stream, what, has_header, known=name_to_id):
+        out.update(zip(map(name_to_id.__getitem__, tokens[0::2]),
+                       tokens[1::2]))
     return out
 
 
@@ -292,6 +342,17 @@ def to_csr(num_nodes: int, src: np.ndarray, dst: np.ndarray):
     indptr = np.zeros(num_nodes + 1, np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, np.ascontiguousarray(d, np.int64)
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` by a sort and a neighbour compare.
+
+    numpy's hash-based ``np.unique`` is many times slower on edge keys.
+    """
+    keys = np.sort(keys)
+    if not keys.size:
+        return keys
+    return keys[np.r_[True, keys[1:] != keys[:-1]]]
 
 
 def _row_edges(indptr, rows):
@@ -385,11 +446,13 @@ def save_edge_list(graph: LabeledGraph, stream: PathOrStream, header: Optional[s
         if header:
             fh.write(header.rstrip("\n") + "\n")
         names = graph.names
-        for s, d in zip(graph.src, graph.dst):
-            if names is None:
-                fh.write(f"{s}\t{d}\n")
-            else:
-                fh.write(f"{names[s]}\t{names[d]}\n")
+        for lo in range(0, graph.num_edges, _BLOCK):
+            hi = lo + _BLOCK
+            cells = np.stack([graph.src[lo:hi], graph.dst[lo:hi]],
+                             axis=1).ravel().tolist()
+            if names is not None:
+                cells = map(names.__getitem__, cells)
+            fh.write(_tsv_rows(cells))
     finally:
         if close:
             fh.close()
@@ -405,24 +468,32 @@ def save_labels(graph: LabeledGraph, stream: PathOrStream):
     if graph.labels is None:
         raise GraphError("graph carries no labels")
     deg = graph.degrees()
-    connected = (deg.d_in + deg.d_out) > 0
-    skipped = int(graph.num_nodes - connected.sum())
+    nodes = np.flatnonzero((deg.d_in + deg.d_out) > 0)
+    skipped = int(graph.num_nodes - nodes.size)
     if skipped:
         log.warning("omitting %d isolated nodes from the labels file", skipped)
+    names, cnames = graph.names, graph.community_names
     fh, close = _open_write(stream)
     try:
-        names = graph.names
-        cnames = graph.community_names
-        for v in range(graph.num_nodes):
-            if not connected[v]:
-                continue
-            node = str(v) if names is None else names[v]
-            lab = graph.labels[v]
-            token = str(lab) if cnames is None else cnames[lab]
-            fh.write(f"{node}\t{token}\n")
+        for lo in range(0, nodes.size, _BLOCK):
+            v = nodes[lo:lo + _BLOCK]
+            cells = np.stack([v, graph.labels[v]], axis=1).ravel().tolist()
+            if names is not None:
+                cells[0::2] = map(names.__getitem__, cells[0::2])
+            if cnames is not None:
+                cells[1::2] = map(cnames.__getitem__, cells[1::2])
+            fh.write(_tsv_rows(cells))
     finally:
         if close:
             fh.close()
+
+
+def _tsv_rows(cells) -> str:
+    """``first<TAB>second`` lines from a flat ``[first, second, ...]``."""
+    cells = tuple(cells)
+    # one format of the whole block is several times faster than a format
+    # per line; %s formats ints and names as str() does
+    return "%s\t%s\n" * (len(cells) // 2) % cells
 
 
 def _open_write(stream: PathOrStream):

@@ -166,6 +166,15 @@ def test_generate_config_erases_few_edges_on_citation_fit(dag_graph):
     assert graph.num_edges == dag_graph.num_edges - erased
 
 
+def test_generate_config_without_edges():
+    for n in (0, 3):
+        zeros = np.zeros(n, np.int64)
+        fit = ConfigFit(out_seq=zeros, in_seq=zeros)
+        graph, erased = generate_config(fit, 1)
+        assert graph.num_nodes == n and graph.num_edges == 0
+        assert erased == 0
+
+
 def test_generate_config_deterministic(dag_graph):
     fit = fit_config(dag_graph)
     a, ea = generate_config(fit, 4)

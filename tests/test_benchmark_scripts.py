@@ -32,5 +32,5 @@ def test_output_digests_script_runs():
         env=script_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 152
+    assert len(lines) == 177
     assert all(len(line.split()) == 2 for line in lines)

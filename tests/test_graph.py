@@ -3,11 +3,11 @@ import io
 import numpy as np
 import pytest
 
-from citegen.graph import (GraphError, LabeledGraph, _adjacency, bfs_subsample,
-                           induced_subgraph, is_acyclic, load_edge_list,
-                           load_labels, load_timestamps, out_csr,
-                           prune_unlabeled, sample_pairs, save_edge_list,
-                           save_labels, undirected_csr)
+from citegen.graph import (GraphError, LabeledGraph, LoadReport, _adjacency,
+                           bfs_subsample, induced_subgraph, is_acyclic,
+                           load_edge_list, load_labels, load_timestamps,
+                           out_csr, prune_unlabeled, sample_pairs,
+                           save_edge_list, save_labels, undirected_csr)
 
 
 def test_load_basic():
@@ -272,3 +272,197 @@ def test_is_acyclic_matches_networkx():
         verdicts.append(is_acyclic(graph))
         assert verdicts[-1] == nx.is_directed_acyclic_graph(ref)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+# ------------------------------------------------ per-line I/O oracles
+
+# The per-line loader and writers that the blocked ones replaced, kept as
+# oracles: the blocked I/O must give the same graphs, reports, errors and
+# bytes.
+
+def _load_edge_list_oracle(text, has_header=False):
+    report = LoadReport()
+    ids: dict = {}
+    src_list: list = []
+    dst_list: list = []
+    seen: set = set()
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        if has_header and lineno == 1:
+            continue
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise GraphError(f"malformed edge line {lineno}: {raw!r}")
+        report.lines += 1
+        a = ids.setdefault(parts[0], len(ids))
+        b = ids.setdefault(parts[1], len(ids))
+        if a == b:
+            report.self_loops += 1
+            continue
+        if (a, b) in seen:
+            report.duplicate_edges += 1
+            continue
+        seen.add((a, b))
+        src_list.append(a)
+        dst_list.append(b)
+    graph = LabeledGraph(num_nodes=len(ids), src=np.array(src_list, np.int64),
+                         dst=np.array(dst_list, np.int64), names=tuple(ids))
+    return graph, report
+
+
+def _save_edge_list_oracle(graph, header=None):
+    fh = io.StringIO()
+    if header:
+        fh.write(header.rstrip("\n") + "\n")
+    names = graph.names
+    for s, d in zip(graph.src, graph.dst):
+        if names is None:
+            fh.write(f"{s}\t{d}\n")
+        else:
+            fh.write(f"{names[s]}\t{names[d]}\n")
+    return fh.getvalue()
+
+
+def _save_labels_oracle(graph):
+    fh = io.StringIO()
+    deg = graph.degrees()
+    connected = (deg.d_in + deg.d_out) > 0
+    names = graph.names
+    cnames = graph.community_names
+    for v in range(graph.num_nodes):
+        if not connected[v]:
+            continue
+        node = str(v) if names is None else names[v]
+        lab = graph.labels[v]
+        token = str(lab) if cnames is None else cnames[lab]
+        fh.write(f"{node}\t{token}\n")
+    return fh.getvalue()
+
+
+def _outcome(load, text, has_header):
+    try:
+        graph, report = load(text, has_header)
+    except GraphError as err:
+        return "error", str(err)
+    return (graph.num_nodes, graph.names, graph.src.tolist(),
+            graph.dst.tolist(), report)
+
+
+def _block_file(n_lines, bad=None):
+    """``n_lines`` edge lines over a few hundred nodes, with repeats and
+    self-loops; line ``bad`` (1-based) replaced by a 3-field line."""
+    rng = np.random.default_rng(n_lines)
+    pairs = rng.integers(0, 300, (n_lines, 2))
+    lines = [f"n{a}\tn{b}\n" for a, b in pairs.tolist()]
+    if bad is not None:
+        lines[bad - 1] = "x\ty\tz\n"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("text, has_header", [
+    ("", False),
+    ("src\tdst\n", True),
+    ("src\tdst", True),
+    ("a\tb\r\nb\tc\r\n\r\nc\ta\r\n", False),
+    ("src\tdst\r\n\na\tb\n\n\nb\ta\n", True),
+    ("a\tb\nb\tc", False),
+    ("a\tb\nb\tc\r", False),
+    ("\n\n\n", False),
+    # x appears only in a dropped self-loop and stays interned
+    ("a\tb\nx\tx\nb\tc\n", False),
+    ("a\tb\na\tb\nb\ta\na\tb\nb\ta\nc\tc\nc\tc\n", False),
+    ("a\tb\nb\tc\td\n", False),
+    ("a\tb\nonly\n", False),
+    ("a\tb\n\tc\n", False),
+    ("a\tb\nc\t\n", False),
+    ("a\tb\r\nc\t\r\n", False),
+    # one line without a tab and one with two: the token count is right
+    ("a\tb\nc\nd\te\tf\n", False),
+    (_block_file(20000), False),
+    (_block_file(20000), True),
+    (_block_file(20000, bad=8200), False),
+    (_block_file(20000, bad=8200), True),
+    (_block_file(20000, bad=19999), False),
+    ("\n" * 9000 + "a\tb\nc\n", False),
+])
+def test_load_edge_list_matches_per_line_oracle(text, has_header):
+    got = _outcome(lambda t, h: load_edge_list(io.StringIO(t), h), text,
+                   has_header)
+    assert got == _outcome(_load_edge_list_oracle, text, has_header)
+
+
+def test_load_malformed_line_after_first_block_names_its_line():
+    with pytest.raises(GraphError,
+                       match=r"malformed edge line 8200: 'x\\ty\\tz\\n'"):
+        load_edge_list(io.StringIO(_block_file(20000, bad=8200)))
+    with pytest.raises(GraphError, match="malformed edge line 8201:"):
+        load_edge_list(io.StringIO("h\n" + _block_file(20000, bad=8200)),
+                       has_header=True)
+
+
+def test_load_keeps_first_occurrences_across_blocks(caplog):
+    text = _block_file(20000)
+    with caplog.at_level("WARNING"):
+        graph, report = load_edge_list(io.StringIO(text))
+    assert report.duplicate_edges > 0 and report.self_loops > 0
+    assert (f"dropped {report.self_loops} self-loops and "
+            f"{report.duplicate_edges} duplicate edges on load") in caplog.text
+
+
+def test_load_edge_list_reads_a_path(tmp_path):
+    path = tmp_path / "edges.tsv"
+    path.write_text(_block_file(9000), encoding="utf-8")
+    got = _outcome(lambda t, h: load_edge_list(path, h), None, False)
+    assert got == _outcome(_load_edge_list_oracle, _block_file(9000), False)
+
+
+def _lines(text):
+    """Lines with their ends: on a mismatch pytest names the first differing
+    line, where a diff of two whole files would take minutes."""
+    if isinstance(text, io.StringIO):
+        text = text.getvalue()
+    return text.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("named", [False, True])
+def test_save_edge_list_matches_per_line_oracle(named):
+    rng = np.random.default_rng(5)
+    n = 3000
+    keys = np.unique(rng.integers(0, n * n, 20000))
+    keys = keys[keys // n != keys % n]
+    graph = LabeledGraph(
+        num_nodes=n, src=keys // n, dst=keys % n,
+        labels=rng.integers(0, 3, n),
+        names=tuple(f"node-{i}" for i in range(n)) if named else None,
+        community_names=("phys", "bio", "cs") if named else None)
+    for header in (None, "src\tdst", "src\tdst\n"):
+        buf = io.StringIO()
+        save_edge_list(graph, buf, header)
+        assert _lines(buf) == _lines(_save_edge_list_oracle(graph, header))
+    buf = io.StringIO()
+    save_labels(graph, buf)
+    assert _lines(buf) == _lines(_save_labels_oracle(graph))
+    empty = LabeledGraph(num_nodes=2, src=[], dst=[])
+    buf = io.StringIO()
+    save_edge_list(empty, buf)
+    assert buf.getvalue() == ""
+
+
+def test_node_columns_allow_empty_value_and_name_bad_lines():
+    graph, _ = load_edge_list(io.StringIO("a\tb\nb\tc\n"))
+    mapping, community_names = load_labels(
+        io.StringIO("a\t\r\n\nb\tx\nc\t\n"), graph)
+    assert mapping == {0: 0, 1: 1, 2: 0}
+    assert community_names == ("", "x")
+    with pytest.raises(GraphError,
+                       match="label line 3 references unknown node 'd'"):
+        load_labels(io.StringIO("a\t1\n\nd\t1\nc\n"), graph)
+    with pytest.raises(GraphError, match="malformed label line 3:"):
+        load_labels(io.StringIO("a\t1\n\nc\nd\t1\n"), graph)
+    with pytest.raises(GraphError, match="malformed timestamp line 3:"):
+        load_timestamps(io.StringIO("node\tyear\na\t1\n\tb\n"), graph,
+                        has_header=True)
+    with pytest.raises(GraphError, match="timestamp line 8194 references"):
+        load_timestamps(io.StringIO("a\t1\n" * 8193 + "zz\t2\n"), graph)

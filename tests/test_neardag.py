@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from citegen.graph import LabeledGraph, is_acyclic
+from citegen.baselines import ErFit, generate_er
+from citegen.graph import LabeledGraph, in_csr, is_acyclic
 from citegen.neardag import (
     NearDagError,
+    _eades_sequence,
     back_edge_count,
     back_edge_ratio,
     cycle_break,
@@ -97,6 +99,93 @@ def test_eades_violates_at_most_half_the_edges(make_graph):
         rank = ordering.rank
         violations = int((rank[graph.src] < rank[graph.dst]).sum())
         assert 2 * violations <= graph.num_edges
+
+
+def _eades_sequence_oracle(graph):
+    """The numpy-scalar peeling that the list-based one replaced."""
+    n = graph.num_nodes
+    out_ptr, out_idx = graph.out_csr
+    in_ptr, in_idx = in_csr(graph)
+    dout = (out_ptr[1:] - out_ptr[:-1]).astype(np.int64)
+    din = (in_ptr[1:] - in_ptr[:-1]).astype(np.int64)
+    alive = np.ones(n, bool)
+    front: list = []
+    back: list = []
+    sinks = [v for v in range(n) if dout[v] == 0]
+    sources = [v for v in range(n) if dout[v] > 0 and din[v] == 0]
+    buckets: dict = {}
+
+    def bucket_add(v):
+        buckets.setdefault(dout[v] - din[v], []).append(v)
+
+    for v in range(n):
+        if dout[v] > 0 and din[v] > 0:
+            bucket_add(v)
+
+    def remove(v):
+        alive[v] = False
+        for w in out_idx[out_ptr[v]:out_ptr[v + 1]]:
+            if alive[w]:
+                din[w] -= 1
+                if din[w] == 0 and dout[w] > 0:
+                    sources.append(w)
+                elif dout[w] > 0:
+                    bucket_add(w)
+        for w in in_idx[in_ptr[v]:in_ptr[v + 1]]:
+            if alive[w]:
+                dout[w] -= 1
+                if dout[w] == 0:
+                    sinks.append(w)
+                else:
+                    bucket_add(w)
+
+    processed = 0
+    while processed < n:
+        moved = False
+        while sinks:
+            v = sinks.pop()
+            if alive[v] and dout[v] == 0:
+                back.append(v)
+                remove(v)
+                processed += 1
+                moved = True
+        while sources:
+            v = sources.pop()
+            if alive[v] and din[v] == 0 and dout[v] > 0:
+                front.append(v)
+                remove(v)
+                processed += 1
+                moved = True
+        if moved or processed >= n:
+            continue
+        best = None
+        while best is None:
+            smax = max(buckets)
+            lst = buckets[smax]
+            while lst:
+                v = lst.pop()
+                if alive[v] and dout[v] > 0 and din[v] > 0 \
+                        and dout[v] - din[v] == smax:
+                    best = v
+                    break
+            if not lst:
+                del buckets[smax]
+        front.append(best)
+        remove(best)
+        processed += 1
+    return np.array(front + back[::-1], np.int64)
+
+
+def test_eades_sequence_matches_numpy_scalar_oracle(near_dag_graph,
+                                                   make_graph):
+    dense = generate_er(ErFit(n=300, p=0.2), 4)
+    assert not is_acyclic(dense)
+    isolated = make_graph(12, [(0, 1), (1, 2), (2, 0), (2, 5), (5, 0),
+                               (7, 8), (8, 7), (9, 3)])
+    for graph in (near_dag_graph, dense, isolated, make_graph(4, []),
+                  make_graph(0, [])):
+        assert np.array_equal(_eades_sequence(graph),
+                              _eades_sequence_oracle(graph))
 
 
 # ---------------------------------------------------------------- ratios
@@ -293,6 +382,15 @@ def test_cycle_break_deterministic(dag_graph):
     a, _ = cycle_break(dag_graph, 0.2, 9, "degree-diff")
     b, _ = cycle_break(dag_graph, 0.2, 9, "degree-diff")
     assert np.array_equal(a.src, b.src) and np.array_equal(a.dst, b.dst)
+
+
+@pytest.mark.parametrize("strategy", ["timestamps", "degree-diff", "eades"])
+def test_cycle_break_without_edges(make_graph, strategy):
+    graph = make_graph(3, [], timestamps=[2, 0, 1])
+    out, report = cycle_break(graph, 0.3, 1, strategy)
+    assert out.num_nodes == 3 and out.num_edges == 0
+    assert report.collapsed_edges == 0 and report.reversed_edges == 0
+    assert report.back_edge_ratio == 0.0
 
 
 def test_cycle_break_rejects_bad_ratio(make_graph):
