@@ -7,8 +7,9 @@ on fixed input graphs that are built here with numpy alone, so that they
 do not depend on the code under test; the bytes ``save_edge_list`` writes
 for those graphs, with and without node names, and the graph and report
 ``load_edge_list`` reads back from a file with repeated edges;
-``betweenness_values``, the exact ``triad_census`` and
-one ``compare`` report on some of those graphs; ``generate_er`` over a
+``bfs_subsample`` at two budgets and ``longest_path_lengths`` under the
+identity and a permuted rank on each of them; ``betweenness_values``, the
+exact ``triad_census`` and one ``compare`` report on some of those graphs; ``generate_er`` over a
 grid of sizes and edge probabilities; and the community labels and the
 edge lists of ``generate``.  Run it on two checkouts and compare:
 
@@ -24,9 +25,10 @@ import numpy as np
 from citegen.baselines import (ErFit, fit_config, fit_sbm, generate_config,
                                generate_dcsbm, generate_er, generate_sbm)
 from citegen.generator import CsParams, generate
-from citegen.graph import LabeledGraph, load_edge_list, save_edge_list
+from citegen.graph import (LabeledGraph, bfs_subsample, load_edge_list,
+                           save_edge_list)
 from citegen.metrics.battery import compare
-from citegen.metrics.paths import betweenness_values
+from citegen.metrics.paths import betweenness_values, longest_path_lengths
 from citegen.metrics.triads import triad_census
 from citegen.neardag import cycle_break, inject_back_edges
 
@@ -110,6 +112,14 @@ def main():
         out[f"load/{name}"] = digest(
             loaded.src, loaded.dst, text_bytes("\t".join(loaded.names)),
             np.array([rep.lines, rep.duplicate_edges, rep.self_loops]))
+        for budget in (g.num_nodes // 10, g.num_nodes // 2):
+            sub = bfs_subsample(g, budget, 13)
+            out[f"bfs/{name}/{budget}"] = digest(sub.src, sub.dst, sub.labels)
+        ranks = {"identity": np.arange(g.num_nodes),
+                 "permuted": np.random.default_rng(14).permutation(g.num_nodes)}
+        for rank_name, rank in ranks.items():
+            out[f"longest/{name}/{rank_name}"] = digest(
+                longest_path_lengths(g, rank))
 
     sampled = np.random.default_rng(6).choice(2000, 200, replace=False)
     for name, sources in (("dag2k", None), ("dag2k", sampled),

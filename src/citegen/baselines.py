@@ -114,8 +114,7 @@ class ConfigFit:
 
 
 def fit_config(graph: LabeledGraph) -> ConfigFit:
-    deg = graph.degrees()
-    return ConfigFit(out_seq=deg.d_out, in_seq=deg.d_in)
+    return ConfigFit(out_seq=graph.d_out, in_seq=graph.d_in)
 
 
 def generate_config(fit: ConfigFit, seed):
@@ -191,9 +190,8 @@ def fit_sbm(graph: LabeledGraph, labels: np.ndarray = None) -> SbmFit:
     k = int(labels.max()) + 1
     pair_keys = labels[graph.src] * k + labels[graph.dst]
     block_edges = np.bincount(pair_keys, minlength=k * k).reshape(k, k)
-    deg = graph.degrees()
     return SbmFit(labels=labels, block_edges=block_edges,
-                  d_out=deg.d_out, d_in=deg.d_in)
+                  d_out=graph.d_out, d_in=graph.d_in)
 
 
 def _block_members(labels: np.ndarray, k: int):

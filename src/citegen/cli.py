@@ -363,7 +363,7 @@ def cmd_validate_theory(args) -> int:
                       rho=np.array(rho), sigma2=np.full(k, sigma2))
     graph = generate(params, n, seed)
     derived = derive(params)
-    indeg = graph.degrees().d_in
+    indeg = graph.d_in
     lines = ["rho\tdegree\tempirical_ccdf\ttheoretical_ccdf\tks\tks_bulk99"]
     summaries = []
     for c in range(k):

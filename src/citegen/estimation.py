@@ -131,8 +131,7 @@ def community_stats(graph: LabeledGraph, labels: np.ndarray = None) -> Community
     if labels.min() < 0:
         raise EstimationError("labels must be dense nonnegative integers")
     k = int(labels.max()) + 1
-    deg = graph.degrees()
-    d_in, d_out = deg.d_in, deg.d_out
+    d_in, d_out = graph.d_in, graph.d_out
     sizes = np.bincount(labels, minlength=k)
     out_totals = np.bincount(labels, weights=d_out, minlength=k).astype(np.int64)
     in_totals = np.bincount(labels, weights=d_in, minlength=k).astype(np.int64)
@@ -178,7 +177,7 @@ def estimate(graph: LabeledGraph, labels: np.ndarray = None) -> FitResult:
     sizes = stats.sizes.astype(np.float64)
     p_hat = sizes / n
     m_hat = stats.out_totals / (sizes - 1.0)
-    d_out = graph.degrees().d_out.astype(np.float64)
+    d_out = graph.d_out.astype(np.float64)
     sq_totals = np.bincount(labels, weights=d_out * d_out, minlength=k)
     sigma2_raw = (sq_totals - sizes * m_hat * m_hat) / (sizes - 1.0)
     g = stats.gini_in

@@ -20,7 +20,6 @@ from typing import Union
 import numpy as np
 from scipy.special import gammaln
 
-from . import kernels
 from .graph import LabeledGraph
 
 RHO_MIN = 1e-3
@@ -173,6 +172,53 @@ def _draw_node_streams(params: CsParams, n: int, seed: SeedLike):
     return labels, d, n_acc, rng_tgt.random(acc.size)
 
 
+def _urn_walk(labels, d, n_acc, members, starts, urns, u_tgt):
+    """Resolve the citation targets of nodes k..n-1; return (src, dst).
+
+    Node v makes ``n_acc[v]`` accidental draws, uniform over 0..v-1, then
+    ``d[v] - n_acc[v]`` preferential ones, uniform over its community's
+    urn, or over the community's earlier members while that urn is empty.
+    Each draw scales the next uniform of ``u_tgt`` (one per draw, in node
+    order) to an index.  A repeated target is dropped.  ``members`` lists
+    the nodes by community in id order, community c from ``starts[c]``.
+    ``urns`` holds one list per community; every cited node is appended
+    once more to its own community's list, after its citer's draws.
+
+    The walk is sequential (each draw reads the urns the earlier nodes
+    filled), so it runs on Python lists, which step several times faster
+    than numpy scalars.
+    """
+    labels, d, n_acc, members, starts, u_tgt = (
+        a.tolist() for a in (labels, d, n_acc, members, starts, u_tgt))
+    mem_n = [1] * len(starts)
+    dst = []
+    kept_n = []
+    t = 0
+    for v in range(len(starts), len(labels)):
+        c = labels[v]
+        urn = urns[c]
+        na = n_acc[v]
+        kept = []
+        for a in range(d[v]):
+            x = u_tgt[t]
+            t += 1
+            if a < na:
+                u = min(int(x * v), v - 1)
+            elif urn:
+                u = urn[min(int(x * len(urn)), len(urn) - 1)]
+            else:
+                u = members[starts[c] + min(int(x * mem_n[c]), mem_n[c] - 1)]
+            if u not in kept:
+                kept.append(u)
+        for u in kept:
+            urns[labels[u]].append(u)
+        dst += kept
+        kept_n.append(len(kept))
+        mem_n[c] += 1
+    src = np.repeat(np.arange(len(starts), len(labels), dtype=np.int64), kept_n)
+    return src, np.array(dst, np.int64)
+
+
 def generate(params: CsParams, n: int, seed: SeedLike) -> LabeledGraph:
     """Grow an n-node labelled citation DAG.
 
@@ -187,12 +233,8 @@ def generate(params: CsParams, n: int, seed: SeedLike) -> LabeledGraph:
     labels, d, n_acc, u_tgt = _draw_node_streams(params, int(n), seed)
     members = np.argsort(labels, kind="stable")
     starts = np.searchsorted(labels[members], np.arange(k))
-    mean_m = float(np.sum(params.p * params.m))
-    urns = [np.empty(max(64, int(1.3 * n * params.p[c] * mean_m) + 64), np.int64)
-            for c in range(k)]
-    src, dst = kernels._gen_dag(
-        labels, d, n_acc, members, starts,
-        kernels.make_array_list(urns), np.zeros(k, np.int64), u_tgt)
+    src, dst = _urn_walk(labels, d, n_acc, members, starts,
+                         [[] for _ in range(k)], u_tgt)
     return LabeledGraph(num_nodes=int(n), src=src, dst=dst, labels=labels)
 
 

@@ -14,8 +14,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from . import kernels
-
 log = logging.getLogger(__name__)
 
 PathOrStream = Union[str, os.PathLike, "io.TextIOBase", IO[str]]
@@ -80,18 +78,17 @@ class LabeledGraph:
     def num_edges(self) -> int:
         return int(self.src.size)
 
-    def degrees(self) -> "DegreeView":
-        return self._degrees
-
     # Views the metric battery reads several times per graph, built once on
     # first use and kept read-only for the graph's life.  The CSR views and
     # the adjacency come from the module functions of the same names.
 
     @cached_property
-    def _degrees(self) -> "DegreeView":
-        return DegreeView(*_read_only(
-            np.bincount(self.dst, minlength=self.num_nodes),
-            np.bincount(self.src, minlength=self.num_nodes)))
+    def d_in(self) -> np.ndarray:
+        return _read_only(np.bincount(self.dst, minlength=self.num_nodes))[0]
+
+    @cached_property
+    def d_out(self) -> np.ndarray:
+        return _read_only(np.bincount(self.src, minlength=self.num_nodes))[0]
 
     @cached_property
     def out_csr(self):
@@ -112,12 +109,6 @@ def _read_only(*arrays) -> tuple:
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-@dataclass(frozen=True)
-class DegreeView:
-    d_in: np.ndarray
-    d_out: np.ndarray
 
 
 @dataclass
@@ -407,20 +398,26 @@ def bfs_subsample(graph: LabeledGraph, max_nodes: int, seed) -> LabeledGraph:
         return graph
     indptr, indices, _ = graph.undirected_csr
     rng = np.random.default_rng(seed)
-    starts = rng.permutation(graph.num_nodes)
-    visited = np.zeros(graph.num_nodes, np.bool_)
-    queue = np.empty(graph.num_nodes, np.int64)
-    collected: list = []
-    remaining = max_nodes
-    for s in starts:
-        if remaining <= 0:
+    visited = bytearray(graph.num_nodes)
+    # one list in discovery order is the result and, from ``head`` on, the
+    # FIFO queue; the last row expanded may overshoot ``max_nodes``
+    order: list = []
+    for s in rng.permutation(graph.num_nodes):
+        if len(order) >= max_nodes:
             break
         if visited[s]:
             continue
-        got = kernels._bfs_collect(indptr, indices, int(s), visited, queue, remaining)
-        collected.append(queue[:got].copy())
-        remaining -= got
-    return induced_subgraph(graph, np.concatenate(collected))
+        visited[s] = 1
+        head = len(order)
+        order.append(int(s))
+        while head < len(order) < max_nodes:
+            v = order[head]
+            head += 1
+            for w in indices[indptr[v]:indptr[v + 1]].tolist():
+                if not visited[w]:
+                    visited[w] = 1
+                    order.append(w)
+    return induced_subgraph(graph, np.array(order[:max_nodes], np.int64))
 
 
 def sample_pairs(graph: LabeledGraph, n_pairs: int, seed) -> np.ndarray:
@@ -467,8 +464,7 @@ def save_labels(graph: LabeledGraph, stream: PathOrStream):
     """
     if graph.labels is None:
         raise GraphError("graph carries no labels")
-    deg = graph.degrees()
-    nodes = np.flatnonzero((deg.d_in + deg.d_out) > 0)
+    nodes = np.flatnonzero((graph.d_in + graph.d_out) > 0)
     skipped = int(graph.num_nodes - nodes.size)
     if skipped:
         log.warning("omitting %d isolated nodes from the labels file", skipped)

@@ -137,8 +137,7 @@ def global_topology_metrics(graph, config, pair_seed, source_seed):
 def _assortativity(graph: LabeledGraph, which: str) -> float:
     if graph.num_edges < 2:
         raise MetricError("too few edges for assortativity")
-    deg = graph.degrees()
-    d = deg.d_in if which == "in" else deg.d_out
+    d = graph.d_in if which == "in" else graph.d_out
     x = d[graph.src].astype(np.float64)
     y = d[graph.dst].astype(np.float64)
     if x.std() == 0 or y.std() == 0:
@@ -147,8 +146,7 @@ def _assortativity(graph: LabeledGraph, which: str) -> float:
 
 
 def degree_metrics(graph, config=None):
-    deg = graph.degrees()
-    return {"in_degree_dist": deg.d_in, "out_degree_dist": deg.d_out,
+    return {"in_degree_dist": graph.d_in, "out_degree_dist": graph.d_out,
             "in_assortativity": _try(_assortativity, graph, "in"),
             "out_assortativity": _try(_assortativity, graph, "out")}
 

@@ -46,8 +46,7 @@ def conductance(graph: LabeledGraph, labels=None) -> float:
     crossing = labels[graph.src] != labels[graph.dst]
     np.add.at(cut, labels[graph.src[crossing]], 1.0)
     np.add.at(cut, labels[graph.dst[crossing]], 1.0)
-    deg = graph.degrees()
-    vol = np.bincount(labels, weights=(deg.d_in + deg.d_out).astype(np.float64),
+    vol = np.bincount(labels, weights=(graph.d_in + graph.d_out).astype(np.float64),
                       minlength=k)
     denom = np.minimum(vol, vol.sum() - vol)
     phi = np.divide(cut, denom, out=np.zeros(k, np.float64), where=denom > 0)
@@ -111,8 +110,7 @@ def symmetric_modularity(graph: LabeledGraph, labels,
     two_m = 2.0 * graph.num_edges
     same = labels[graph.src] == labels[graph.dst]
     intra = 2.0 * int(same.sum())
-    deg = graph.degrees()
-    kdeg = (deg.d_in + deg.d_out).astype(np.float64)
+    kdeg = (graph.d_in + graph.d_out).astype(np.float64)
     k = int(labels.max()) + 1
     s = np.bincount(labels, weights=kdeg, minlength=k)
     return intra / two_m - resolution * float(np.sum((s / two_m) ** 2))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .. import kernels
 from ..graph import LabeledGraph, _row_edges
 from .distances import MetricError
 
@@ -168,9 +167,19 @@ def longest_path_lengths(graph: LabeledGraph, rank: np.ndarray) -> np.ndarray:
     """Per-node longest path on the back-edge-stripped DAG.
 
     Edges violating the rank order (older endpoint citing newer) are
-    ignored; what remains is acyclic by construction, so a single
-    ascending-rank sweep suffices.
+    ignored.  Kept edges point from higher rank to lower rank, so one sweep
+    in ascending rank is a topological order of what remains: O(N + E).
+    The sweep is sequential and runs on Python lists.
     """
-    return kernels._longest_path_lengths(*graph.out_csr,
-                                         np.ascontiguousarray(rank, np.int64),
-                                         graph.num_nodes)
+    rank = np.ascontiguousarray(rank, np.int64)
+    indptr, indices = graph.out_csr
+    ptr, nbr, rk = indptr.tolist(), indices.tolist(), rank.tolist()
+    lp = [0] * graph.num_nodes
+    for v in np.argsort(rank, kind="mergesort").tolist():
+        r = rk[v]
+        best = 0
+        for w in nbr[ptr[v]:ptr[v + 1]]:
+            if rk[w] < r and lp[w] >= best:
+                best = lp[w] + 1
+        lp[v] = best
+    return np.array(lp, np.int64)

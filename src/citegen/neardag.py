@@ -66,8 +66,7 @@ def order_nodes(graph: LabeledGraph, strategy: str,
         rank[order] = np.arange(n)
         return NodeOrdering(rank=rank, strategy=strategy)
     if strategy == "degree-diff":
-        deg = graph.degrees()
-        score = deg.d_out - deg.d_in
+        score = graph.d_out - graph.d_in
         newest_first = np.lexsort((np.arange(n), -score))
         rank = np.empty(n, np.int64)
         rank[newest_first] = np.arange(n - 1, -1, -1)

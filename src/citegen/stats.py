@@ -7,15 +7,34 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
-from scipy.stats import norm as _norm
-from scipy.stats import rankdata
+from scipy.special import chdtrc, ndtr
 
 log = logging.getLogger(__name__)
 
 
 class StatsError(ValueError):
     pass
+
+
+def average_ranks(values) -> np.ndarray:
+    """Ranks 1..n of a 1-D sample, ties sharing their average rank.
+
+    Matches ``scipy.stats.rankdata`` (method "average"), which citegen does
+    not import for its cost: all NaN when any value is NaN.
+    """
+    values = np.asarray(values, np.float64)
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.r_[True, ordered[1:] != ordered[:-1]]
+    # a tie group filling sorted slots first..last (1-based) has mean rank
+    # (first + last) / 2
+    first = np.flatnonzero(new) + 1
+    last = np.r_[first[1:] - 1, values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = ((first + last) / 2.0)[np.cumsum(new) - 1]
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -53,7 +72,7 @@ def rank_blocks(values: np.ndarray, methods: Sequence[str],
     values = values[keep]
     if values.shape[0] == 0:
         raise StatsError("no complete blocks to rank")
-    ranks = np.apply_along_axis(rankdata, 1, values)
+    ranks = np.apply_along_axis(average_ranks, 1, values)
     return RankTable(methods=tuple(methods),
                      blocks=tuple(b for b, k in zip(blocks, keep) if k),
                      values=values, ranks=ranks)
@@ -79,7 +98,7 @@ def friedman(table: RankTable) -> Tuple[float, float]:
         raise StatsError("Friedman test needs at least 3 methods")
     mean_ranks = table.mean_ranks()
     chi2 = 12.0 * n / (k * (k + 1)) * float(np.sum((mean_ranks - (k + 1) / 2.0) ** 2))
-    p = float(_chi2.sf(chi2, k - 1))
+    p = float(chdtrc(k - 1, chi2))
     return chi2, p
 
 
@@ -112,7 +131,7 @@ def mann_whitney(a, b) -> Tuple[float, float]:
     if n1 == 0 or n2 == 0:
         raise StatsError("Mann-Whitney needs non-empty samples")
     combined = np.concatenate([a, b])
-    ranks = rankdata(combined)
+    ranks = average_ranks(combined)
     r1 = float(ranks[:n1].sum())
     u1 = r1 - n1 * (n1 + 1) / 2.0
     n = n1 + n2
@@ -131,7 +150,7 @@ def mann_whitney(a, b) -> Tuple[float, float]:
         return u1, 1.0
     diff = abs(u1 - mu)
     z = max(diff - 0.5, 0.0) / np.sqrt(sigma2)
-    return u1, float(2.0 * _norm.sf(z))
+    return u1, float(2.0 * ndtr(-z))
 
 
 def wtl_matrix(runs: np.ndarray, alpha: float = 0.05):

@@ -16,14 +16,19 @@ def script_env():
     return env
 
 
-def test_kernel_speed_script_runs_and_paths_agree():
-    # the script starts its two worker subprocesses one after the other
+def test_kernel_speed_script_prints_timing_table():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "kernel_speed.py"),
          "--n", "2000", "--repeat", "1"],
         env=script_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "outputs identical" in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("n=2000, edges=")
+    assert lines[1].split() == ["stage", "best", "[s]"]
+    rows = dict(line.split() for line in lines[2:])
+    assert {"generate", "bfs_subsample", "longest_paths"} <= rows.keys()
+    assert len(rows) == 12
+    assert all(float(t) >= 0 for t in rows.values())
 
 
 def test_output_digests_script_runs():
@@ -32,5 +37,5 @@ def test_output_digests_script_runs():
         env=script_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 177
+    assert len(lines) == 197
     assert all(len(line.split()) == 2 for line in lines)

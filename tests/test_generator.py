@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from citegen import kernels
 from citegen.generator import (CsParams, ParamError, _draw_node_streams,
-                               derive, effective_preferentiality,
+                               _urn_walk, derive, effective_preferentiality,
                                empirical_ccdf, expected_indegree, generate,
                                ks_to_pareto2, pareto2_ccdf)
 from citegen.graph import is_acyclic
@@ -230,7 +229,7 @@ def preferential_targets(urn, n_old, calls, rng):
 
     Nodes 0..n_old-1 form the one community and ``urn`` is its urn;
     the state is rebuilt for every call, so all draws see the same urn.
-    Each call passes the kernel one uniform of ``rng``.
+    Each call passes the walk one uniform of ``rng``.
     """
     n = n_old + 1
     labels = np.zeros(n, np.int64)
@@ -241,11 +240,8 @@ def preferential_targets(urn, n_old, calls, rng):
     starts = np.zeros(1, np.int64)
     out = []
     for _ in range(calls):
-        # spare slots: the kernel pushes the cited node after the draw
-        urns = kernels.make_array_list([np.array(list(urn) + [0] * 4, np.int64)])
-        src, dst = kernels._gen_dag(labels, d, n_acc, members, starts, urns,
-                                    np.array([len(urn)], np.int64),
-                                    rng.random(1))
+        src, dst = _urn_walk(labels, d, n_acc, members, starts, [list(urn)],
+                             rng.random(1))
         assert src.tolist() == [n_old]
         out.append(int(dst[0]))
     return np.array(out)
@@ -269,7 +265,7 @@ def gen_dag_oracle(labels, d, n_acc, members, starts, rng_tgt):
     """The urn walk drawing each target uniform when it needs it.
 
     Every target attempt calls ``rng_tgt.random()`` once and scales it to
-    an index below the range, accidental attempts first, so the kernel,
+    an index below the range, accidental attempts first, so the walk,
     which reads the same uniforms from an array, must give the same edges.
     """
     def rand_below(rng, n):
@@ -280,8 +276,7 @@ def gen_dag_oracle(labels, d, n_acc, members, starts, rng_tgt):
 
     n = labels.shape[0]
     k = starts.shape[0]
-    urns = kernels.make_array_list([np.empty(4, np.int64) for _ in range(k)])
-    urn_n = np.zeros(k, np.int64)
+    urns = [[] for _ in range(k)]
     mem_n = np.ones(k, np.int64)
     total = d.sum()
     esrc = np.empty(total, np.int64)
@@ -294,8 +289,8 @@ def gen_dag_oracle(labels, d, n_acc, members, starts, rng_tgt):
         for a in range(d[v]):
             if a < na:
                 u = rand_below(rng_tgt, v)
-            elif urn_n[c] > 0:
-                u = urns[c][rand_below(rng_tgt, urn_n[c])]
+            elif urns[c]:
+                u = urns[c][rand_below(rng_tgt, len(urns[c]))]
             else:
                 u = members[starts[c] + rand_below(rng_tgt, mem_n[c])]
             dup = False
@@ -308,7 +303,7 @@ def gen_dag_oracle(labels, d, n_acc, members, starts, rng_tgt):
                 edst[ne] = u
                 ne += 1
         for j in range(first, ne):
-            kernels._push(urns, urn_n, labels[edst[j]], edst[j])
+            urns[labels[edst[j]]].append(edst[j])
         mem_n[c] += 1
     return esrc[:ne].copy(), edst[:ne].copy()
 
@@ -341,6 +336,21 @@ def test_generate_matches_scalar_draw_oracle(p, m, rho, sigma2, n, seed):
     src, dst = gen_dag_oracle(labels, d, n_acc, members, starts, rng_tgt)
     assert graph.src.tobytes() == src.tobytes()
     assert graph.dst.tobytes() == dst.tobytes()
+
+
+def test_gen_dag_top_uniform_stays_in_range():
+    # The largest double below 1 resolves to the last index of each range:
+    # node 1's cold-start draw to the only earlier member, each accidental
+    # draw to node v - 1, and each urn draw to the urn's last entry
+    # (node 0, after the urn fills as [0], then [0, 1, 0]).
+    labels = np.zeros(4, np.int64)
+    d = np.array([0, 1, 2, 2], np.int64)
+    n_acc = np.array([0, 0, 1, 1], np.int64)
+    u_tgt = np.full(int(d.sum()), np.nextafter(1.0, 0.0))
+    src, dst = _urn_walk(labels, d, n_acc, np.arange(4, dtype=np.int64),
+                         np.zeros(1, np.int64), [[]], u_tgt)
+    assert src.tolist() == [1, 2, 2, 3, 3]
+    assert dst.tolist() == [0, 1, 0, 2, 0]
 
 
 def test_generate_seeds_and_direction(three_community_params, dag_graph):
@@ -387,7 +397,7 @@ def test_generate_single_community():
 
 
 def test_urn_multiplicity_equals_in_degree(three_community_params):
-    # Replay generate()'s setup so the kernel's urn state can be inspected:
+    # Replay generate()'s setup so the walk's urn state can be inspected:
     # after the run, node u must appear in its community urn exactly
     # d_in(u) times.
     params = three_community_params
@@ -396,10 +406,8 @@ def test_urn_multiplicity_equals_in_degree(three_community_params):
     labels, d, n_acc, u_tgt = _draw_node_streams(params, n, seed)
     members = np.argsort(labels, kind="stable")
     starts = np.searchsorted(labels[members], np.arange(k))
-    urns = kernels.make_array_list([np.empty(4, np.int64) for _ in range(k)])
-    urn_n = np.zeros(k, np.int64)
-    src, dst = kernels._gen_dag(labels, d, n_acc, members, starts, urns,
-                                urn_n, u_tgt)
+    urns = [[] for _ in range(k)]
+    src, dst = _urn_walk(labels, d, n_acc, members, starts, urns, u_tgt)
 
     reference = generate(params, n, seed)
     assert np.array_equal(src, reference.src)
@@ -408,7 +416,7 @@ def test_urn_multiplicity_equals_in_degree(three_community_params):
 
     d_in = np.bincount(dst, minlength=n)
     for c in range(k):
-        urn = np.asarray(urns[c][:urn_n[c]])
+        urn = np.array(urns[c], np.int64)
         counts = np.bincount(urn, minlength=n)
         community = labels == c
         assert np.array_equal(counts[community], d_in[community])
@@ -421,7 +429,7 @@ def test_urn_multiplicity_equals_in_degree(three_community_params):
 
 def test_generate_mean_out_degree(three_community_params):
     graph = generate(three_community_params, 4000, 21)
-    d_out = graph.degrees().d_out
+    d_out = graph.d_out
     for c in range(three_community_params.k):
         mask = graph.labels == c
         mask[three_community_params.k:] &= True

@@ -1,4 +1,5 @@
 import io
+from collections import deque
 
 import numpy as np
 import pytest
@@ -78,21 +79,20 @@ def test_graph_rejects_out_of_range(make_graph):
 
 def test_degrees_path(make_graph):
     graph = make_graph(3, [(0, 1), (1, 2)])
-    deg = graph.degrees()
-    assert deg.d_out.tolist() == [1, 1, 0]
-    assert deg.d_in.tolist() == [0, 1, 1]
+    assert graph.d_out.tolist() == [1, 1, 0]
+    assert graph.d_in.tolist() == [0, 1, 1]
 
 
 def test_degrees_star(make_graph):
     graph = make_graph(6, [(i, 5) for i in range(5)])
-    assert graph.degrees().d_in[5] == 5
-    assert graph.degrees().d_out.sum() == graph.num_edges
+    assert graph.d_in[5] == 5
+    assert graph.d_out.sum() == graph.num_edges
 
 
 def test_degrees_empty(make_graph):
-    deg = make_graph(0, []).degrees()
-    assert deg.d_in.size == 0
-    assert deg.d_out.size == 0
+    graph = make_graph(0, [])
+    assert graph.d_in.size == 0
+    assert graph.d_out.size == 0
 
 
 def test_cached_views_built_once_read_only_and_equal_to_builders(make_graph):
@@ -103,18 +103,16 @@ def test_cached_views_built_once_read_only_and_equal_to_builders(make_graph):
         "undirected_csr": (graph.undirected_csr, undirected_csr(graph)),
         "adjacency": ((adj.data, adj.indices, adj.indptr),
                       (lambda a: (a.data, a.indices, a.indptr))(_adjacency(graph))),
-        "degrees": ((graph.degrees().d_in, graph.degrees().d_out),
-                    (np.bincount(graph.dst, minlength=5),
-                     np.bincount(graph.src, minlength=5))),
+        "d_in": ((graph.d_in,), (np.bincount(graph.dst, minlength=5),)),
+        "d_out": ((graph.d_out,), (np.bincount(graph.src, minlength=5),)),
     }
     for name, (cached, built) in views.items():
         for got, want in zip(cached, built, strict=True):
             assert np.array_equal(got, want), name
             with pytest.raises(ValueError, match="read-only"):
                 got[0] = got[0]
-    for name in ("out_csr", "undirected_csr", "adjacency"):
+    for name in views:
         assert getattr(graph, name) is getattr(graph, name)
-    assert graph.degrees() is graph.degrees()
 
 
 def test_labels_unknown_node_errors():
@@ -189,6 +187,45 @@ def test_bfs_subsample_restarts_across_components(make_graph):
     graph = make_graph(60, edges)
     sub = bfs_subsample(graph, 50, 0)
     assert sub.num_nodes == 50
+
+
+def bfs_subsample_oracle(graph, max_nodes, seed):
+    """Node ids ``bfs_subsample`` keeps, by a deque BFS over sorted
+    neighbour lists, restarting in the same permuted start order."""
+    nbrs = [set() for _ in range(graph.num_nodes)]
+    for u, v in zip(graph.src.tolist(), graph.dst.tolist()):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    seen, kept = set(), []
+    for s in np.random.default_rng(seed).permutation(graph.num_nodes).tolist():
+        if s in seen:
+            continue
+        seen.add(s)
+        queue = deque([s])
+        while queue and len(kept) < max_nodes:
+            v = queue.popleft()
+            kept.append(v)
+            for w in sorted(nbrs[v] - seen):
+                seen.add(w)
+                queue.append(w)
+        if len(kept) >= max_nodes:
+            return kept
+    return kept
+
+
+@pytest.mark.parametrize("max_nodes,seed", [(1, 0), (37, 1), (400, 3),
+                                            (1499, 5)])
+def test_bfs_subsample_matches_deque_oracle(near_dag_graph, max_nodes, seed):
+    # many zero-degree nodes and short chains force restarts
+    chains = LabeledGraph(num_nodes=300, src=np.arange(1, 300, 3),
+                          dst=np.arange(0, 299, 3))
+    for graph in (near_dag_graph, chains):
+        budget = min(max_nodes, graph.num_nodes - 1)
+        want = induced_subgraph(graph, bfs_subsample_oracle(graph, budget, seed))
+        got = bfs_subsample(graph, budget, seed)
+        assert got.num_nodes == budget
+        assert np.array_equal(got.src, want.src)
+        assert np.array_equal(got.dst, want.dst)
 
 
 def test_sample_pairs_contract(dag_graph):
@@ -327,8 +364,7 @@ def _save_edge_list_oracle(graph, header=None):
 
 def _save_labels_oracle(graph):
     fh = io.StringIO()
-    deg = graph.degrees()
-    connected = (deg.d_in + deg.d_out) > 0
+    connected = (graph.d_in + graph.d_out) > 0
     names = graph.names
     cnames = graph.community_names
     for v in range(graph.num_nodes):

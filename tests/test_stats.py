@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from citegen.stats import (
     StatsError,
+    average_ranks,
     bootstrap_ci,
     friedman,
     mann_whitney,
@@ -54,6 +56,23 @@ def test_rank_blocks_fixture():
 def test_rank_blocks_midranks_on_ties():
     table = rank_blocks(np.array([[1.0, 1.0, 2.0]]), METHODS3, blocks_for(1))
     assert table.ranks.tolist() == [[1.5, 1.5, 3.0]]
+
+
+def test_average_ranks_match_scipy_rankdata():
+    rng = np.random.default_rng(12)
+    samples = [np.zeros(0), np.array([3.5]), np.full(7, 2.0),
+               np.array([1.0, np.nan, 2.0]), np.array([-0.0, 0.0, 1.0])]
+    # few distinct values in many draws: long tie runs, in any order
+    samples += [rng.integers(0, k, n).astype(float)
+                for n in (2, 9, 40, 500) for k in (1, 2, 5, 1000)]
+    samples += [rng.normal(size=n) for n in (3, 64)]
+    for values in samples:
+        want = scipy.stats.rankdata(values)
+        assert np.array_equal(average_ranks(values), want, equal_nan=True)
+    rows = rng.integers(0, 3, (20, 6)).astype(float)
+    rows[4] = 1.0
+    assert np.array_equal(np.apply_along_axis(average_ranks, 1, rows),
+                          scipy.stats.rankdata(rows, axis=1))
 
 
 def test_rank_blocks_drops_incomplete_rows(caplog):
