@@ -9,9 +9,9 @@ for those graphs, with and without node names, and the graph and report
 ``load_edge_list`` reads back from a file with repeated edges;
 ``bfs_subsample`` at two budgets and ``longest_path_lengths`` under the
 identity and a permuted rank on each of them; ``betweenness_values``, the
-exact ``triad_census`` and one ``compare`` report on some of those graphs; ``generate_er`` over a
-grid of sizes and edge probabilities; and the community labels and the
-edge lists of ``generate``.  Run it on two checkouts and compare:
+exact ``triad_census`` and one ``compare`` report on some of those
+graphs; ``generate_er`` over a grid of sizes and edge probabilities; and
+the community labels and the edge lists of ``generate``.  Run it on two checkouts and compare:
 
     PYTHONPATH=src python3 benchmarks/output_digests.py > after.txt
     diff before.txt after.txt
