@@ -2,9 +2,11 @@
 
 Generates an n-node graph, injects back edges, and prints the best of
 ``--repeat`` wall-clock times for each stage: generation, back-edge
-injection, cycle breaking, community detection, the sampled and exact
-triad census, BFS subsampling to half the nodes, betweenness from sampled
-sources, longest paths, and ER, SBM and DC-SBM sampling.
+injection, the scipy adjacency and the out-, in- and undirected CSR views
+of a fresh copy of the near-DAG (so no cached view is reused), cycle
+breaking, community detection, the sampled and exact triad census, BFS
+subsampling to half the nodes, betweenness from sampled sources, longest
+paths, and ER, SBM and DC-SBM sampling.
 
 Usage:
     python3 benchmarks/kernel_speed.py [--n 50000] [--repeat 3]
@@ -18,7 +20,7 @@ import numpy as np
 from citegen.baselines import (fit_er, fit_sbm, generate_dcsbm, generate_er,
                                generate_sbm)
 from citegen.generator import CsParams, generate
-from citegen.graph import bfs_subsample
+from citegen.graph import LabeledGraph, bfs_subsample
 from citegen.metrics.communities import detect_communities
 from citegen.metrics.paths import betweenness_values, longest_path_lengths
 from citegen.metrics.triads import triad_census
@@ -33,6 +35,19 @@ def best_time(fn, repeat):
         out = fn()
         best = min(best, time.perf_counter() - t0)
     return best, out
+
+
+def views_time(graph, repeat):
+    """Best time of building the adjacency and the three CSR views of a
+    fresh copy of ``graph``; the copy's construction is not timed."""
+    best = float("inf")
+    for _ in range(repeat):
+        fresh = LabeledGraph(num_nodes=graph.num_nodes, src=graph.src,
+                             dst=graph.dst)
+        t0 = time.perf_counter()
+        fresh.adjacency, fresh.out_csr, fresh.in_csr, fresh.undirected_csr
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def main():
@@ -51,6 +66,7 @@ def main():
                                          repeat)
     timings["inject_back_edges"], near = best_time(
         lambda: inject_back_edges(dag, 0.1, 7), repeat)
+    timings["graph_views"] = views_time(near, repeat)
     sources = np.arange(0, n, max(1, n // 200))
     sbm_fit = fit_sbm(near)
     stages = {

@@ -11,7 +11,9 @@ for those graphs, with and without node names, and the graph and report
 identity and a permuted rank on each of them; ``betweenness_values``, the
 exact ``triad_census`` and one ``compare`` report on some of those
 graphs; ``generate_er`` over a grid of sizes and edge probabilities; and
-the community labels and the edge lists of ``generate``.  Run it on two checkouts and compare:
+the community labels and the edge lists of ``generate``; and the out-,
+in- and undirected CSR views and the scipy adjacency of each fixed input
+graph, dtypes included.  Run it on two checkouts and compare:
 
     PYTHONPATH=src python3 benchmarks/output_digests.py > after.txt
     diff before.txt after.txt
@@ -25,8 +27,9 @@ import numpy as np
 from citegen.baselines import (ErFit, fit_config, fit_sbm, generate_config,
                                generate_dcsbm, generate_er, generate_sbm)
 from citegen.generator import CsParams, generate
-from citegen.graph import (LabeledGraph, bfs_subsample, load_edge_list,
-                           save_edge_list)
+from citegen.graph import (LabeledGraph, bfs_subsample, in_csr,
+                           load_edge_list, out_csr, save_edge_list,
+                           undirected_csr)
 from citegen.metrics.battery import compare
 from citegen.metrics.paths import betweenness_values, longest_path_lengths
 from citegen.metrics.triads import triad_census
@@ -59,6 +62,11 @@ def digest(*arrays):
 
 def text_bytes(text):
     return np.frombuffer(text.encode(), np.uint8)
+
+
+def typed_digest(*arrays):
+    """``digest`` of the arrays and of their dtypes."""
+    return digest(*arrays, text_bytes(" ".join(a.dtype.str for a in arrays)))
 
 
 def saved(graph):
@@ -120,6 +128,12 @@ def main():
         for rank_name, rank in ranks.items():
             out[f"longest/{name}/{rank_name}"] = digest(
                 longest_path_lengths(g, rank))
+        adj = g.adjacency
+        out[f"view/{name}/out"] = typed_digest(*out_csr(g))
+        out[f"view/{name}/in"] = typed_digest(*in_csr(g))
+        out[f"view/{name}/undirected"] = typed_digest(*undirected_csr(g))
+        out[f"view/{name}/adjacency"] = typed_digest(
+            adj.data, adj.indices, adj.indptr)
 
     sampled = np.random.default_rng(6).choice(2000, 200, replace=False)
     for name, sources in (("dag2k", None), ("dag2k", sampled),

@@ -20,7 +20,7 @@ from .neardag import (CycleBreakReport, NearDagError, NodeOrdering,
                       back_edge_count, back_edge_ratio, cycle_break,
                       inject_back_edges, order_nodes)
 from .stats import (RankTable, StatsError, bootstrap_ci, friedman,
-                    mann_whitney, rank_blocks, standardize, wtl_matrix)
+                    mann_whitney, rank_blocks, wtl_matrix)
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "is_acyclic", "ks_to_pareto2", "load_edge_list", "load_labels",
     "load_timestamps", "mann_whitney", "order_nodes", "pareto2_ccdf",
     "profile", "prune_unlabeled", "rank_blocks", "roundtrip_report", "run_bench",
-    "sample_pairs", "save_edge_list", "save_labels", "standardize",
-    "wtl_matrix", "write_artifacts",
+    "sample_pairs", "save_edge_list", "save_labels", "wtl_matrix",
+    "write_artifacts",
 ]

@@ -79,8 +79,9 @@ class LabeledGraph:
         return int(self.src.size)
 
     # Views the metric battery reads several times per graph, built once on
-    # first use and kept read-only for the graph's life.  The CSR views and
-    # the adjacency come from the module functions of the same names.
+    # first use and kept read-only for the graph's life.  The adjacency is
+    # the one structure built from the edges; the CSR views come from the
+    # module functions of the same names, which read it.
 
     @cached_property
     def d_in(self) -> np.ndarray:
@@ -95,12 +96,20 @@ class LabeledGraph:
         return _read_only(*out_csr(self))
 
     @cached_property
+    def in_csr(self):
+        return _read_only(*in_csr(self))
+
+    @cached_property
     def undirected_csr(self):
         return _read_only(*undirected_csr(self))
 
     @cached_property
     def adjacency(self) -> csr_matrix:
-        adj = _adjacency(self)
+        """Adjacency matrix A (A[u, v] = 1.0 for the edge u -> v) as scipy
+        CSR in canonical form: per-row sorted indices, no duplicates."""
+        n = self.num_nodes
+        adj = csr_matrix((np.ones(self.num_edges), (self.src, self.dst)),
+                         shape=(n, n))
         _read_only(adj.data, adj.indices, adj.indptr)
         return adj
 
@@ -324,17 +333,6 @@ def induced_subgraph(graph: LabeledGraph, nodes: np.ndarray,
     )
 
 
-def to_csr(num_nodes: int, src: np.ndarray, dst: np.ndarray):
-    """CSR adjacency (indptr, indices) with per-row sorted indices."""
-    order = np.lexsort((dst, src))
-    s = src[order]
-    d = dst[order]
-    counts = np.bincount(s, minlength=num_nodes)
-    indptr = np.zeros(num_nodes + 1, np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, np.ascontiguousarray(d, np.int64)
-
-
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """``np.unique(keys)`` by a sort and a neighbour compare.
 
@@ -354,19 +352,18 @@ def _row_edges(indptr, rows):
     return eids, lens
 
 
+def _int64_csr(adj: csr_matrix):
+    return adj.indptr.astype(np.int64), adj.indices.astype(np.int64)
+
+
 def out_csr(graph: LabeledGraph):
-    return to_csr(graph.num_nodes, graph.src, graph.dst)
+    """Out-neighbour CSR ``(indptr, indices)``, per-row sorted, as int64."""
+    return _int64_csr(graph.adjacency)
 
 
 def in_csr(graph: LabeledGraph):
-    return to_csr(graph.num_nodes, graph.dst, graph.src)
-
-
-def _adjacency(graph: LabeledGraph) -> csr_matrix:
-    """Adjacency matrix A (A[u, v] = 1.0 for the edge u -> v) as scipy CSR."""
-    n = graph.num_nodes
-    return csr_matrix((np.ones(graph.num_edges), (graph.src, graph.dst)),
-                      shape=(n, n))
+    """In-neighbour CSR ``(indptr, indices)``, per-row sorted, as int64."""
+    return _int64_csr(graph.adjacency.T.tocsr())
 
 
 def undirected_csr(graph: LabeledGraph):
@@ -375,13 +372,8 @@ def undirected_csr(graph: LabeledGraph):
     Returns ``(indptr, indices, weights)``; a weight is 2 for a reciprocal
     pair, else 1.
     """
-    n = graph.num_nodes
-    a = np.concatenate([graph.src, graph.dst])
-    b = np.concatenate([graph.dst, graph.src])
-    keys, counts = np.unique(a * n + b, return_counts=True)
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    return indptr, keys % n, counts.astype(np.float64)
+    sym = graph.adjacency + graph.adjacency.T
+    return (*_int64_csr(sym), sym.data)
 
 
 def bfs_subsample(graph: LabeledGraph, max_nodes: int, seed) -> LabeledGraph:

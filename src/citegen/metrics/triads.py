@@ -202,7 +202,8 @@ def ffl_count(graph: LabeledGraph) -> int:
     """Feed-forward loops: ordered triples with a->b, a->c, b->c.
 
     Counted as ``sum((A @ A) * A)``: each arc a->c weighted by its number
-    of two-step paths a->b->c.
+    of two-step paths a->b->c.  The float adjacency counts them exactly:
+    the sums are whole numbers, exact in float64 below 2**53.
     """
-    adj = graph.adjacency.astype(np.int64)
+    adj = graph.adjacency
     return int((adj @ adj).multiply(adj).sum())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LabeledGraph, _sorted_unique, in_csr
+from .graph import LabeledGraph, _sorted_unique
 
 log = logging.getLogger(__name__)
 
@@ -90,7 +90,7 @@ def _eades_sequence(graph: LabeledGraph) -> np.ndarray:
     """
     n = graph.num_nodes
     out_ptr, out_idx = graph.out_csr
-    in_ptr, in_idx = in_csr(graph)
+    in_ptr, in_idx = graph.in_csr
     dout = np.diff(out_ptr).tolist()
     din = np.diff(in_ptr).tolist()
     out_ptr, out_idx = out_ptr.tolist(), out_idx.tolist()

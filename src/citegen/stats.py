@@ -78,17 +78,6 @@ def rank_blocks(values: np.ndarray, methods: Sequence[str],
                      values=values, ranks=ranks)
 
 
-def standardize(values: np.ndarray) -> np.ndarray:
-    """Per-block z-scores; a zero-spread block standardizes to zeros."""
-    values = np.asarray(values, np.float64)
-    mu = values.mean(axis=1, keepdims=True)
-    sd = values.std(axis=1, keepdims=True)
-    out = np.zeros_like(values)
-    nz = sd[:, 0] > 0
-    out[nz] = (values[nz] - mu[nz]) / sd[nz]
-    return out
-
-
 def friedman(table: RankTable) -> Tuple[float, float]:
     """Friedman chi-square over the rank table and its chi-square p-value."""
     n, k = table.ranks.shape

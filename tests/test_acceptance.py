@@ -196,18 +196,17 @@ def test_acceptance_5_linear_scaling():
     params = CsParams(p=(1.0,), m=(5.0,), rho=(0.5,), sigma2=(5.0,))
     generate(params, 2000, 0)  # warm up outside the clock
 
-    def best_of(n, seed, reps=3):
-        best = float("inf")
-        for rep in range(reps):
+    # every size is timed the same way: best of 3, with the sizes
+    # interleaved round by round so that a slow spell of the host hits
+    # them alike rather than one size's runs
+    seeds = {100_000: 10, 200_000: 20, 500_000: 50, 1_000_000: 100}
+    best = dict.fromkeys(seeds, float("inf"))
+    for rep in range(3):
+        for n, seed in seeds.items():
             t0 = time.perf_counter()
             generate(params, n, seed + rep)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    t_100k = best_of(100_000, 10)
-    t_200k = best_of(200_000, 20)
-    t_500k = best_of(500_000, 50)
-    t_1m = best_of(1_000_000, 100, reps=1)
+            best[n] = min(best[n], time.perf_counter() - t0)
+    t_100k, t_200k, t_500k, t_1m = best.values()
     ratio_small = t_200k / t_100k
     ratio_large = t_1m / t_500k
     ok = ratio_small <= 2.5 and ratio_large <= 2.5 and t_1m <= 60.0

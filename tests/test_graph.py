@@ -3,12 +3,13 @@ from collections import deque
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
-from citegen.graph import (GraphError, LabeledGraph, LoadReport, _adjacency,
+from citegen.graph import (GraphError, LabeledGraph, LoadReport,
                            bfs_subsample, induced_subgraph, is_acyclic,
                            load_edge_list, load_labels, load_timestamps,
-                           out_csr, prune_unlabeled, sample_pairs,
-                           save_edge_list, save_labels, undirected_csr)
+                           prune_unlabeled, sample_pairs, save_edge_list,
+                           save_labels)
 
 
 def test_load_basic():
@@ -95,24 +96,104 @@ def test_degrees_empty(make_graph):
     assert graph.d_out.size == 0
 
 
+def lexsort_csr(num_nodes, src, dst):
+    """CSR ``(indptr, indices)`` of the edges ``src -> dst`` by a lexsort:
+    the builder the adjacency-derived out- and in-views replaced."""
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(num_nodes + 1, np.int64)
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+    return indptr, np.ascontiguousarray(dst[order], np.int64)
+
+
+def unique_undirected_csr(graph):
+    """``(indptr, indices, weights)`` of A + A^T by ``np.unique`` over the
+    2E directed keys: the builder the adjacency-derived view replaced."""
+    n = graph.num_nodes
+    a = np.concatenate([graph.src, graph.dst])
+    b = np.concatenate([graph.dst, graph.src])
+    keys, counts = np.unique(a * n + b, return_counts=True)
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, keys % n, counts.astype(np.float64)
+
+
+def assert_same_arrays(got, want, name):
+    assert len(got) == len(want), name
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+
+
 def test_cached_views_built_once_read_only_and_equal_to_builders(make_graph):
     graph = make_graph(5, [(0, 1), (1, 2), (2, 0), (3, 1), (1, 3), (4, 2)])
+    n, src, dst = graph.num_nodes, graph.src, graph.dst
     adj = graph.adjacency
+    want_adj = coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n)).tocsr()
     views = {
-        "out_csr": (graph.out_csr, out_csr(graph)),
-        "undirected_csr": (graph.undirected_csr, undirected_csr(graph)),
+        "out_csr": (graph.out_csr, lexsort_csr(n, src, dst)),
+        "in_csr": (graph.in_csr, lexsort_csr(n, dst, src)),
+        "undirected_csr": (graph.undirected_csr, unique_undirected_csr(graph)),
         "adjacency": ((adj.data, adj.indices, adj.indptr),
-                      (lambda a: (a.data, a.indices, a.indptr))(_adjacency(graph))),
-        "d_in": ((graph.d_in,), (np.bincount(graph.dst, minlength=5),)),
-        "d_out": ((graph.d_out,), (np.bincount(graph.src, minlength=5),)),
+                      (want_adj.data, want_adj.indices, want_adj.indptr)),
+        "d_in": ((graph.d_in,), (np.bincount(dst, minlength=5),)),
+        "d_out": ((graph.d_out,), (np.bincount(src, minlength=5),)),
     }
     for name, (cached, built) in views.items():
-        for got, want in zip(cached, built, strict=True):
-            assert np.array_equal(got, want), name
+        assert_same_arrays(cached, built, name)
+        for got in cached:
             with pytest.raises(ValueError, match="read-only"):
                 got[0] = got[0]
     for name in views:
         assert getattr(graph, name) is getattr(graph, name)
+
+
+def neighbour_oracle(graph):
+    """Per-row sorted out-, in- and symmetrised neighbour lists, and the
+    symmetrised weights (2 for a reciprocal pair, else 1), by brute force."""
+    edges = set(zip(graph.src.tolist(), graph.dst.tolist()))
+    nodes = range(graph.num_nodes)
+    out = [sorted(w for w in nodes if (v, w) in edges) for v in nodes]
+    inn = [sorted(u for u in nodes if (u, v) in edges) for v in nodes]
+    und = [sorted(set(out[v]) | set(inn[v])) for v in nodes]
+    weights = [[float(((v, w) in edges) + ((w, v) in edges)) for w in row]
+               for v, row in zip(nodes, und)]
+    return out, inn, und, weights
+
+
+def csr_rows(indptr, values):
+    return [values[indptr[v]:indptr[v + 1]].tolist()
+            for v in range(indptr.size - 1)]
+
+
+VIEW_GRAPHS = {
+    "unsorted": (6, [(4, 1), (0, 5), (3, 2), (0, 1), (5, 0), (2, 3), (1, 4),
+                     (0, 3), (5, 2)]),
+    "isolated": (7, [(1, 5), (5, 1), (3, 1), (5, 3)]),
+    "no-edges": (3, []),
+    "one-node": (1, []),
+    "empty": (0, []),
+}
+
+
+@pytest.mark.parametrize("name", VIEW_GRAPHS)
+def test_csr_views_match_brute_force_oracle(make_graph, name):
+    graph = make_graph(*VIEW_GRAPHS[name])
+    out, inn, und, weights = neighbour_oracle(graph)
+    n = graph.num_nodes
+    for view, want in ((graph.out_csr, out), (graph.in_csr, inn),
+                       (graph.undirected_csr, und)):
+        assert view[0].dtype == view[1].dtype == np.int64
+        assert view[0].size == n + 1
+        assert csr_rows(*view[:2]) == want
+    indptr, _, w = graph.undirected_csr
+    assert w.dtype == np.float64
+    assert csr_rows(indptr, w) == weights
+    assert_same_arrays(graph.out_csr, lexsort_csr(n, graph.src, graph.dst),
+                       "out_csr")
+    assert_same_arrays(graph.in_csr, lexsort_csr(n, graph.dst, graph.src),
+                       "in_csr")
+    assert_same_arrays(graph.undirected_csr, unique_undirected_csr(graph),
+                       "undirected_csr")
 
 
 def test_labels_unknown_node_errors():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from citegen import graph as graph_module
 from citegen.baselines import ErFit, generate_er
-from citegen.graph import LabeledGraph, in_csr, is_acyclic
+from citegen.graph import LabeledGraph, is_acyclic
 from citegen.neardag import (
     NearDagError,
     _eades_sequence,
@@ -105,7 +106,7 @@ def _eades_sequence_oracle(graph):
     """The numpy-scalar peeling that the list-based one replaced."""
     n = graph.num_nodes
     out_ptr, out_idx = graph.out_csr
-    in_ptr, in_idx = in_csr(graph)
+    in_ptr, in_idx = graph.in_csr
     dout = (out_ptr[1:] - out_ptr[:-1]).astype(np.int64)
     din = (in_ptr[1:] - in_ptr[:-1]).astype(np.int64)
     alive = np.ones(n, bool)
@@ -186,6 +187,19 @@ def test_eades_sequence_matches_numpy_scalar_oracle(near_dag_graph,
                   make_graph(0, [])):
         assert np.array_equal(_eades_sequence(graph),
                               _eades_sequence_oracle(graph))
+
+
+def test_eades_reads_the_graphs_cached_csr_views(make_graph, monkeypatch):
+    builds = []
+    for name in ("out_csr", "in_csr"):
+        build = getattr(graph_module, name)
+        monkeypatch.setattr(graph_module, name,
+                            lambda g, build=build, name=name:
+                            builds.append(name) or build(g))
+    graph = make_graph(5, [(0, 1), (1, 2), (2, 0), (3, 2), (4, 3)])
+    first = order_nodes(graph, "eades").rank
+    assert np.array_equal(order_nodes(graph, "eades").rank, first)
+    assert sorted(builds) == ["in_csr", "out_csr"]
 
 
 # ---------------------------------------------------------------- ratios

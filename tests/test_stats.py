@@ -13,7 +13,6 @@ from citegen.stats import (
     friedman,
     mann_whitney,
     rank_blocks,
-    standardize,
     wtl_matrix,
 )
 
@@ -99,16 +98,6 @@ def test_rank_blocks_validations():
         rank_blocks(np.zeros((2, 3)), METHODS3, blocks_for(1))
     with pytest.raises(StatsError, match="no complete"):
         rank_blocks(np.full((2, 3), np.nan), METHODS3, blocks_for(2))
-
-
-def test_standardize_zscores_and_degenerate_rows():
-    values = np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]])
-    out = standardize(values)
-    assert out[1].tolist() == [0.0, 0.0, 0.0]
-    assert out[0].mean() == pytest.approx(0.0)
-    assert out[0].std() == pytest.approx(1.0)
-    # Standardizing never reorders a block.
-    assert np.array_equal(np.argsort(out[0]), np.argsort(values[0]))
 
 
 # ---------------------------------------------------------------- friedman
