@@ -7,14 +7,13 @@ neardag.cycle_break for near-DAG variants.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LabeledGraph, _sorted_unique
+from .graph import LabeledGraph, _place_edges, _sorted_unique
 
 log = logging.getLogger(__name__)
 
@@ -27,14 +26,6 @@ class BaselineError(ValueError):
 class ErFit:
     n: int
     p: float
-
-    def to_json(self) -> str:
-        return json.dumps({"model": "er", "n": self.n, "p": self.p})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ErFit":
-        doc = json.loads(text)
-        return cls(n=int(doc["n"]), p=float(doc["p"]))
 
 
 def fit_er(graph: LabeledGraph) -> ErFit:
@@ -101,17 +92,6 @@ class ConfigFit:
         object.__setattr__(self, "out_seq", out_seq)
         object.__setattr__(self, "in_seq", in_seq)
 
-    def to_json(self) -> str:
-        return json.dumps({"model": "config",
-                           "out_seq": self.out_seq.tolist(),
-                           "in_seq": self.in_seq.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConfigFit":
-        doc = json.loads(text)
-        return cls(out_seq=np.asarray(doc["out_seq"], np.int64),
-                   in_seq=np.asarray(doc["in_seq"], np.int64))
-
 
 def fit_config(graph: LabeledGraph) -> ConfigFit:
     return ConfigFit(out_seq=graph.d_out, in_seq=graph.d_in)
@@ -167,21 +147,6 @@ class SbmFit:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.k)
 
-    def to_json(self) -> str:
-        return json.dumps({"model": "sbm",
-                           "labels": self.labels.tolist(),
-                           "block_edges": self.block_edges.tolist(),
-                           "d_out": self.d_out.tolist(),
-                           "d_in": self.d_in.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SbmFit":
-        doc = json.loads(text)
-        return cls(labels=np.asarray(doc["labels"], np.int64),
-                   block_edges=np.asarray(doc["block_edges"], np.int64),
-                   d_out=np.asarray(doc["d_out"], np.int64),
-                   d_in=np.asarray(doc["d_in"], np.int64))
-
 
 def fit_sbm(graph: LabeledGraph, labels: np.ndarray = None) -> SbmFit:
     labels = graph.labels if labels is None else np.asarray(labels, np.int64)
@@ -200,27 +165,15 @@ def _block_members(labels: np.ndarray, k: int):
     return [order[bounds[c]:bounds[c + 1]] for c in range(k)]
 
 
-def _place_block_edges(count, pool_src, pool_dst, n, rng):
-    """Up to ``count`` distinct non-self edges from ``pool_src`` to ``pool_dst``.
-
-    Each of at most 200 rounds draws one uniform candidate per unfilled
-    slot; self-loops and repeats are dropped and the first occurrences
-    kept in draw order.  That is edge-by-edge rejection sampling run in
-    rounds, so it has the same distribution.  Returns the keys
-    ``src * n + dst``.
-    """
-    keys = np.empty(0, np.int64)
-    for _ in range(200):
-        need = count - keys.size
-        if need == 0:
-            break
+def _urn_draw(pool_src, pool_dst, n, rng):
+    """A ``draw`` for :func:`_place_edges`: uniform picks from the two
+    urns, self-loops dropped."""
+    def draw(need):
         s = pool_src[rng.integers(0, pool_src.size, need)]
         t = pool_dst[rng.integers(0, pool_dst.size, need)]
         ok = s != t
-        keys = np.concatenate([keys, s[ok] * n + t[ok]])
-        _, first = np.unique(keys, return_index=True)
-        keys = keys[np.sort(first)]
-    return keys
+        return s[ok] * n + t[ok]
+    return draw
 
 
 def _generate_blockmodel(fit: SbmFit, seed, degree_corrected: bool):
@@ -253,7 +206,8 @@ def _generate_blockmodel(fit: SbmFit, seed, degree_corrected: bool):
                 log.warning("block pair (%d,%d) has zero propensity; skipped",
                             a, b)
                 continue
-            keys = _place_block_edges(count, out_urns[a], in_urns[b], n, rng)
+            draw = _urn_draw(out_urns[a], in_urns[b], n, rng)
+            keys = _place_edges(count, draw, np.empty(0, np.int64))
             shortfall += count - keys.size
             parts.append(keys)
     if shortfall:

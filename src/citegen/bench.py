@@ -10,7 +10,6 @@ that emit no labels) drop out of the ranking with a warning.
 from __future__ import annotations
 
 import logging
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -31,7 +30,6 @@ log = logging.getLogger(__name__)
 METHODS = ("cs", "cs-dag", "er", "er-nd", "config", "config-nd",
            "sbm", "sbm-nd", "dcsbm", "dcsbm-nd")
 ENDOGENOUS_CATEGORY = "meso-endogenous"
-THREADS_ENV = "CITEGEN_THREADS"
 
 
 class BenchError(ValueError):
@@ -45,7 +43,7 @@ class BenchConfig:
     seed: int = 0
     order_strategy: str = "degree-diff"
     metric: MetricConfig = field(default_factory=MetricConfig)
-    threads: int = 0
+    threads: int = 1
 
     def __post_init__(self):
         unknown = [m for m in self.methods if m not in METHODS]
@@ -53,20 +51,8 @@ class BenchConfig:
             raise BenchError(f"unknown methods: {unknown}; known: {METHODS}")
         if self.replicates < 1:
             raise BenchError("replicates must be >= 1")
-
-    def resolve_threads(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get(THREADS_ENV, "").strip()
-        if env:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise BenchError(f"{THREADS_ENV} must be an integer") from exc
-            if value < 1:
-                raise BenchError(f"{THREADS_ENV} must be >= 1")
-            return value
-        return 1
+        if self.threads < 1:
+            raise BenchError("threads must be >= 1")
 
 
 @dataclass
@@ -214,9 +200,8 @@ def run_bench(datasets: Dict[str, LabeledGraph],
 
     jobs = [(d, rep) for d in range(len(names))
             for rep in range(config.replicates)]
-    workers = config.resolve_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if config.threads > 1:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
             list(pool.map(lambda args: job(*args), jobs))
     else:
         for args in jobs:

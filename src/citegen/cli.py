@@ -85,10 +85,7 @@ def _resolve_seed(value) -> int:
 
 
 def _load_graph(edges, labels=None, timestamps=None) -> LabeledGraph:
-    graph, report = load_edge_list(_require_file(edges, "edge list"))
-    if report.duplicate_edges or report.self_loops:
-        print(f"note: dropped {report.duplicate_edges} duplicate edges and "
-              f"{report.self_loops} self-loops from {edges}", file=sys.stderr)
+    graph, _ = load_edge_list(_require_file(edges, "edge list"))
     if labels is not None:
         label_map, community_names = load_labels(
             _require_file(labels, "labels file"), graph)
@@ -329,7 +326,7 @@ def cmd_bench(args) -> int:
             seed=seed,
             order_strategy=opts.get("order_strategy", "degree-diff"),
             metric=_metric_config(opts, 0),
-            threads=int(opts.get("threads", 0)),
+            threads=int(opts.get("threads", bench_mod.BenchConfig.threads)),
         )
     except bench_mod.BenchError as exc:
         raise UsageError(str(exc))
@@ -486,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--replicates", type=int, default=None)
     sp.add_argument("--outdir", default=None)
     sp.add_argument("--threads", type=int, default=None,
-                    help=f"worker threads (default ${bench_mod.THREADS_ENV} or 1)")
+                    help="worker threads (default "
+                         f"{bench_mod.BenchConfig.threads})")
     sp.add_argument("--order-strategy", default=None,
                     choices=("degree-diff", "eades"))
     _add_metric_flags(sp)

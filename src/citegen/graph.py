@@ -344,6 +344,30 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.r_[True, keys[1:] != keys[:-1]]]
 
 
+def _place_edges(count: int, draw, taken: np.ndarray) -> np.ndarray:
+    """Up to ``count`` distinct edge keys ``u * n + v`` drawn by rejection.
+
+    ``draw(need)`` returns at most ``need`` valid i.i.d. candidate keys.
+    Each of at most 200 rounds asks for one candidate per unfilled slot;
+    keys in the sorted array ``taken`` and repeats are dropped and the
+    first occurrences kept in draw order.  That is edge-by-edge rejection
+    sampling run in rounds, so it has the same distribution.
+    """
+    keys = np.empty(0, np.int64)
+    for _ in range(200):
+        need = count - keys.size
+        if need == 0:
+            break
+        cand = draw(need)
+        if taken.size:
+            pos = np.minimum(np.searchsorted(taken, cand), taken.size - 1)
+            cand = cand[taken[pos] != cand]
+        keys = np.concatenate([keys, cand])
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)]
+    return keys
+
+
 def _row_edges(indptr, rows):
     """Edge ids of ``rows`` in a CSR, row after row, and their row sizes."""
     lens = indptr[rows + 1] - indptr[rows]

@@ -155,10 +155,12 @@ def endogenous_metrics(graph, config=None):
     """Ground-truth partition statistics; none without labels."""
     if graph.labels is None:
         return {}
+    densities = _try(density_pair, graph)
+    ok = not isinstance(densities, MetricError)
     return {"gt_modularity": _try(modularity, graph),
             "gt_conductance": _try(conductance, graph),
-            "gt_inter_density": _try(lambda: density_pair(graph)[1]),
-            "gt_intra_density": _try(lambda: density_pair(graph)[0]),
+            "gt_inter_density": densities[1] if ok else densities,
+            "gt_intra_density": densities[0] if ok else densities,
             "gt_in_participation": _try(participation, graph, None, "in"),
             "gt_out_participation": _try(participation, graph, None, "out")}
 

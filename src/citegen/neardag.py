@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LabeledGraph, _sorted_unique
+from .graph import LabeledGraph, _place_edges, _sorted_unique
 
 log = logging.getLogger(__name__)
 
@@ -187,66 +187,55 @@ def back_edge_count(n_edges: int, r: float) -> int:
 def inject_back_edges(dag: LabeledGraph, r: float, seed) -> LabeledGraph:
     """Add back-edges (older cites newer) until their fraction equals r.
 
-    Newer endpoints prefer small creation-rank gaps (geometric) and
-    intra-community pairs with probability 0.8 when labels exist.  Added
-    edges always run from a smaller node id to a larger one, so stripping
-    them recovers the input DAG.
+    A back-edge u -> v takes its newer endpoint v uniformly and its older
+    one at a geometric creation-rank gap, u = v - g.  When labels exist,
+    each slot asks with probability 0.8 for an intra-community pair, with
+    v among the nodes that have an older member of their community.  The
+    intra-community slots are placed first, then the unconstrained ones
+    together with any intra-community shortfall; both passes reject
+    candidates by rounds with :func:`graph._place_edges`.  Added edges
+    always run from a smaller node id to a larger one, so stripping them
+    recovers the input DAG.
     """
     n_back = back_edge_count(dag.num_edges, r)
     if n_back == 0:
         return dag
     n = dag.num_nodes
+    labels = dag.labels
     rng = np.random.default_rng(seed)
     # added edges run from a smaller id to a larger one, so only existing
     # edges of that direction can collide with them
     fwd = dag.src < dag.dst
-    taken = set((dag.src[fwd] * n + dag.dst[fwd]).tolist())
-    if dag.labels is not None:
-        first_seen = np.full(dag.labels.max() + 1, n, np.int64)
-        np.minimum.at(first_seen, dag.labels, np.arange(n))
-        eligible = np.flatnonzero(np.arange(n) > first_seen[dag.labels]).tolist()
-        labels = dag.labels.tolist()
-    else:
-        eligible = []
-    n_elig = len(eligible)
-    log_q = math.log1p(-BACK_EDGE_GAP_P)
-    bsrc, bdst = [], []
-    for _ in range(n_back):
-        intra = n_elig > 0 and rng.random() < INTRA_COMMUNITY_P
-        # an intra-community pass first, if drawn, then an unconstrained one
-        for want_intra in ((True, False) if intra else (False,)):
-            placed = False
-            for _t in range(200):
-                if want_intra:
-                    v = eligible[min(int(rng.random() * n_elig), n_elig - 1)]
-                else:
-                    v = min(int(rng.random() * n), n - 1)
-                # geometric gap on {1, 2, ...}
-                g = 1 + int(math.floor(math.log1p(-rng.random()) / log_q))
-                if g > v:
-                    continue
-                u = v - g
-                if want_intra and labels[u] != labels[v]:
-                    continue
-                key = u * n + v
-                if key not in taken:
-                    taken.add(key)
-                    bsrc.append(u)
-                    bdst.append(v)
-                    placed = True
-                    break
-            if placed:
-                break
-    bsrc = np.array(bsrc, np.int64)
-    bdst = np.array(bdst, np.int64)
-    if bsrc.size < n_back:
+    taken = np.sort(dag.src[fwd] * n + dag.dst[fwd])
+    eligible = np.empty(0, np.int64)
+    if labels is not None:
+        first_seen = np.full(labels.max() + 1, n, np.int64)
+        np.minimum.at(first_seen, labels, np.arange(n))
+        eligible = np.flatnonzero(np.arange(n) > first_seen[labels])
+
+    def draw(need, intra=False):
+        v = (eligible[rng.integers(0, eligible.size, need)] if intra
+             else rng.integers(0, n, need))
+        u = v - rng.geometric(BACK_EDGE_GAP_P, need)
+        ok = u >= 0
+        # u may lie below -n, so labels are read only where u is a node
+        if intra:
+            ok[ok] = labels[u[ok]] == labels[v[ok]]
+        return u[ok] * n + v[ok]
+
+    n_intra = rng.binomial(n_back, INTRA_COMMUNITY_P if eligible.size else 0.0)
+    same = _place_edges(n_intra, lambda need: draw(need, True), taken)
+    rest = _place_edges(n_back - same.size, draw,
+                        np.sort(np.concatenate([taken, same])))
+    keys = np.concatenate([same, rest])
+    if keys.size < n_back:
         log.warning("injected %d of %d requested back-edges "
-                    "(candidate space exhausted)", bsrc.size, n_back)
+                    "(candidate space exhausted)", keys.size, n_back)
     return LabeledGraph(
         num_nodes=n,
-        src=np.concatenate([dag.src, bsrc]),
-        dst=np.concatenate([dag.dst, bdst]),
-        labels=dag.labels, timestamps=dag.timestamps,
+        src=np.concatenate([dag.src, keys // n]),
+        dst=np.concatenate([dag.dst, keys % n]),
+        labels=labels, timestamps=dag.timestamps,
         names=dag.names, community_names=dag.community_names,
     )
 

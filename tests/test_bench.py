@@ -47,19 +47,10 @@ def test_config_rejects_unknown_method():
         BenchConfig(replicates=0)
 
 
-def test_config_thread_resolution(monkeypatch):
-    monkeypatch.delenv("CITEGEN_THREADS", raising=False)
-    assert BenchConfig().resolve_threads() == 1
-    assert BenchConfig(threads=3).resolve_threads() == 3
-    monkeypatch.setenv("CITEGEN_THREADS", "4")
-    assert BenchConfig().resolve_threads() == 4
-    assert BenchConfig(threads=2).resolve_threads() == 2
-    monkeypatch.setenv("CITEGEN_THREADS", "zero")
-    with pytest.raises(BenchError, match="integer"):
-        BenchConfig().resolve_threads()
-    monkeypatch.setenv("CITEGEN_THREADS", "0")
-    with pytest.raises(BenchError, match=">= 1"):
-        BenchConfig().resolve_threads()
+def test_config_rejects_zero_threads():
+    assert BenchConfig().threads == 1
+    with pytest.raises(BenchError, match="threads"):
+        BenchConfig(threads=0)
 
 
 def test_fit_methods_only_requested_families(small_datasets):

@@ -135,6 +135,19 @@ def test_decycle_outputs_acyclic_graph(cli_files, tmp_path):
     assert is_acyclic(graph)
 
 
+def test_load_reports_dropped_edges_once(tmp_path, caplog, capsys):
+    edges = tmp_path / "repeat.edges"
+    edges.write_text("a\tb\nb\tc\na\tb\n")
+    with caplog.at_level("WARNING"):
+        assert main(["decycle", str(edges), "--r", "0", "--strategy",
+                     "degree-diff", "--out", str(tmp_path / "flat.edges"),
+                     "--seed", "1"]) == 0
+    dropped = [rec for rec in caplog.records
+               if rec.msg.startswith("dropped %d self-loops")]
+    assert [rec.args for rec in dropped] == [(0, 1)]
+    assert "note: dropped" not in capsys.readouterr().err
+
+
 def test_baseline_er_and_near_dag(cli_files, tmp_path):
     out = tmp_path / "er.edges"
     assert main(["baseline", "er", str(cli_files["edges"]),

@@ -224,38 +224,38 @@ GOLDEN_SKIP_TSV = {
 
 # As GOLDEN_SKIP_TSV, for a pair that uses every sampling seed: both graphs
 # are subsampled, and pairs, sources and census triples are sampled.  The
-# inputs come from `generate` and the detected rows from
-# `detect_communities`; after a change to either, the unsplit battery of
-# the git history, given the same generator and detector, is the oracle
-# that recomputes these values.
+# inputs come from `generate` and `inject_back_edges` and the detected rows
+# from `detect_communities`; after a change to any of them, the unsplit
+# battery of the git history, given the same inputs and detector, is the
+# oracle that recomputes these values.
 GOLDEN_SAMPLED_TSV = (
     "metric\tcategory\tkind\tvalue\tskipped\tnote\n"
-    "effective_diameter\tglobal-topology\tAPE\t0.2833333333333332\t0\t\n"
-    "avg_path_length\tglobal-topology\tAPE\t0.20329670329670324\t0\t\n"
-    "reachability\tglobal-topology\tW1\t10.066666666666666\t0\t\n"
-    "in_degree_dist\tdegree\tW1\t0.585\t0\t\n"
-    "out_degree_dist\tdegree\tW1\t0.325\t0\t\n"
-    "in_assortativity\tdegree\tAPE\t0.1574793078306846\t0\t\n"
-    "out_assortativity\tdegree\tAPE\t0.11484085087393021\t0\t\n"
-    "gt_modularity\tmeso-endogenous\tAPE\t0.005541401117474389\t0\t\n"
-    "gt_conductance\tmeso-endogenous\tAPE\t0.0806516899413074\t0\t\n"
-    "gt_inter_density\tmeso-endogenous\tAPE\t0.12653384632671166\t0\t\n"
-    "gt_intra_density\tmeso-endogenous\tAPE\t0.09018230550613464\t0\t\n"
-    "gt_in_participation\tmeso-endogenous\tW1\t0.03189388302408096\t0\t\n"
-    "gt_out_participation\tmeso-endogenous\tW1\t0.034064371451656555\t0\t\n"
-    "detected_modularity_r100\tmeso-exogenous\tAPE\t0.041663732415725074\t0\t\n"
-    "detected_sizes_r100\tmeso-exogenous\tW1\t6.793650793650795\t0\t\n"
-    "detected_modularity_r050\tmeso-exogenous\tAPE\t0.017852336250878294\t0\t\n"
-    "detected_sizes_r050\tmeso-exogenous\tW1\t11.0\t0\t\n"
-    "detected_modularity_r200\tmeso-exogenous\tAPE\t0.059142101257464844\t0\t\n"
-    "detected_sizes_r200\tmeso-exogenous\tW1\t0.9090909090909093\t0\t\n"
-    "global_clustering\tlocal\tAPE\t0.0808890201976794\t0\t\n"
-    "ffl_count\tlocal\tAPE\t0.2786259541984733\t0\t\n"
-    "local_clustering_dist\tlocal\tW1\t0.03227679666007949\t0\t\n"
-    "triad_census\tlocal\tL1\t0.017999999999999943\t0\t\n"
-    "betweenness_dist\tflow\tW1\t0.0010110315889210362\t0\t\n"
-    "scc_sizes\tflow\tW1\t0.11731843575418988\t0\t\n"
-    "longest_path_dist\tflow\tW1\t0.96\t0\t\n"
+    "effective_diameter\tglobal-topology\tAPE\t0.44155844155844143\t0\t\n"
+    "avg_path_length\tglobal-topology\tAPE\t0.45859872611464964\t0\t\n"
+    "reachability\tglobal-topology\tW1\t19.633333333333333\t0\t\n"
+    "in_degree_dist\tdegree\tW1\t0.53\t0\t\n"
+    "out_degree_dist\tdegree\tW1\t0.36\t0\t\n"
+    "in_assortativity\tdegree\tAPE\t0.09529315069095648\t0\t\n"
+    "out_assortativity\tdegree\tAPE\t0.15087427225227373\t0\t\n"
+    "gt_modularity\tmeso-endogenous\tAPE\t0.012280607800800713\t0\t\n"
+    "gt_conductance\tmeso-endogenous\tAPE\t0.0586387259571197\t0\t\n"
+    "gt_inter_density\tmeso-endogenous\tAPE\t0.13697932012772446\t0\t\n"
+    "gt_intra_density\tmeso-endogenous\tAPE\t0.09562175431810357\t0\t\n"
+    "gt_in_participation\tmeso-endogenous\tW1\t0.03415758476414998\t0\t\n"
+    "gt_out_participation\tmeso-endogenous\tW1\t0.02973427092963754\t0\t\n"
+    "detected_modularity_r100\tmeso-exogenous\tAPE\t0.04820146423282806\t0\t\n"
+    "detected_sizes_r100\tmeso-exogenous\tW1\t7.333333333333333\t0\t\n"
+    "detected_modularity_r050\tmeso-exogenous\tAPE\t0.021109671982772138\t0\t\n"
+    "detected_sizes_r050\tmeso-exogenous\tW1\t100.0\t0\t\n"
+    "detected_modularity_r200\tmeso-exogenous\tAPE\t0.03637391971652696\t0\t\n"
+    "detected_sizes_r200\tmeso-exogenous\tW1\t0.6476190476190476\t0\t\n"
+    "global_clustering\tlocal\tAPE\t0.04570837988826805\t0\t\n"
+    "ffl_count\tlocal\tAPE\t0.244\t0\t\n"
+    "local_clustering_dist\tlocal\tW1\t0.017257312510440465\t0\t\n"
+    "triad_census\tlocal\tL1\t0.007000000000000003\t0\t\n"
+    "betweenness_dist\tflow\tW1\t0.0021039541140043653\t0\t\n"
+    "scc_sizes\tflow\tW1\t0.11111111111111072\t0\t\n"
+    "longest_path_dist\tflow\tW1\t0.875\t0\t\n"
 )
 
 
@@ -340,3 +340,17 @@ def test_self_comparison_builds_one_profile(near_dag_graph, monkeypatch):
     assert len(calls) == 3
     compare(near_dag_graph, strip_labels(near_dag_graph), config)
     assert len(calls) == 9
+
+
+def test_density_pair_runs_once_per_labelled_profile(make_graph, monkeypatch):
+    calls = []
+    density_pair = battery.density_pair
+    monkeypatch.setattr(battery, "density_pair",
+                        lambda graph: calls.append(graph) or density_pair(graph))
+    graph = make_graph(4, [(1, 0), (2, 0), (3, 2), (3, 1)], labels=[0, 0, 1, 1])
+    prof = profile(graph)
+    assert len(calls) == 1 and calls[0] is graph
+    assert prof["gt_intra_density"] == 0.5
+    assert prof["gt_inter_density"] == 0.25
+    profile(strip_labels(graph))
+    assert len(calls) == 1

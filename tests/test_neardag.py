@@ -1,4 +1,5 @@
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from citegen import graph as graph_module
 from citegen.baselines import ErFit, generate_er
 from citegen.graph import LabeledGraph, is_acyclic
 from citegen.neardag import (
+    BACK_EDGE_GAP_P,
+    INTRA_COMMUNITY_P,
     NearDagError,
     _eades_sequence,
     back_edge_count,
@@ -318,6 +321,70 @@ def test_inject_skips_existing_old_to_new_edges(make_graph, caplog):
         out = inject_back_edges(graph, 0.5, 4)
     assert edge_set(out) - edge_set(graph) == {(0, 3), (2, 3)}
     assert "2 of 6" in caplog.text
+
+
+def _inject_oracle(dag, r, rng):
+    """Edge-by-edge rejection from scalar draws, intra-community slots
+    first: the law ``inject_back_edges`` samples from."""
+    n = dag.num_nodes
+    labels = dag.labels.tolist()
+    taken = edge_set(dag)
+    eligible = [v for v in range(n) if labels[v] in labels[:v]]
+    added = set()
+
+    def place(intra):
+        for _ in range(200):
+            v = (eligible[rng.integers(len(eligible))] if intra
+                 else int(rng.integers(n)))
+            u = v - int(rng.geometric(BACK_EDGE_GAP_P))
+            if u < 0 or (intra and labels[u] != labels[v]) \
+                    or (u, v) in taken:
+                continue
+            taken.add((u, v))
+            added.add((u, v))
+            return True
+        return False
+
+    n_back = back_edge_count(dag.num_edges, r)
+    n_intra = int(rng.binomial(n_back, INTRA_COMMUNITY_P)) if eligible else 0
+    placed = sum(place(True) for _ in range(n_intra))
+    for _ in range(n_back - placed):
+        place(False)
+    return frozenset(added)
+
+
+def test_inject_matches_per_edge_rejection(make_graph):
+    # The rounds of inject_back_edges against edge-by-edge rejection: the
+    # frequencies of the placed back-edge sets agree (two-sample
+    # chi-square).  Existing old -> new edges take every gap-1 pair, so
+    # three back-edges crowd into the few pairs left, and the free
+    # intra-community ones all have gaps of 3 or more.
+    graph = make_graph(8, [(u, u + 1) for u in range(7)] + [(0, 2), (5, 7)],
+                       labels=[0, 0, 1, 1, 0, 0, 1, 1])
+    reps = 10000
+    rng = np.random.default_rng(0)
+    rounds, oracle = Counter(), Counter()
+    for seed in range(reps):
+        out = inject_back_edges(graph, 0.25, seed)
+        rounds[frozenset(edge_set(out) - edge_set(graph))] += 1
+        oracle[_inject_oracle(graph, 0.25, rng)] += 1
+    assert all(len(placed) == 3 for placed in rounds)
+    sets = set(rounds) | set(oracle)
+    stat = sum((rounds[k] - oracle[k]) ** 2 / (rounds[k] + oracle[k])
+               for k in sets)
+    assert scipy.stats.chi2.sf(stat, len(sets) - 1) > 1e-4
+
+
+def test_inject_gaps_reaching_below_node_zero(make_graph):
+    # On 12 nodes a geometric gap often exceeds v + 12, so u = v - g lies
+    # below -n, where reading labels[u] would raise.
+    graph = make_graph(12, [(i + 1, i) for i in range(11)],
+                       labels=[0, 1, 2] * 4)
+    for seed in range(50):
+        out = inject_back_edges(graph, 0.3, seed)
+        added = out.src < out.dst
+        assert added.sum() == back_edge_count(11, 0.3)
+        assert (out.src[added] >= 0).all()
 
 
 # ---------------------------------------------------------------- breaking
