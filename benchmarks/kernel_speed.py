@@ -4,7 +4,8 @@ Generates an n-node graph, injects back edges, and prints the best of
 ``--repeat`` wall-clock times for each stage: generation, back-edge
 injection, the scipy adjacency and the out-, in- and undirected CSR views
 of a fresh copy of the near-DAG (so no cached view is reused), cycle
-breaking, community detection, the sampled and exact triad census, BFS
+breaking, community detection at the battery's resolutions in one call
+(as ``profile`` makes it), the sampled and exact triad census, BFS
 subsampling to half the nodes, betweenness from sampled sources, longest
 paths, and ER, SBM and DC-SBM sampling.
 
@@ -21,7 +22,8 @@ from citegen.baselines import (fit_er, fit_sbm, generate_dcsbm, generate_er,
                                generate_sbm)
 from citegen.generator import CsParams, generate
 from citegen.graph import LabeledGraph, bfs_subsample
-from citegen.metrics.communities import detect_communities
+from citegen.metrics.battery import MetricConfig
+from citegen.metrics.communities import detect_at_resolutions
 from citegen.metrics.paths import betweenness_values, longest_path_lengths
 from citegen.metrics.triads import triad_census
 from citegen.neardag import cycle_break, inject_back_edges
@@ -73,7 +75,8 @@ def main():
         "cycle_break": lambda: cycle_break(near, 0.1, 9, "degree-diff"),
         "triad_census": lambda: triad_census(near, n_samples=200_000, seed=1),
         "triad_census_exact": lambda: triad_census(near),
-        "detect_communities": lambda: detect_communities(near, seed=2),
+        "detect_communities": lambda: detect_at_resolutions(
+            near, MetricConfig.resolutions, seed=2),
         "bfs_subsample": lambda: bfs_subsample(near, n // 2, 3),
         "betweenness": lambda: betweenness_values(near, sources=sources),
         "longest_paths": lambda: longest_path_lengths(near, np.arange(n)),

@@ -10,8 +10,10 @@ for those graphs, with and without node names, and the graph and report
 ``bfs_subsample`` at two budgets and ``longest_path_lengths`` under the
 identity and a permuted rank on each of them; ``betweenness_values``, the
 exact ``triad_census`` and one ``compare`` report on some of those
-graphs; ``generate_er`` over a grid of sizes and edge probabilities; and
-the community labels and the edge lists of ``generate``; and the out-,
+graphs; the labels and modularities ``detect_at_resolutions`` finds at
+the battery's resolutions on one of them; ``generate_er`` over a grid of
+sizes and edge probabilities; the community labels and the edge lists of
+``generate``; and the out-,
 in- and undirected CSR views and the scipy adjacency of each fixed input
 graph, dtypes included.  Run it on two checkouts and compare:
 
@@ -30,7 +32,8 @@ from citegen.generator import CsParams, generate
 from citegen.graph import (LabeledGraph, bfs_subsample, in_csr,
                            load_edge_list, out_csr, save_edge_list,
                            undirected_csr)
-from citegen.metrics.battery import compare
+from citegen.metrics.battery import MetricConfig, compare
+from citegen.metrics.communities import detect_at_resolutions
 from citegen.metrics.paths import betweenness_values, longest_path_lengths
 from citegen.metrics.triads import triad_census
 from citegen.neardag import cycle_break, inject_back_edges
@@ -146,6 +149,9 @@ def main():
     report = compare(inputs["dag2k"], inputs["dense60"])
     out["compare/dag2k/dense60"] = digest(
         np.frombuffer(report.to_tsv().encode(), np.uint8))
+    found = detect_at_resolutions(inputs["dag2k"], MetricConfig.resolutions, 15)
+    out["detect/dag2k"] = digest(*(labels for labels, _ in found),
+                                 np.array([q for _, q in found]))
 
     for n in (2, 3, 50, 1000):
         for p in (1e-6, 0.01, 0.3, 0.99, 1.0):

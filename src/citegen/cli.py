@@ -319,14 +319,15 @@ def cmd_bench(args) -> int:
     else:
         methods = tuple(methods)
     seed = _resolve_seed(opts.get("seed"))
+    defaults = bench_mod.BenchConfig
     try:
         config = bench_mod.BenchConfig(
             methods=methods,
-            replicates=int(opts.get("replicates", 50)),
+            replicates=int(opts.get("replicates", defaults.replicates)),
             seed=seed,
-            order_strategy=opts.get("order_strategy", "degree-diff"),
+            order_strategy=opts.get("order_strategy", defaults.order_strategy),
             metric=_metric_config(opts, 0),
-            threads=int(opts.get("threads", bench_mod.BenchConfig.threads)),
+            threads=int(opts.get("threads", defaults.threads)),
         )
     except bench_mod.BenchError as exc:
         raise UsageError(str(exc))
@@ -480,13 +481,17 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="NAME=EDGES[,LABELS[,TIMESTAMPS]]")
     sp.add_argument("--methods", default=None,
                     help=f"comma-separated subset of {', '.join(bench_mod.METHODS)}")
-    sp.add_argument("--replicates", type=int, default=None)
+    sp.add_argument("--replicates", type=int, default=None,
+                    help="replicates per method and dataset (default "
+                         f"{bench_mod.BenchConfig.replicates})")
     sp.add_argument("--outdir", default=None)
     sp.add_argument("--threads", type=int, default=None,
                     help="worker threads (default "
                          f"{bench_mod.BenchConfig.threads})")
     sp.add_argument("--order-strategy", default=None,
-                    choices=("degree-diff", "eades"))
+                    choices=("degree-diff", "eades"),
+                    help="node ordering for cycle breaking (default "
+                         f"{bench_mod.BenchConfig.order_strategy})")
     _add_metric_flags(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_bench)

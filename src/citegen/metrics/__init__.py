@@ -2,14 +2,14 @@
 
 from .distances import MetricError, ape, l1_triad, wasserstein1
 from .triads import TRIAD_NAMES, ffl_count, triad_census
-from .communities import detect_communities, modularity
+from .communities import detect_at_resolutions, detect_communities, modularity
 from .battery import (GraphProfile, MetricConfig, MetricEntry, MetricReport,
                       compare, distance, metric_schema, profile)
 
 __all__ = [
     "MetricError", "ape", "wasserstein1", "l1_triad",
     "TRIAD_NAMES", "triad_census", "ffl_count",
-    "detect_communities", "modularity",
+    "detect_at_resolutions", "detect_communities", "modularity",
     "MetricConfig", "MetricEntry", "MetricReport", "compare",
     "GraphProfile", "profile", "distance", "metric_schema",
 ]

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..graph import LabeledGraph, bfs_subsample, sample_pairs
 from ..neardag import order_nodes
-from .communities import (conductance, density_pair, detect_communities,
+from .communities import (conductance, density_pair, detect_at_resolutions,
                           detected_sizes, modularity, participation)
 from .distances import MetricError, ape, l1_triad, wasserstein1
 from .paths import (average_path_length, betweenness_values,
@@ -167,12 +167,13 @@ def endogenous_metrics(graph, config=None):
 
 def exogenous_metrics(graph, config, detect_seed):
     """Detected modularity and community sizes at each resolution."""
+    found = _try(detect_at_resolutions, graph, config.resolutions, detect_seed)
+    failed = isinstance(found, MetricError)
     out = {}
-    for res, tag in zip(config.resolutions, _tags(config)):
-        found = _try(detect_communities, graph, res, detect_seed)
-        ok = not isinstance(found, MetricError)
-        out[f"detected_modularity_{tag}"] = found[1] if ok else found
-        out[f"detected_sizes_{tag}"] = detected_sizes(found[0]) if ok else found
+    for i, tag in enumerate(_tags(config)):
+        out[f"detected_modularity_{tag}"] = found if failed else found[i][1]
+        out[f"detected_sizes_{tag}"] = (found if failed
+                                        else detected_sizes(found[i][0]))
     return out
 
 

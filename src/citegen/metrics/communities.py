@@ -116,9 +116,14 @@ def symmetric_modularity(graph: LabeledGraph, labels,
     return intra / two_m - resolution * float(np.sum((s / two_m) ** 2))
 
 
-def _batch_gain(indptr, indices, weights, kdeg, comm, comm_s, mv, new, scale):
-    """Objective gain of moving all of ``mv`` to ``new`` at once, in the
-    units of a lone move's gain over staying."""
+def _batch_gain(indptr, indices, weights, kdeg, comm, comm_s, mv, new, scale,
+                copy):
+    """Objective gain of moving all of ``mv`` to ``new`` at once, per copy,
+    in the units of a lone move's gain over staying.
+
+    ``copy`` is each node's copy and ``scale`` each copy's
+    ``resolution / two_m``; a community's copy is that of its movers.
+    """
     eids, lens = _row_edges(indptr, mv)
     x = indices[eids]
     after = comm.copy()
@@ -128,24 +133,52 @@ def _batch_gain(indptr, indices, weights, kdeg, comm, comm_s, mv, new, scale):
     share = np.where(after[x] != comm[x], 0.5, 1.0) * weights[eids]
     now = np.repeat(new, lens) == after[x]
     was = np.repeat(comm[mv], lens) == comm[x]
-    d_intra = np.dot(share, now.astype(np.float64) - was)
+    d_intra = np.bincount(np.repeat(copy[mv], lens),
+                          weights=share * (now.astype(np.float64) - was),
+                          minlength=scale.size)
     dsum = (np.bincount(new, weights=kdeg[mv], minlength=comm.size)
             - np.bincount(comm[mv], weights=kdeg[mv], minlength=comm.size))
-    return d_intra - 0.5 * scale * np.dot(dsum, 2.0 * comm_s + dsum)
+    ccopy = np.zeros(comm.size, np.int64)
+    ccopy[comm[mv]] = ccopy[new] = copy[mv]
+    d_null = np.bincount(ccopy, weights=dsum * (2.0 * comm_s + dsum),
+                         minlength=scale.size)
+    return d_intra - 0.5 * scale * d_null
 
 
-def _local_moving(indptr, indices, weights, kdeg, two_m, resolution, rng,
-                  comm=None):
+def _conflict_free(indptr, indices, mv, src, dst, gain):
+    """Which movers to keep so that the kept gains add exactly.
+
+    A mover of ``mv`` (from community ``src`` to ``dst`` for ``gain``) is
+    kept if it outranks, by gain and then node id, every mover that shares
+    its source or target community and every neighbouring mover.  Kept
+    movers share no edge and no community, and the top one is always kept.
+    """
+    n = indptr.size - 1
+    rank = np.empty(mv.size, np.int64)
+    rank[np.lexsort((mv, -gain))] = np.arange(mv.size)
+    top = np.full(n, mv.size)
+    np.minimum.at(top, np.r_[src, dst], np.r_[rank, rank])
+    node_rank = np.full(n, mv.size)
+    node_rank[mv] = rank
+    eids, lens = _row_edges(indptr, mv)
+    nbr = np.minimum.reduceat(node_rank[indices[eids]], np.cumsum(lens) - lens)
+    return (top[src] == rank) & (top[dst] == rank) & (nbr > rank)
+
+
+def _local_moving(indptr, indices, weights, kdeg, scale, copy, rng, comm=None):
     """Synchronous local moving from ``comm`` (default: singletons);
     returns each node's community.
 
-    Each round, every active node picks its best neighbouring community.
-    A seeded random half of the improving moves is applied if together
-    they gain, else the best one alone, so the objective rises each round.
+    Node ``v`` belongs to copy ``copy[v]``, whose objective is weighed by
+    ``scale[copy[v]]``; communities never span copies.  Each round, every
+    active node picks its best neighbouring community.  In each copy, a
+    seeded random half of the improving moves is applied if together they
+    gain, else its conflict-free movers, so every copy's objective rises
+    each round it moves.
     """
     n = kdeg.size
     comm = np.arange(n, dtype=np.int64) if comm is None else comm.copy()
-    scale = resolution / two_m
+    node_scale = scale[copy]
     active = np.flatnonzero(indptr[1:] > indptr[:-1])
     while active.size:
         comm_s = np.bincount(comm, weights=kdeg, minlength=n)
@@ -155,12 +188,12 @@ def _local_moving(indptr, indices, weights, kdeg, two_m, resolution, rng,
         w = np.bincount(inv, weights=weights[eids])
         v, c = pair // n, pair % n
         own = c == comm[v]
-        gain = w - scale * kdeg[v] * (comm_s[c] - own * kdeg[v])
+        gain = w - node_scale[v] * kdeg[v] * (comm_s[c] - own * kdeg[v])
         first = np.r_[True, v[1:] != v[:-1]]
         starts, grp = np.flatnonzero(first), np.cumsum(first) - 1
         nodes, src = v[starts], comm[v[starts]]
         # staying means rejoining the own community with the node taken out
-        stay = -scale * kdeg[nodes] * (comm_s[src] - kdeg[nodes])
+        stay = -node_scale[nodes] * kdeg[nodes] * (comm_s[src] - kdeg[nodes])
         stay[grp[own]] = gain[own]
         gain[own] = -np.inf
         best = np.maximum.reduceat(gain, starts)
@@ -173,10 +206,17 @@ def _local_moving(indptr, indices, weights, kdeg, two_m, resolution, rng,
         if movers.size == 0:
             break
         go = rng.random(movers.size) < _MOVE_FRACTION
-        if go.sum() < 2 or _batch_gain(
-                indptr, indices, weights, kdeg, comm, comm_s,
-                nodes[movers[go]], target[movers[go]], scale) <= _GAIN_TOL:
-            go = np.arange(movers.size) == np.argmax((best - stay)[movers])
+        mover_copy = copy[nodes[movers]]
+        ok = np.bincount(mover_copy[go], minlength=scale.size) >= 2
+        if ok.any():
+            ok &= _batch_gain(indptr, indices, weights, kdeg, comm, comm_s,
+                              nodes[movers[go]], target[movers[go]], scale,
+                              copy) > _GAIN_TOL
+        redo = ~ok[mover_copy]
+        if redo.any():
+            m = movers[redo]
+            go[redo] = _conflict_free(indptr, indices, nodes[m], src[m],
+                                      target[m], (best - stay)[m])
         mv = nodes[movers[go]]
         comm[mv] = target[movers[go]]
         # next: the movers' neighbours and the moves held back
@@ -187,39 +227,58 @@ def _local_moving(indptr, indices, weights, kdeg, two_m, resolution, rng,
     return comm
 
 
-def detect_communities(graph: LabeledGraph, resolution: float = 1.0,
-                       seed=0):
-    """Label-blind greedy modularity maximization (Louvain scheme).
+def _copies(csr, count):
+    """CSR of the disjoint union of ``count`` copies of the graph ``csr``;
+    node ``i`` of copy ``r`` is ``r * n + i``."""
+    indptr, indices, weights = csr
+    shift = np.arange(count)[:, None]
+    return (np.r_[(indptr[:-1] + indices.size * shift).ravel(),
+                  count * indices.size],
+            (indices + (indptr.size - 1) * shift).ravel(),
+            np.tile(weights, count))
 
-    Seeded synchronous local moving on the symmetrized weighted graph and
-    community aggregation, repeated until no move improves the objective,
-    then one more local moving on the input graph from that partition, so
-    that nodes merged into a community at a coarse level can still leave
-    it.  Returns (labels, achieved modularity at this resolution).
+
+def detect_at_resolutions(graph: LabeledGraph, resolutions, seed=0):
+    """Label-blind greedy modularity maximization (Louvain scheme) at each
+    of ``resolutions``; returns one (labels, modularity) per resolution.
+
+    One run covers every resolution: it works on the disjoint union of one
+    copy of the symmetrized weighted graph per resolution (node ``i`` of
+    copy ``r`` is ``r * n + i``), and since communities never span copies,
+    each copy is a Louvain run at its own resolution.  Seeded synchronous
+    local moving and community aggregation repeat until no move improves
+    the objective, then one more local moving on the input graph from that
+    partition lets nodes merged into a community at a coarse level leave
+    it.  Labels are dense per resolution, and the modularity is the one
+    achieved at that resolution.
     """
     n = graph.num_nodes
     if n == 0:
         raise MetricError("empty graph")
-    mapping = np.arange(n, dtype=np.int64)
-    if graph.num_edges == 0:
-        return mapping, 0.0
+    if graph.num_edges == 0 or len(resolutions) == 0:
+        return [(np.arange(n, dtype=np.int64), 0.0) for _ in resolutions]
     rng = np.random.default_rng(seed)
-    indptr, indices, weights = graph.undirected_csr
-    selfw = np.zeros(n, np.float64)
-    two_m = weights.sum()
+    n_res = len(resolutions)
+    two_m = graph.undirected_csr[2].sum()
+    scale = np.asarray(resolutions, np.float64) / two_m
+    indptr, indices, weights = _copies(graph.undirected_csr, n_res)
+    copy = np.repeat(np.arange(n_res), n)
+    mapping = np.arange(n_res * n, dtype=np.int64)
+    selfw = np.zeros(n_res * n, np.float64)
     level0 = None
     while True:
         n_cur = indptr.size - 1
         rows = np.repeat(np.arange(n_cur), np.diff(indptr))
         kdeg = np.bincount(rows, weights=weights, minlength=n_cur) + selfw
         if level0 is None:
-            level0 = indptr, indices, weights, kdeg
-        comm = _local_moving(indptr, indices, weights, kdeg, two_m,
-                             float(resolution), rng)
+            level0 = indptr, indices, weights, kdeg, scale, copy
+        comm = _local_moving(indptr, indices, weights, kdeg, scale, copy, rng)
         uniq, compact = np.unique(comm, return_inverse=True)
         mapping = compact[mapping]
         if uniq.size == n_cur:
             break
+        # a community's label is a node of its copy at this level
+        copy = copy[uniq]
         nc = uniq.size
         cu = compact[rows]
         cv = compact[indices]
@@ -235,10 +294,19 @@ def detect_communities(graph: LabeledGraph, resolution: float = 1.0,
         indptr = np.zeros(nc + 1, np.int64)
         np.cumsum(counts, out=indptr[1:])
         indices, weights, selfw = indices_new, w_new, new_selfw
-    comm = _local_moving(*level0, two_m, float(resolution), rng, mapping)
-    mapping = np.unique(comm, return_inverse=True)[1]
-    q = symmetric_modularity(graph, mapping, resolution)
-    return mapping, q
+    comm = _local_moving(*level0, rng, mapping)
+    out = []
+    for r, resolution in enumerate(resolutions):
+        labels = np.unique(comm[r * n:(r + 1) * n], return_inverse=True)[1]
+        out.append((labels, symmetric_modularity(graph, labels, resolution)))
+    return out
+
+
+def detect_communities(graph: LabeledGraph, resolution: float = 1.0,
+                       seed=0):
+    """``detect_at_resolutions`` at the one ``resolution``: (labels,
+    achieved modularity at this resolution)."""
+    return detect_at_resolutions(graph, (resolution,), seed)[0]
 
 
 def detected_sizes(labels: np.ndarray) -> np.ndarray:

@@ -26,8 +26,8 @@ def test_kernel_speed_script_prints_timing_table():
     assert lines[0].startswith("n=2000, edges=")
     assert lines[1].split() == ["stage", "best", "[s]"]
     rows = dict(line.split() for line in lines[2:])
-    assert {"generate", "bfs_subsample", "longest_paths",
-            "graph_views"} <= rows.keys()
+    assert {"generate", "bfs_subsample", "longest_paths", "graph_views",
+            "detect_communities"} <= rows.keys()
     assert len(rows) == 13
     assert all(float(t) >= 0 for t in rows.values())
 
@@ -38,5 +38,6 @@ def test_output_digests_script_runs():
         env=script_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 217
+    assert len(lines) == 218
     assert all(len(line.split()) == 2 for line in lines)
+    assert any(line.startswith("detect/dag2k ") for line in lines)

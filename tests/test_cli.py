@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from citegen import bench as bench_mod
+from citegen.bench import BenchConfig
 from citegen.cli import main
 from citegen.generator import CsParams, generate
 from citegen.graph import is_acyclic, load_edge_list, save_edge_list, save_labels
@@ -202,6 +204,26 @@ def test_bench_cli_artifacts_reproducible(cli_files, tmp_path, capsys):
              "mean_ranks_non_endogenous.tsv", "wtl_non_endogenous.tsv"]
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_bench_cli_passes_the_config_defaults(cli_files, monkeypatch):
+    seen = []
+
+    def stop(datasets, config):
+        seen.append(config)
+        raise RuntimeError("stop before running")
+
+    monkeypatch.setattr(bench_mod, "run_bench", stop)
+    # changed defaults show that the CLI reads them rather than restating them
+    monkeypatch.setattr(BenchConfig, "replicates", 7)
+    monkeypatch.setattr(BenchConfig, "order_strategy", "eades")
+    assert main(["bench", "--dataset", f"one={cli_files['edges']}",
+                 "--seed", "3"]) == 1
+    config, = seen
+    assert config.methods == BenchConfig.methods
+    assert config.replicates == 7
+    assert config.order_strategy == "eades"
+    assert config.threads == BenchConfig.threads
 
 
 def test_validate_theory_table(tmp_path, capsys):

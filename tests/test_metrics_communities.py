@@ -5,9 +5,14 @@ import pytest
 
 from citegen.generator import generate
 from citegen.graph import LabeledGraph, undirected_csr
+from citegen.metrics import battery
 from citegen.metrics.communities import (
+    _batch_gain,
+    _conflict_free,
+    _copies,
     conductance,
     density_pair,
+    detect_at_resolutions,
     detect_communities,
     detected_sizes,
     modularity,
@@ -323,3 +328,156 @@ def test_detect_communities_degenerate_inputs(make_graph):
 
 def test_detected_sizes():
     assert detected_sizes(np.array([0, 0, 1, 2, 2])).tolist() == [2, 1, 2]
+
+
+@pytest.fixture(scope="module")
+def oracle_q_1k(near_dags_1k):
+    """5-seed mean oracle modularity per (graph, resolution)."""
+    return [[np.mean([scalar_louvain_oracle(graph, res, s)[1]
+                      for s in range(5)]) for res in RESOLUTIONS]
+            for graph in near_dags_1k]
+
+
+def test_detect_at_resolutions_matches_scalar_oracle_quality(near_dags_1k,
+                                                             oracle_q_1k):
+    for graph, q_ref in zip(near_dags_1k, oracle_q_1k):
+        q_new = np.mean([[q for _, q in detect_at_resolutions(
+            graph, RESOLUTIONS, s)] for s in range(5)], axis=0)
+        assert (q_new >= np.array(q_ref) - 0.005).all(), (q_new, q_ref)
+
+
+def test_detect_at_resolutions_dense_labels_and_exact_q(near_dags_1k):
+    for graph in near_dags_1k:
+        found = detect_at_resolutions(graph, RESOLUTIONS, 7)
+        assert len(found) == len(RESOLUTIONS)
+        again = detect_at_resolutions(graph, RESOLUTIONS, 7)
+        for (labels, q), (labels_b, q_b), res in zip(found, again, RESOLUTIONS):
+            assert np.array_equal(labels, labels_b) and q == q_b
+            assert labels.dtype == np.int64
+            assert labels.shape == (graph.num_nodes,)
+            assert np.array_equal(np.unique(labels),
+                                  np.arange(int(labels.max()) + 1))
+            assert q == symmetric_modularity(graph, labels, res)
+
+
+def test_detect_at_resolutions_degenerate_inputs(make_graph, dag_graph):
+    cliques = make_graph(10, clique_pair_edges())
+    assert detect_at_resolutions(cliques, (), 0) == []
+    config = battery.MetricConfig(resolutions=(), n_pairs=50, n_sources=10)
+    values = battery.profile(dag_graph, config).values
+    assert not [name for name in values if name.startswith("detected_")]
+    repeated = (1.0, 0.5, 1.0)
+    found = detect_at_resolutions(cliques, repeated, 2)
+    assert len(found) == 3
+    for (labels, q), res in zip(found, repeated):
+        assert q == symmetric_modularity(cliques, labels, res)
+    assert found[0][1] == found[2][1] == pytest.approx(0.5)
+    edgeless = make_graph(4, [])
+    found = detect_at_resolutions(edgeless, RESOLUTIONS, 0)
+    assert [(labels.tolist(), q) for labels, q in found] == \
+        [([0, 1, 2, 3], 0.0)] * 3
+    with pytest.raises(MetricError, match="empty"):
+        detect_at_resolutions(make_graph(0, []), RESOLUTIONS, 0)
+
+
+def union_objective(indptr, indices, weights, kdeg, comm, copy, scale):
+    """Per-copy objective 0.5 * intra weight - 0.5 * scale * sum_c S_c^2,
+    from its definition; a lone move's gain is its difference."""
+    rows = np.repeat(np.arange(kdeg.size), np.diff(indptr))
+    intra = comm[rows] == comm[indices]
+    out = []
+    for r, sc in enumerate(scale):
+        mine = copy == r
+        s_c = np.bincount(comm[mine], weights=kdeg[mine])
+        out.append(0.5 * weights[intra & mine[rows]].sum()
+                   - 0.5 * sc * np.sum(s_c * s_c))
+    return np.array(out)
+
+
+def random_union_state(rng, final_pass):
+    """A union of three copies of a random graph and a partition of it in
+    which no community spans copies.
+
+    Labels are node ids of the community's copy, or, with ``final_pass``,
+    compact ids numbered across copies as the final pass sees them, where
+    a label's copy is not the copy of the node with that id.
+    """
+    n = int(rng.integers(6, 16))
+    adj = rng.random((n, n)) < 0.3
+    np.fill_diagonal(adj, False)
+    src, dst = np.nonzero(adj)
+    graph = LabeledGraph(num_nodes=n, src=src, dst=dst)
+    indptr, indices, weights = _copies(graph.undirected_csr, 3)
+    copy = np.repeat(np.arange(3), n)
+    kdeg = np.bincount(np.repeat(np.arange(3 * n), np.diff(indptr)),
+                       weights=weights, minlength=3 * n)
+    if final_pass:
+        k = rng.integers(1, n + 1, 3)
+        pools = np.split(np.arange(k.sum()), np.cumsum(k)[:-1])
+    else:
+        pools = [r * n + rng.choice(n, int(rng.integers(1, n + 1)),
+                                    replace=False) for r in range(3)]
+    comm = np.concatenate([rng.choice(pool, n) for pool in pools])
+    return indptr, indices, weights, kdeg, comm, copy, pools
+
+
+def random_moves(rng, indptr, comm, copy, pools):
+    """Distinct movers with edges, each to another label of its copy."""
+    has_edges = np.flatnonzero(np.diff(indptr) > 0)
+    movers = np.sort(rng.choice(has_edges, int(rng.integers(
+        1, has_edges.size + 1)), replace=False))
+    new = np.array([rng.choice(pools[copy[v]]) for v in movers])
+    keep = new != comm[movers]
+    return movers[keep], new[keep]
+
+
+@pytest.mark.parametrize("final_pass", [False, True])
+def test_batch_gain_matches_per_copy_objective(final_pass):
+    rng = np.random.default_rng(23 + final_pass)
+    scale = np.array(RESOLUTIONS) / 37.0
+    for _ in range(200):
+        indptr, indices, weights, kdeg, comm, copy, pools = \
+            random_union_state(rng, final_pass)
+        movers, new = random_moves(rng, indptr, comm, copy, pools)
+        if movers.size == 0:
+            continue
+        after = comm.copy()
+        after[movers] = new
+        comm_s = np.bincount(comm, weights=kdeg, minlength=comm.size)
+        got = _batch_gain(indptr, indices, weights, kdeg, comm, comm_s,
+                          movers, new, scale, copy)
+        want = (union_objective(indptr, indices, weights, kdeg, after, copy,
+                                scale)
+                - union_objective(indptr, indices, weights, kdeg, comm, copy,
+                                  scale))
+        assert got == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("final_pass", [False, True])
+def test_conflict_free_gains_add_exactly(final_pass):
+    rng = np.random.default_rng(31 + final_pass)
+    scale = np.array(RESOLUTIONS) / 29.0
+    for _ in range(200):
+        indptr, indices, weights, kdeg, comm, copy, pools = \
+            random_union_state(rng, final_pass)
+        movers, new = random_moves(rng, indptr, comm, copy, pools)
+        if movers.size == 0:
+            continue
+        comm_s = np.bincount(comm, weights=kdeg, minlength=comm.size)
+        single = np.array([_batch_gain(indptr, indices, weights, kdeg, comm,
+                                       comm_s, movers[i:i + 1], new[i:i + 1],
+                                       scale, copy)[copy[v]]
+                           for i, v in enumerate(movers)])
+        kept = _conflict_free(indptr, indices, movers, comm[movers], new,
+                              single)
+        top = np.lexsort((movers, -single))[0]
+        assert kept[top]
+        mv = movers[kept]
+        touched = np.r_[comm[mv], new[kept]]
+        assert np.unique(touched).size == touched.size
+        rows = np.repeat(np.arange(kdeg.size), np.diff(indptr))
+        assert not np.isin(indices[np.isin(rows, mv)], mv).any()
+        joint = _batch_gain(indptr, indices, weights, kdeg, comm, comm_s, mv,
+                            new[kept], scale, copy)
+        want = np.bincount(copy[mv], weights=single[kept], minlength=3)
+        assert joint == pytest.approx(want, abs=1e-9)
