@@ -113,6 +113,12 @@ class LabeledGraph:
         _read_only(adj.data, adj.indices, adj.indptr)
         return adj
 
+    @cached_property
+    def detections(self) -> dict:
+        """Community detections on this graph, kept and read by
+        ``metrics.communities.detect_at_resolutions``."""
+        return {}
+
 
 def _read_only(*arrays) -> tuple:
     for a in arrays:

@@ -10,7 +10,8 @@ import numpy as np
 from ..graph import LabeledGraph, bfs_subsample, sample_pairs
 from ..neardag import order_nodes
 from .communities import (conductance, density_pair, detect_at_resolutions,
-                          detected_sizes, modularity, participation)
+                          detect_communities, detected_sizes, modularity,
+                          participation)
 from .distances import MetricError, ape, l1_triad, wasserstein1
 from .paths import (average_path_length, betweenness_values,
                     effective_diameter, longest_path_lengths, pair_distances,
@@ -166,14 +167,18 @@ def endogenous_metrics(graph, config=None):
 
 
 def exogenous_metrics(graph, config, detect_seed):
-    """Detected modularity and community sizes at each resolution."""
-    found = _try(detect_at_resolutions, graph, config.resolutions, detect_seed)
-    failed = isinstance(found, MetricError)
+    """Detected modularity and community sizes at each resolution.
+
+    One batched run detects at every resolution; the graph keeps its
+    results, so each resolution's ``detect_communities`` call reads them.
+    """
+    _try(detect_at_resolutions, graph, config.resolutions, detect_seed)
     out = {}
-    for i, tag in enumerate(_tags(config)):
-        out[f"detected_modularity_{tag}"] = found if failed else found[i][1]
-        out[f"detected_sizes_{tag}"] = (found if failed
-                                        else detected_sizes(found[i][0]))
+    for res, tag in zip(config.resolutions, _tags(config)):
+        found = _try(detect_communities, graph, res, detect_seed)
+        ok = not isinstance(found, MetricError)
+        out[f"detected_modularity_{tag}"] = found[1] if ok else found
+        out[f"detected_sizes_{tag}"] = detected_sizes(found[0]) if ok else found
     return out
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph import LabeledGraph, _row_edges
+from ..graph import LabeledGraph, _read_only, _row_edges
 from .distances import MetricError
 
 _MOVE_FRACTION = 0.5  # share of a round's improving moves that is applied
@@ -165,16 +165,18 @@ def _conflict_free(indptr, indices, mv, src, dst, gain):
     return (top[src] == rank) & (top[dst] == rank) & (nbr > rank)
 
 
-def _local_moving(indptr, indices, weights, kdeg, scale, copy, rng, comm=None):
+def _local_moving(indptr, indices, weights, kdeg, scale, copy, rngs,
+                  comm=None):
     """Synchronous local moving from ``comm`` (default: singletons);
     returns each node's community.
 
     Node ``v`` belongs to copy ``copy[v]``, whose objective is weighed by
-    ``scale[copy[v]]``; communities never span copies.  Each round, every
-    active node picks its best neighbouring community.  In each copy, a
-    seeded random half of the improving moves is applied if together they
-    gain, else its conflict-free movers, so every copy's objective rises
-    each round it moves.
+    ``scale[copy[v]]`` and whose random draws come from ``rngs[copy[v]]``;
+    communities never span copies, and copies occupy ascending ranges of
+    node ids.  Each round, every active node picks its best neighbouring
+    community.  In each copy, a random half of the improving moves is
+    applied if together they gain, else its conflict-free movers, so every
+    copy's objective rises each round it moves.
     """
     n = kdeg.size
     comm = np.arange(n, dtype=np.int64) if comm is None else comm.copy()
@@ -205,8 +207,13 @@ def _local_moving(indptr, indices, weights, kdeg, scale, copy, rng, comm=None):
             (size[src] == 1) & (size[target] == 1) & (target > src)))
         if movers.size == 0:
             break
-        go = rng.random(movers.size) < _MOVE_FRACTION
         mover_copy = copy[nodes[movers]]
+        # movers ascend by node id, so by copy; a copy without movers draws
+        # nothing, as a run on that copy alone would have stopped
+        go = np.concatenate([
+            rngs[r].random(k) for r, k in enumerate(
+                np.bincount(mover_copy, minlength=scale.size)) if k
+        ]) < _MOVE_FRACTION
         ok = np.bincount(mover_copy[go], minlength=scale.size) >= 2
         if ok.any():
             ok &= _batch_gain(indptr, indices, weights, kdeg, comm, comm_s,
@@ -238,27 +245,12 @@ def _copies(csr, count):
             np.tile(weights, count))
 
 
-def detect_at_resolutions(graph: LabeledGraph, resolutions, seed=0):
-    """Label-blind greedy modularity maximization (Louvain scheme) at each
-    of ``resolutions``; returns one (labels, modularity) per resolution.
-
-    One run covers every resolution: it works on the disjoint union of one
-    copy of the symmetrized weighted graph per resolution (node ``i`` of
-    copy ``r`` is ``r * n + i``), and since communities never span copies,
-    each copy is a Louvain run at its own resolution.  Seeded synchronous
-    local moving and community aggregation repeat until no move improves
-    the objective, then one more local moving on the input graph from that
-    partition lets nodes merged into a community at a coarse level leave
-    it.  Labels are dense per resolution, and the modularity is the one
-    achieved at that resolution.
-    """
+def _louvain(graph: LabeledGraph, resolutions, seed):
+    """One (labels, modularity) per resolution, from one Louvain run on the
+    disjoint union of one copy of the graph per resolution."""
     n = graph.num_nodes
-    if n == 0:
-        raise MetricError("empty graph")
-    if graph.num_edges == 0 or len(resolutions) == 0:
-        return [(np.arange(n, dtype=np.int64), 0.0) for _ in resolutions]
-    rng = np.random.default_rng(seed)
     n_res = len(resolutions)
+    rngs = [np.random.default_rng(seed) for _ in range(n_res)]
     two_m = graph.undirected_csr[2].sum()
     scale = np.asarray(resolutions, np.float64) / two_m
     indptr, indices, weights = _copies(graph.undirected_csr, n_res)
@@ -272,7 +264,7 @@ def detect_at_resolutions(graph: LabeledGraph, resolutions, seed=0):
         kdeg = np.bincount(rows, weights=weights, minlength=n_cur) + selfw
         if level0 is None:
             level0 = indptr, indices, weights, kdeg, scale, copy
-        comm = _local_moving(indptr, indices, weights, kdeg, scale, copy, rng)
+        comm = _local_moving(indptr, indices, weights, kdeg, scale, copy, rngs)
         uniq, compact = np.unique(comm, return_inverse=True)
         mapping = compact[mapping]
         if uniq.size == n_cur:
@@ -294,12 +286,60 @@ def detect_at_resolutions(graph: LabeledGraph, resolutions, seed=0):
         indptr = np.zeros(nc + 1, np.int64)
         np.cumsum(counts, out=indptr[1:])
         indices, weights, selfw = indices_new, w_new, new_selfw
-    comm = _local_moving(*level0, rng, mapping)
+    comm = _local_moving(*level0, rngs, mapping)
     out = []
     for r, resolution in enumerate(resolutions):
         labels = np.unique(comm[r * n:(r + 1) * n], return_inverse=True)[1]
+        labels.setflags(write=False)
         out.append((labels, symmetric_modularity(graph, labels, resolution)))
     return out
+
+
+def _kept_runs(graph: LabeledGraph, seed) -> dict:
+    """The graph's kept detections at ``seed``, by resolution.
+
+    The graph keeps those of its latest seed only.  A seed that does not
+    fix the random streams (None, a Generator) gets a throwaway dict.
+    """
+    if not isinstance(seed, (int, np.integer, np.random.SeedSequence)):
+        return {}
+    key = seed if isinstance(seed, np.random.SeedSequence) else int(seed)
+    kept = graph.detections
+    if key not in kept:
+        kept.clear()
+        kept[key] = {}
+    return kept[key]
+
+
+def detect_at_resolutions(graph: LabeledGraph, resolutions, seed=0):
+    """Label-blind greedy modularity maximization (Louvain scheme) at each
+    of ``resolutions``; returns one (labels, modularity) per resolution.
+
+    One run covers every resolution: it works on the disjoint union of one
+    copy of the symmetrized weighted graph per resolution (node ``i`` of
+    copy ``r`` is ``r * n + i``).  Communities never span copies and each
+    copy draws from its own generator seeded with ``seed``, so each copy's
+    result is exactly that of a run at its resolution alone.  Seeded
+    synchronous local moving and community aggregation repeat until no
+    move improves the objective, then one more local moving on the input
+    graph from that partition lets nodes merged into a community at a
+    coarse level leave it.  Labels are dense and read-only, and the
+    modularity is the one achieved at that resolution.
+
+    The graph keeps the results of its latest seed (see ``_kept_runs``),
+    so a later call at that seed runs only the resolutions not yet found.
+    """
+    if graph.num_nodes == 0:
+        raise MetricError("empty graph")
+    runs = _kept_runs(graph, seed)
+    todo = [r for r in dict.fromkeys(map(float, resolutions)) if r not in runs]
+    if graph.num_edges == 0:
+        found = [(_read_only(np.arange(graph.num_nodes, dtype=np.int64))[0],
+                  0.0) for _ in todo]
+    else:
+        found = _louvain(graph, todo, seed) if todo else []
+    runs.update(zip(todo, found))
+    return [runs[float(r)] for r in resolutions]
 
 
 def detect_communities(graph: LabeledGraph, resolution: float = 1.0,

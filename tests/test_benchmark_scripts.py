@@ -27,7 +27,7 @@ def test_kernel_speed_script_prints_timing_table():
     assert lines[1].split() == ["stage", "best", "[s]"]
     rows = dict(line.split() for line in lines[2:])
     assert {"generate", "bfs_subsample", "longest_paths", "graph_views",
-            "detect_communities"} <= rows.keys()
+            "detect_at_resolutions"} <= rows.keys()
     assert len(rows) == 13
     assert all(float(t) >= 0 for t in rows.values())
 

@@ -149,8 +149,8 @@ GOLDEN_SKIP_TSV = {
         "gt_out_participation\tmeso-endogenous\tW1\t0.3780555555555556\t0\t\n"
         "detected_modularity_r100\tmeso-exogenous\tAPE\t0.038446294094332124\t0\t\n"
         "detected_sizes_r100\tmeso-exogenous\tW1\t0.6666666666666666\t0\t\n"
-        "detected_modularity_r050\tmeso-exogenous\tAPE\t0.016646848989298357\t0\t\n"
-        "detected_sizes_r050\tmeso-exogenous\tW1\t6.0\t0\t\n"
+        "detected_modularity_r050\tmeso-exogenous\tAPE\t0.0\t0\t\n"
+        "detected_sizes_r050\tmeso-exogenous\tW1\t12.0\t0\t\n"
         "detected_modularity_r200\tmeso-exogenous\tAPE\t2.6932223543400706\t0\t\n"
         "detected_sizes_r200\tmeso-exogenous\tW1\t1.2571428571428571\t0\t\n"
         "global_clustering\tlocal\tAPE\t\t1\tAPE undefined for a zero reference value\n"
@@ -178,8 +178,8 @@ GOLDEN_SKIP_TSV = {
         "gt_out_participation\tmeso-endogenous\tW1\t\t1\tground-truth labels unavailable\n"
         "detected_modularity_r100\tmeso-exogenous\tAPE\t0.7260865139949111\t0\t\n"
         "detected_sizes_r100\tmeso-exogenous\tW1\t0.8333333333333334\t0\t\n"
-        "detected_modularity_r050\tmeso-exogenous\tAPE\t0.01637426900584786\t0\t\n"
-        "detected_sizes_r050\tmeso-exogenous\tW1\t5.0\t0\t\n"
+        "detected_modularity_r050\tmeso-exogenous\tAPE\t0.0\t0\t\n"
+        "detected_sizes_r050\tmeso-exogenous\tW1\t15.0\t0\t\n"
         "detected_modularity_r200\tmeso-exogenous\tAPE\t4.023820224719104\t0\t\n"
         "detected_sizes_r200\tmeso-exogenous\tW1\t1.1904761904761905\t0\t\n"
         "global_clustering\tlocal\tAPE\t1.0\t0\t\n"
@@ -225,7 +225,7 @@ GOLDEN_SKIP_TSV = {
 # As GOLDEN_SKIP_TSV, for a pair that uses every sampling seed: both graphs
 # are subsampled, and pairs, sources and census triples are sampled.  The
 # inputs come from `generate` and `inject_back_edges` and the detected rows
-# from `detect_at_resolutions`; after a change to any of them, the unsplit
+# from `detect_communities`; after a change to any of them, the unsplit
 # battery of the git history, given the same inputs and detector, is the
 # oracle that recomputes these values.
 GOLDEN_SAMPLED_TSV = (
@@ -243,12 +243,12 @@ GOLDEN_SAMPLED_TSV = (
     "gt_intra_density\tmeso-endogenous\tAPE\t0.09562175431810357\t0\t\n"
     "gt_in_participation\tmeso-endogenous\tW1\t0.03415758476414998\t0\t\n"
     "gt_out_participation\tmeso-endogenous\tW1\t0.02973427092963754\t0\t\n"
-    "detected_modularity_r100\tmeso-exogenous\tAPE\t0.09683469093494336\t0\t\n"
-    "detected_sizes_r100\tmeso-exogenous\tW1\t6.892857142857143\t0\t\n"
-    "detected_modularity_r050\tmeso-exogenous\tAPE\t0.023999744097305837\t0\t\n"
-    "detected_sizes_r050\tmeso-exogenous\tW1\t2.0\t0\t\n"
-    "detected_modularity_r200\tmeso-exogenous\tAPE\t0.08183143315657852\t0\t\n"
-    "detected_sizes_r200\tmeso-exogenous\tW1\t0.7402597402597406\t0\t\n"
+    "detected_modularity_r100\tmeso-exogenous\tAPE\t0.0570757191528695\t0\t\n"
+    "detected_sizes_r100\tmeso-exogenous\tW1\t5.972222222222222\t0\t\n"
+    "detected_modularity_r050\tmeso-exogenous\tAPE\t0.021260845479229795\t0\t\n"
+    "detected_sizes_r050\tmeso-exogenous\tW1\t100.0\t0\t\n"
+    "detected_modularity_r200\tmeso-exogenous\tAPE\t0.02512680360220638\t0\t\n"
+    "detected_sizes_r200\tmeso-exogenous\tW1\t1.038095238095238\t0\t\n"
     "global_clustering\tlocal\tAPE\t0.04570837988826805\t0\t\n"
     "ffl_count\tlocal\tAPE\t0.244\t0\t\n"
     "local_clustering_dist\tlocal\tW1\t0.017257312510440465\t0\t\n"
@@ -328,18 +328,18 @@ def test_distance_rejects_profiles_of_different_configs(make_graph):
 
 def test_self_comparison_builds_one_profile(near_dag_graph, monkeypatch):
     calls = []
-    detect = battery.detect_at_resolutions
+    detect = battery.detect_communities
 
     def counting(graph, *args, **kwargs):
         calls.append(graph)
         return detect(graph, *args, **kwargs)
 
-    monkeypatch.setattr(battery, "detect_at_resolutions", counting)
+    monkeypatch.setattr(battery, "detect_communities", counting)
     config = MetricConfig(n_pairs=100, n_sources=20)
     compare(near_dag_graph, near_dag_graph, config)
-    assert len(calls) == 1
-    compare(near_dag_graph, strip_labels(near_dag_graph), config)
     assert len(calls) == 3
+    compare(near_dag_graph, strip_labels(near_dag_graph), config)
+    assert len(calls) == 9
 
 
 def test_density_pair_runs_once_per_labelled_profile(make_graph, monkeypatch):
