@@ -5,7 +5,7 @@ from .baselines import (BaselineError, ConfigFit, ErFit, SbmFit, fit_config,
                         generate_er, generate_sbm)
 from .bench import BenchConfig, BenchError, BenchResult, run_bench, write_artifacts
 from .estimation import (CommunityStats, EstimationError, FitResult,
-                         community_stats, estimate, gini, roundtrip_report)
+                         community_stats, estimate, gini)
 from .generator import (CsParams, DerivedParams, ParamError, derive,
                         effective_preferentiality, empirical_ccdf,
                         expected_indegree, generate, ks_to_pareto2,
@@ -39,7 +39,7 @@ __all__ = [
     "generate_er", "generate_sbm", "gini", "induced_subgraph", "inject_back_edges",
     "is_acyclic", "ks_to_pareto2", "load_edge_list", "load_labels",
     "load_timestamps", "mann_whitney", "order_nodes", "pareto2_ccdf",
-    "profile", "prune_unlabeled", "rank_blocks", "roundtrip_report", "run_bench",
+    "profile", "prune_unlabeled", "rank_blocks", "run_bench",
     "sample_pairs", "save_edge_list", "save_labels", "wtl_matrix",
     "write_artifacts",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LabeledGraph, _place_edges, _sorted_unique
+from .graph import LabeledGraph, _label_groups, _place_edges, _sorted_unique
 
 log = logging.getLogger(__name__)
 
@@ -148,21 +148,15 @@ class SbmFit:
         return np.bincount(self.labels, minlength=self.k)
 
 
-def fit_sbm(graph: LabeledGraph, labels: np.ndarray = None) -> SbmFit:
-    labels = graph.labels if labels is None else np.asarray(labels, np.int64)
-    if labels is None or labels.shape[0] != graph.num_nodes:
+def fit_sbm(graph: LabeledGraph) -> SbmFit:
+    labels = graph.labels
+    if labels is None:
         raise BaselineError("every node needs a block label")
     k = int(labels.max()) + 1
     pair_keys = labels[graph.src] * k + labels[graph.dst]
     block_edges = np.bincount(pair_keys, minlength=k * k).reshape(k, k)
     return SbmFit(labels=labels, block_edges=block_edges,
                   d_out=graph.d_out, d_in=graph.d_in)
-
-
-def _block_members(labels: np.ndarray, k: int):
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(k + 1))
-    return [order[bounds[c]:bounds[c + 1]] for c in range(k)]
 
 
 def _urn_draw(pool_src, pool_dst, n, rng):
@@ -182,7 +176,8 @@ def _generate_blockmodel(fit: SbmFit, seed, degree_corrected: bool):
     rng = np.random.default_rng(seed)
     k = fit.k
     n = fit.labels.size
-    members = _block_members(fit.labels, k)
+    order, bounds = _label_groups(fit.labels, k)
+    members = [order[bounds[c]:bounds[c + 1]] for c in range(k)]
     sizes = fit.sizes
     if degree_corrected:
         out_urns = [np.repeat(members[a], fit.d_out[members[a]]) for a in range(k)]

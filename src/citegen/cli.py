@@ -402,7 +402,9 @@ def _add_metric_flags(sp):
     sp.add_argument("--max-nodes", type=int, default=None,
                     help=f"BFS subsample cap (default {MetricConfig.max_nodes})")
     sp.add_argument("--triad-samples", type=int, default=None)
-    sp.add_argument("--triad-exact-limit", type=int, default=None)
+    sp.add_argument("--triad-exact-limit", type=int, default=None,
+                    help="largest node count with an exact triad census "
+                         f"(default {MetricConfig.triad_exact_limit})")
     sp.add_argument("--exact", action="store_const", const=True, default=None,
                     help="exhaustive distances, triads, and betweenness")
     sp.add_argument("--resolutions", default=None,
@@ -490,7 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
                          f"{bench_mod.BenchConfig.threads})")
     sp.add_argument("--order-strategy", default=None,
                     choices=("degree-diff", "eades"),
-                    help="node ordering for cycle breaking (default "
+                    help="node ordering that measures each dataset's "
+                         "back-edge ratio when it has no timestamps; -nd "
+                         "replicates are always cycle-broken with "
+                         "degree-diff (default "
                          f"{bench_mod.BenchConfig.order_strategy})")
     _add_metric_flags(sp)
     _add_common(sp)

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
-from .generator import CsParams, RHO_MAX, RHO_MIN, generate
-from .graph import LabeledGraph
+from .generator import CsParams, RHO_MAX, RHO_MIN
+from .graph import LabeledGraph, _label_groups
 
 
 # Search interval for the effective preferentiality nu of one community.
@@ -122,22 +122,19 @@ def _fit_nu(g: float, mu: float) -> float:
     return float(brentq(excess, NU_MIN, NU_MAX, xtol=1e-10))
 
 
-def community_stats(graph: LabeledGraph, labels: np.ndarray = None) -> CommunityStats:
-    labels = graph.labels if labels is None else np.asarray(labels, np.int64)
-    if labels is None or labels.shape[0] != graph.num_nodes:
+def community_stats(graph: LabeledGraph) -> CommunityStats:
+    labels = graph.labels
+    if labels is None:
         raise EstimationError("every node needs a community label")
     if graph.num_nodes == 0:
         raise EstimationError("empty graph")
-    if labels.min() < 0:
-        raise EstimationError("labels must be dense nonnegative integers")
     k = int(labels.max()) + 1
     d_in, d_out = graph.d_in, graph.d_out
     sizes = np.bincount(labels, minlength=k)
     out_totals = np.bincount(labels, weights=d_out, minlength=k).astype(np.int64)
     in_totals = np.bincount(labels, weights=d_in, minlength=k).astype(np.int64)
     gini_in = np.empty(k, np.float64)
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(k + 1))
+    order, bounds = _label_groups(labels, k)
     for c in range(k):
         members = order[bounds[c]:bounds[c + 1]]
         gini_in[c] = gini(d_in[members]) if members.size else 0.0
@@ -145,7 +142,7 @@ def community_stats(graph: LabeledGraph, labels: np.ndarray = None) -> Community
                           in_totals=in_totals, gini_in=gini_in)
 
 
-def estimate(graph: LabeledGraph, labels: np.ndarray = None) -> FitResult:
+def estimate(graph: LabeledGraph) -> FitResult:
     """Recover generation parameters from a labelled graph.
 
     Communities of size one abort (their mean out-degree is undefined).
@@ -165,8 +162,7 @@ def estimate(graph: LabeledGraph, labels: np.ndarray = None) -> FitResult:
     community such as a directed 4-cycle (Gini 0) is flagged high by the
     closed form and keeps 1-1e-3.
     """
-    labels = graph.labels if labels is None else np.asarray(labels, np.int64)
-    stats = community_stats(graph, labels)
+    stats = community_stats(graph)
     k = stats.sizes.size
     singles = np.flatnonzero(stats.sizes <= 1)
     if singles.size:
@@ -178,7 +174,7 @@ def estimate(graph: LabeledGraph, labels: np.ndarray = None) -> FitResult:
     p_hat = sizes / n
     m_hat = stats.out_totals / (sizes - 1.0)
     d_out = graph.d_out.astype(np.float64)
-    sq_totals = np.bincount(labels, weights=d_out * d_out, minlength=k)
+    sq_totals = np.bincount(graph.labels, weights=d_out * d_out, minlength=k)
     sigma2_raw = (sq_totals - sizes * m_hat * m_hat) / (sizes - 1.0)
     g = stats.gini_in
     numer = stats.in_totals * (2.0 * g + sizes - 2.0 * g * sizes)
@@ -205,29 +201,3 @@ def estimate(graph: LabeledGraph, labels: np.ndarray = None) -> FitResult:
                      sigma2_raw=sigma2_raw, clamped_low=clamped_low,
                      clamped_high=clamped_high)
 
-
-@dataclass(frozen=True)
-class RoundtripReport:
-    fit: FitResult
-    p_abs_err: np.ndarray
-    m_rel_err: np.ndarray
-    rho_abs_err: np.ndarray
-    sigma2_rel_err: np.ndarray
-
-
-def roundtrip_report(params: CsParams, n: int, seed) -> RoundtripReport:
-    """Generate with ``params`` then re-estimate; report per-community errors."""
-    graph = generate(params, n, seed)
-    fit = estimate(graph)
-    est = fit.params
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma2_rel = np.where(params.sigma2 > 0,
-                              np.abs(fit.sigma2_raw - params.sigma2) / params.sigma2,
-                              np.abs(fit.sigma2_raw))
-    return RoundtripReport(
-        fit=fit,
-        p_abs_err=np.abs(est.p - params.p),
-        m_rel_err=np.abs(est.m - params.m) / params.m,
-        rho_abs_err=np.abs(est.rho - params.rho),
-        sigma2_rel_err=sigma2_rel,
-    )

@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 from scipy.special import gammaln
 
-from .graph import LabeledGraph
+from .graph import LabeledGraph, _label_groups
 
 RHO_MIN = 1e-3
 RHO_MAX = 1.0 - 1e-3
@@ -231,9 +231,8 @@ def generate(params: CsParams, n: int, seed: SeedLike) -> LabeledGraph:
     if n < k:
         raise ParamError(f"n={n} is below the community count k={k}")
     labels, d, n_acc, u_tgt = _draw_node_streams(params, int(n), seed)
-    members = np.argsort(labels, kind="stable")
-    starts = np.searchsorted(labels[members], np.arange(k))
-    src, dst = _urn_walk(labels, d, n_acc, members, starts,
+    members, bounds = _label_groups(labels, k)
+    src, dst = _urn_walk(labels, d, n_acc, members, bounds[:-1],
                          [[] for _ in range(k)], u_tgt)
     return LabeledGraph(num_nodes=int(n), src=src, dst=dst, labels=labels)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice, repeat
 from typing import IO, Iterable, Optional, Sequence, Union
@@ -29,8 +29,10 @@ class LabeledGraph:
 
     ``labels`` holds dense 0-based community ids (external files may use any
     token; ``community_names`` keeps the originals).  ``timestamps`` is an
-    optional per-node integer epoch.  Self-loops and duplicate edges are
-    invalid here; loaders drop them before construction.
+    optional per-node integer epoch.  Both are the only source of a graph's
+    communities and ages: the functions that read them take no override.
+    Self-loops and duplicate edges are invalid here; loaders drop them
+    before construction.
     """
 
     num_nodes: int
@@ -64,6 +66,8 @@ class LabeledGraph:
             lab = np.ascontiguousarray(self.labels, dtype=np.int64)
             if lab.shape[0] != self.num_nodes:
                 raise GraphError("labels length mismatch")
+            if lab.size and lab.min() < 0:
+                raise GraphError("labels must be nonnegative")
             object.__setattr__(self, "labels", lab)
         if self.timestamps is not None:
             ts = np.ascontiguousarray(self.timestamps, dtype=np.int64)
@@ -126,6 +130,14 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
+def _label_groups(labels: np.ndarray, k: int):
+    """``(order, bounds)``: node ids grouped by label, ascending within a
+    group (a stable argsort), and the k + 1 group bounds; the members of
+    group c are ``order[bounds[c]:bounds[c + 1]]``."""
+    order = np.argsort(labels, kind="stable")
+    return order, np.searchsorted(labels[order], np.arange(k + 1))
+
+
 @dataclass
 class LoadReport:
     lines: int = 0
@@ -133,9 +145,11 @@ class LoadReport:
     self_loops: int = 0
 
 
-def _open(stream: PathOrStream):
+def _open(stream: PathOrStream, mode: str):
+    """``(file, close it after use)``: a path opened in ``mode``, or the
+    stream itself."""
     if isinstance(stream, (str, os.PathLike)):
-        return open(stream, "r", encoding="utf-8"), True
+        return open(stream, mode, encoding="utf-8"), True
     return stream, False
 
 
@@ -156,7 +170,7 @@ def _tsv_blocks(stream: PathOrStream, what: str, has_header: bool,
     node column it may be empty, and the first field must be a key of
     ``known``.  The first bad line raises GraphError with its line number.
     """
-    fh, close = _open(stream)
+    fh, close = _open(stream, "r")
     try:
         lines = iter(fh)
         lineno = 1
@@ -303,11 +317,7 @@ def prune_unlabeled(graph: LabeledGraph, label_map: dict,
         keep[node] = True
     if keep.all():
         labels = np.array([label_map[i] for i in range(graph.num_nodes)], np.int64)
-        return LabeledGraph(
-            num_nodes=graph.num_nodes, src=graph.src, dst=graph.dst,
-            labels=labels, timestamps=graph.timestamps, names=graph.names,
-            community_names=community_names,
-        )
+        return replace(graph, labels=labels, community_names=community_names)
     return induced_subgraph(graph, np.flatnonzero(keep),
                             label_map=label_map,
                             community_names=community_names)
@@ -460,7 +470,7 @@ def sample_pairs(graph: LabeledGraph, n_pairs: int, seed) -> np.ndarray:
 
 
 def save_edge_list(graph: LabeledGraph, stream: PathOrStream, header: Optional[str] = None):
-    fh, close = _open_write(stream)
+    fh, close = _open(stream, "w")
     try:
         if header:
             fh.write(header.rstrip("\n") + "\n")
@@ -491,7 +501,7 @@ def save_labels(graph: LabeledGraph, stream: PathOrStream):
     if skipped:
         log.warning("omitting %d isolated nodes from the labels file", skipped)
     names, cnames = graph.names, graph.community_names
-    fh, close = _open_write(stream)
+    fh, close = _open(stream, "w")
     try:
         for lo in range(0, nodes.size, _BLOCK):
             v = nodes[lo:lo + _BLOCK]
@@ -512,12 +522,6 @@ def _tsv_rows(cells) -> str:
     # one format of the whole block is several times faster than a format
     # per line; %s formats ints and names as str() does
     return "%s\t%s\n" * (len(cells) // 2) % cells
-
-
-def _open_write(stream: PathOrStream):
-    if isinstance(stream, (str, os.PathLike)):
-        return open(stream, "w", encoding="utf-8"), True
-    return stream, False
 
 
 def is_acyclic(graph: LabeledGraph) -> bool:

@@ -44,6 +44,10 @@ class MetricConfig:
     betweenness and reachability, and the exact triad census, regardless
     of graph size.  Sampled modes reuse one seed per sampling role on both
     graphs, so comparing a graph to itself yields zero for every metric.
+    Graphs of at most ``triad_exact_limit`` nodes get the exact triad
+    census anyway; on a 2-core Xeon the exact census of a generated
+    near-DAG is no slower than the default sampled one up to about 7000
+    nodes.
     """
 
     seed: int = 0
@@ -51,7 +55,7 @@ class MetricConfig:
     n_sources: int = 200
     max_nodes: int = 50_000
     exact: bool = False
-    triad_exact_limit: int = 3000
+    triad_exact_limit: int = 7000
     triad_samples: int = 200_000
     resolutions: tuple = (1.0, 0.5, 2.0)
 
@@ -162,8 +166,8 @@ def endogenous_metrics(graph, config=None):
             "gt_conductance": _try(conductance, graph),
             "gt_inter_density": densities[1] if ok else densities,
             "gt_intra_density": densities[0] if ok else densities,
-            "gt_in_participation": _try(participation, graph, None, "in"),
-            "gt_out_participation": _try(participation, graph, None, "out")}
+            "gt_in_participation": _try(participation, graph, "in"),
+            "gt_out_participation": _try(participation, graph, "out")}
 
 
 def exogenous_metrics(graph, config, detect_seed):

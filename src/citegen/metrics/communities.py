@@ -11,19 +11,18 @@ _MOVE_FRACTION = 0.5  # share of a round's improving moves that is applied
 _GAIN_TOL = 1e-12
 
 
-def _check_labels(graph: LabeledGraph, labels) -> np.ndarray:
-    labels = graph.labels if labels is None else np.asarray(labels, np.int64)
-    if labels is None or labels.shape[0] != graph.num_nodes:
+def _labels(graph: LabeledGraph) -> np.ndarray:
+    if graph.labels is None:
         raise MetricError("every node needs a community label")
-    return labels
+    return graph.labels
 
 
-def modularity(graph: LabeledGraph, labels=None) -> float:
+def modularity(graph: LabeledGraph) -> float:
     """Directed Newman modularity of a labelled partition.
 
     Q = (intra edges)/m - sum_c (outdeg_c * indeg_c) / m^2.
     """
-    labels = _check_labels(graph, labels)
+    labels = _labels(graph)
     m = graph.num_edges
     if m == 0:
         return 0.0
@@ -34,13 +33,13 @@ def modularity(graph: LabeledGraph, labels=None) -> float:
     return intra / m - float(np.sum(dout_c * din_c)) / (m * m)
 
 
-def conductance(graph: LabeledGraph, labels=None) -> float:
+def conductance(graph: LabeledGraph) -> float:
     """Mean over communities of cut / min(volume inside, volume outside).
 
     Volumes count both edge endpoints; a community without incident edges
     contributes zero.
     """
-    labels = _check_labels(graph, labels)
+    labels = _labels(graph)
     k = int(labels.max()) + 1
     cut = np.zeros(k, np.float64)
     crossing = labels[graph.src] != labels[graph.dst]
@@ -53,13 +52,13 @@ def conductance(graph: LabeledGraph, labels=None) -> float:
     return float(phi.mean())
 
 
-def density_pair(graph: LabeledGraph, labels=None):
+def density_pair(graph: LabeledGraph):
     """(intra, inter) edge densities of the label partition.
 
     Intra pools edges inside communities over the intra pair count;
     inter pools the rest.  A single community leaves no inter pairs.
     """
-    labels = _check_labels(graph, labels)
+    labels = _labels(graph)
     n = graph.num_nodes
     k = int(labels.max()) + 1
     sizes = np.bincount(labels, minlength=k).astype(np.float64)
@@ -74,15 +73,14 @@ def density_pair(graph: LabeledGraph, labels=None):
     return intra_edges / intra_pairs, inter_edges / inter_pairs
 
 
-def participation(graph: LabeledGraph, labels=None,
-                  direction: str = "in") -> np.ndarray:
+def participation(graph: LabeledGraph, direction: str = "in") -> np.ndarray:
     """Per-node participation 1 - sum_c (d_c/d)^2 over edge peers' communities.
 
     ``direction`` picks which edges count: "in" looks at the communities
     citing the node, "out" at the communities it cites.  Nodes without
     such edges get 0.
     """
-    labels = _check_labels(graph, labels)
+    labels = _labels(graph)
     n = graph.num_nodes
     k = int(labels.max()) + 1
     if direction == "in":
@@ -104,7 +102,9 @@ def participation(graph: LabeledGraph, labels=None,
 def symmetric_modularity(graph: LabeledGraph, labels,
                          resolution: float = 1.0) -> float:
     """Generalized modularity of a partition on the symmetrized graph."""
-    labels = _check_labels(graph, labels)
+    labels = np.asarray(labels, np.int64)
+    if labels.shape[0] != graph.num_nodes:
+        raise MetricError("every node needs a community label")
     if graph.num_edges == 0:
         return 0.0
     two_m = 2.0 * graph.num_edges

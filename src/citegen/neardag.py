@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,25 +43,20 @@ class CycleBreakReport:
     back_edge_ratio: float
 
 
-def order_nodes(graph: LabeledGraph, strategy: str,
-                timestamps: np.ndarray = None) -> NodeOrdering:
+def order_nodes(graph: LabeledGraph, strategy: str) -> NodeOrdering:
     """Heuristic age ordering of the nodes.
 
     degree-diff sorts by out-degree minus in-degree, descending with ties
     on ascending node id; prolific citers land at the newest ranks.  eades
     runs the greedy sink/source peeling heuristic, which leaves at most
-    half the edges violating the result.  timestamps sorts ascending.
+    half the edges violating the result.  timestamps sorts the graph's
+    timestamps ascending, with ties on ascending node id.
     """
     n = graph.num_nodes
     if strategy == "timestamps":
-        if timestamps is None:
-            timestamps = graph.timestamps
-        if timestamps is None:
+        if graph.timestamps is None:
             raise NearDagError("timestamps strategy needs node timestamps")
-        timestamps = np.asarray(timestamps)
-        if timestamps.shape[0] != n:
-            raise NearDagError("timestamps must cover every node")
-        order = np.lexsort((np.arange(n), timestamps))
+        order = np.lexsort((np.arange(n), graph.timestamps))
         rank = np.empty(n, np.int64)
         rank[order] = np.arange(n)
         return NodeOrdering(rank=rank, strategy=strategy)
@@ -231,21 +226,15 @@ def inject_back_edges(dag: LabeledGraph, r: float, seed) -> LabeledGraph:
     if keys.size < n_back:
         log.warning("injected %d of %d requested back-edges "
                     "(candidate space exhausted)", keys.size, n_back)
-    return LabeledGraph(
-        num_nodes=n,
-        src=np.concatenate([dag.src, keys // n]),
-        dst=np.concatenate([dag.dst, keys % n]),
-        labels=labels, timestamps=dag.timestamps,
-        names=dag.names, community_names=dag.community_names,
-    )
+    return replace(dag, src=np.concatenate([dag.src, keys // n]),
+                   dst=np.concatenate([dag.dst, keys % n]))
 
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def cycle_break(graph: LabeledGraph, r: float, seed, strategy: str,
-                timestamps: np.ndarray = None):
+def cycle_break(graph: LabeledGraph, r: float, seed, strategy: str):
     """Order, reorient to a DAG, then re-reverse a fraction r of edges.
 
     Step 2 points every edge from the later-ranked node to the
@@ -256,7 +245,7 @@ def cycle_break(graph: LabeledGraph, r: float, seed, strategy: str,
     """
     if not 0.0 <= r < 1.0:
         raise NearDagError("back-edge ratio must lie in [0, 1)")
-    ordering = order_nodes(graph, strategy, timestamps)
+    ordering = order_nodes(graph, strategy)
     rank = ordering.rank
     n = graph.num_nodes
     lo = np.where(rank[graph.src] > rank[graph.dst], graph.dst, graph.src)
@@ -270,11 +259,7 @@ def cycle_break(graph: LabeledGraph, r: float, seed, strategy: str,
     n_rev = _round_half_up(r * n_edges)
     chosen = np.random.default_rng(seed).choice(n_edges, n_rev, replace=False)
     src[chosen], dst[chosen] = dst[chosen], src[chosen]
-    out = LabeledGraph(
-        num_nodes=n, src=src, dst=dst,
-        labels=graph.labels, timestamps=graph.timestamps,
-        names=graph.names, community_names=graph.community_names,
-    )
+    out = replace(graph, src=src, dst=dst)
     report = CycleBreakReport(
         strategy=strategy, collapsed_edges=int(collapsed),
         reversed_edges=n_rev,

@@ -198,12 +198,6 @@ def test_fit_sbm_requires_labels(make_graph):
         fit_sbm(graph)
 
 
-def test_fit_sbm_label_override(make_graph):
-    graph = make_graph(2, [(0, 1)], labels=[0, 0])
-    fit = fit_sbm(graph, labels=np.array([0, 1]))
-    assert fit.block_edges.tolist() == [[0, 1], [0, 0]]
-
-
 def test_generate_sbm_matches_block_means():
     rng = np.random.default_rng(1)
     labels = np.repeat([0, 1], 30)

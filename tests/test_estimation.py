@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from citegen.estimation import (NU_MAX, NU_MIN, EstimationError,
-                                community_stats, estimate, gini,
-                                roundtrip_report, waring_gini)
+                                community_stats, estimate, gini, waring_gini)
 from citegen.generator import CsParams, derive, generate
 
 
@@ -199,10 +198,3 @@ def test_waring_gini_rejects_bad_input():
         waring_gini(1.0, 2.0)
     with pytest.raises(EstimationError):
         waring_gini(0.5, 0.0)
-
-
-def test_roundtrip_report_shape(three_community_params):
-    report = roundtrip_report(three_community_params, 3000, 17)
-    assert report.p_abs_err.shape == (3,)
-    assert (report.p_abs_err < 0.05).all()
-    assert (report.m_rel_err < 0.15).all()

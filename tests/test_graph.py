@@ -78,6 +78,21 @@ def test_graph_rejects_out_of_range(make_graph):
         make_graph(2, [(0, 2)])
 
 
+def test_graph_rejects_negative_labels(make_graph):
+    with pytest.raises(GraphError, match="nonnegative"):
+        make_graph(3, [(1, 0)], labels=[0, -1, 1])
+
+
+def test_graph_rejects_labels_of_wrong_length(make_graph):
+    with pytest.raises(GraphError, match="labels length"):
+        make_graph(3, [(1, 0)], labels=[0, 1])
+
+
+def test_graph_rejects_timestamps_of_wrong_length(make_graph):
+    with pytest.raises(GraphError, match="timestamps length"):
+        make_graph(3, [(1, 0)], timestamps=[1, 2])
+
+
 def test_degrees_path(make_graph):
     graph = make_graph(3, [(0, 1), (1, 2)])
     assert graph.d_out.tolist() == [1, 1, 0]
