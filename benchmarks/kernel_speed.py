@@ -5,10 +5,10 @@ Generates an n-node graph, injects back edges, and prints the best of
 injection, the scipy adjacency and the out-, in- and undirected CSR views
 of a fresh copy of the near-DAG (so no cached view is reused), cycle
 breaking, community detection at the battery's resolutions in one
-``detect_at_resolutions`` call (as ``profile`` makes it; the graph's kept
-detections are dropped first), the sampled and exact triad census, BFS
-subsampling to half the nodes, betweenness from sampled sources, longest
-paths, and ER, SBM and DC-SBM sampling.
+``detect_at_resolutions`` call (as ``profile`` of one graph makes it; the
+graph's kept detections are dropped first), the sampled and exact triad
+census, BFS subsampling to half the nodes, betweenness from sampled
+sources, longest paths, and ER, SBM and DC-SBM sampling.
 
 Usage:
     python3 benchmarks/kernel_speed.py [--n 50000] [--repeat 3]

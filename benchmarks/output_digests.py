@@ -11,7 +11,9 @@ for those graphs, with and without node names, and the graph and report
 identity and a permuted rank on each of them; ``betweenness_values``, the
 exact ``triad_census`` and one ``compare`` report on some of those
 graphs; the labels and modularities ``detect_at_resolutions`` finds at
-the battery's resolutions on one of them; ``generate_er`` over a grid of
+the battery's resolutions on one of them; the distance tensor and the
+seven artifact files of one ``run_bench`` over four methods and two
+replicates on a small fixed dataset; ``generate_er`` over a grid of
 sizes and edge probabilities; the community labels and the edge lists of
 ``generate``; and the out-,
 in- and undirected CSR views and the scipy adjacency of each fixed input
@@ -23,11 +25,14 @@ graph, dtypes included.  Run it on two checkouts and compare:
 
 import hashlib
 import io
+import os
+import tempfile
 
 import numpy as np
 
 from citegen.baselines import (ErFit, fit_config, fit_sbm, generate_config,
                                generate_dcsbm, generate_er, generate_sbm)
+from citegen.bench import BenchConfig, run_bench, write_artifacts
 from citegen.generator import CsParams, generate
 from citegen.graph import (LabeledGraph, bfs_subsample, in_csr,
                            load_edge_list, out_csr, save_edge_list,
@@ -152,6 +157,20 @@ def main():
     found = detect_at_resolutions(inputs["dag2k"], MetricConfig.resolutions, 15)
     out["detect/dag2k"] = digest(*(labels for labels, _ in found),
                                  np.array([q for _, q in found]))
+
+    # no timestamps: the back-edge ratio is measured under degree-diff
+    small = random_graph(100, 450, 3, 16, True)
+    small = LabeledGraph(num_nodes=small.num_nodes, src=small.src,
+                         dst=small.dst, labels=small.labels)
+    result = run_bench({"small": small}, BenchConfig(
+        methods=("cs", "er-nd", "config-nd", "dcsbm-nd"), replicates=2,
+        seed=17))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for name in write_artifacts(result, tmp, 17):
+            with open(os.path.join(tmp, name), "rb") as fh:
+                files.append(np.frombuffer(fh.read(), np.uint8))
+    out["run_bench/small"] = digest(result.runs, *files)
 
     for n in (2, 3, 50, 1000):
         for p in (1e-6, 0.01, 0.3, 0.99, 1.0):

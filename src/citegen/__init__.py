@@ -15,7 +15,7 @@ from .graph import (GraphError, LabeledGraph, LoadReport, bfs_subsample,
                     load_timestamps, prune_unlabeled, sample_pairs,
                     save_edge_list, save_labels)
 from .metrics import (GraphProfile, MetricConfig, MetricEntry, MetricError,
-                      MetricReport, compare, distance, profile)
+                      MetricReport, compare, distance, profile, profiles)
 from .neardag import (CycleBreakReport, NearDagError, NodeOrdering,
                       back_edge_count, back_edge_ratio, cycle_break,
                       inject_back_edges, order_nodes)
@@ -39,7 +39,7 @@ __all__ = [
     "generate_er", "generate_sbm", "gini", "induced_subgraph", "inject_back_edges",
     "is_acyclic", "ks_to_pareto2", "load_edge_list", "load_labels",
     "load_timestamps", "mann_whitney", "order_nodes", "pareto2_ccdf",
-    "profile", "prune_unlabeled", "rank_blocks", "run_bench",
+    "profile", "profiles", "prune_unlabeled", "rank_blocks", "run_bench",
     "sample_pairs", "save_edge_list", "save_labels", "wtl_matrix",
     "write_artifacts",
 ]

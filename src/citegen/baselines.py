@@ -152,6 +152,8 @@ def fit_sbm(graph: LabeledGraph) -> SbmFit:
     labels = graph.labels
     if labels is None:
         raise BaselineError("every node needs a block label")
+    if labels.size == 0:
+        raise BaselineError("empty graph")
     k = int(labels.max()) + 1
     pair_keys = labels[graph.src] * k + labels[graph.dst]
     block_edges = np.bincount(pair_keys, minlength=k * k).reshape(k, k)

@@ -120,7 +120,7 @@ class LabeledGraph:
     @cached_property
     def detections(self) -> dict:
         """Community detections on this graph, kept and read by
-        ``metrics.communities.detect_at_resolutions``."""
+        ``metrics.communities.detect_batch``."""
         return {}
 
 
@@ -357,7 +357,7 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     keys = np.sort(keys)
     if not keys.size:
         return keys
-    return keys[np.r_[True, keys[1:] != keys[:-1]]]
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 def _place_edges(count: int, draw, taken: np.ndarray) -> np.ndarray:

@@ -2,14 +2,17 @@
 
 from .distances import MetricError, ape, l1_triad, wasserstein1
 from .triads import TRIAD_NAMES, ffl_count, triad_census
-from .communities import detect_at_resolutions, detect_communities, modularity
+from .communities import (detect_at_resolutions, detect_batch,
+                          detect_communities, modularity)
 from .battery import (GraphProfile, MetricConfig, MetricEntry, MetricReport,
-                      compare, distance, metric_schema, profile)
+                      compare, distance, metric_schema, profile,
+                      profiles)
 
 __all__ = [
     "MetricError", "ape", "wasserstein1", "l1_triad",
     "TRIAD_NAMES", "triad_census", "ffl_count",
-    "detect_at_resolutions", "detect_communities", "modularity",
+    "detect_at_resolutions", "detect_batch", "detect_communities",
+    "modularity",
     "MetricConfig", "MetricEntry", "MetricReport", "compare",
-    "GraphProfile", "profile", "distance", "metric_schema",
+    "GraphProfile", "profile", "profiles", "distance", "metric_schema",
 ]

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..graph import LabeledGraph, bfs_subsample, sample_pairs
 from ..neardag import order_nodes
-from .communities import (conductance, density_pair, detect_at_resolutions,
+from .communities import (conductance, density_pair, detect_batch,
                           detect_communities, detected_sizes, modularity,
                           participation)
 from .distances import MetricError, ape, l1_triad, wasserstein1
@@ -170,19 +170,25 @@ def endogenous_metrics(graph, config=None):
             "gt_out_participation": _try(participation, graph, "out")}
 
 
-def exogenous_metrics(graph, config, detect_seed):
-    """Detected modularity and community sizes at each resolution.
+def exogenous_metrics(graphs, config, detect_seed):
+    """Detected modularity and community sizes at each resolution, one dict
+    per graph of ``graphs``.
 
-    One batched run detects at every resolution; the graph keeps its
-    results, so each resolution's ``detect_communities`` call reads them.
+    One batched run (``detect_batch``) detects every graph at every
+    resolution; each graph keeps its results, so each resolution's
+    ``detect_communities`` call reads them.
     """
-    _try(detect_at_resolutions, graph, config.resolutions, detect_seed)
-    out = {}
-    for res, tag in zip(config.resolutions, _tags(config)):
-        found = _try(detect_communities, graph, res, detect_seed)
-        ok = not isinstance(found, MetricError)
-        out[f"detected_modularity_{tag}"] = found[1] if ok else found
-        out[f"detected_sizes_{tag}"] = detected_sizes(found[0]) if ok else found
+    detect_batch(graphs, config.resolutions, detect_seed)
+    out = []
+    for graph in graphs:
+        values = {}
+        for res, tag in zip(config.resolutions, _tags(config)):
+            found = _try(detect_communities, graph, res, detect_seed)
+            ok = not isinstance(found, MetricError)
+            values[f"detected_modularity_{tag}"] = found[1] if ok else found
+            values[f"detected_sizes_{tag}"] = (detected_sizes(found[0]) if ok
+                                               else found)
+        out.append(values)
     return out
 
 
@@ -238,24 +244,34 @@ class GraphProfile:
         return value
 
 
-def profile(graph: LabeledGraph, config: MetricConfig = None) -> GraphProfile:
-    """Subsample ``graph`` and compute every per-graph battery quantity.
+def profiles(graphs, config: MetricConfig = None) -> list:
+    """Subsample each of ``graphs`` and compute every per-graph battery
+    quantity; returns one GraphProfile per graph.
 
     Each of the six category functions returns its quantities, keyed by
     metric.  The sampling seeds are spawned from ``config.seed`` alone, so
-    every graph profiled under one config is sampled alike.
+    every graph profiled under one config is sampled alike, and each
+    profile equals that of its graph alone.  Community detection runs
+    once for all the graphs (see ``exogenous_metrics``).
     """
     config = config or MetricConfig()
     ss = np.random.SeedSequence(config.seed)
     sub_seed, pair_seed, source_seed, triad_seed, detect_seed = ss.spawn(5)
-    graph = bfs_subsample(graph, config.max_nodes, sub_seed)
-    values = {**global_topology_metrics(graph, config, pair_seed, source_seed),
-              **degree_metrics(graph, config),
-              **endogenous_metrics(graph, config),
-              **exogenous_metrics(graph, config, detect_seed),
-              **local_metrics(graph, config, triad_seed),
-              **flow_metrics(graph, config, source_seed)}
-    return GraphProfile(graph, config, values)
+    graphs = [bfs_subsample(g, config.max_nodes, sub_seed) for g in graphs]
+    detected = exogenous_metrics(graphs, config, detect_seed)
+    return [GraphProfile(graph, config, {
+        **global_topology_metrics(graph, config, pair_seed, source_seed),
+        **degree_metrics(graph, config),
+        **endogenous_metrics(graph, config),
+        **exogenous,
+        **local_metrics(graph, config, triad_seed),
+        **flow_metrics(graph, config, source_seed)})
+        for graph, exogenous in zip(graphs, detected)]
+
+
+def profile(graph: LabeledGraph, config: MetricConfig = None) -> GraphProfile:
+    """``profiles`` of the one graph."""
+    return profiles([graph], config)[0]
 
 
 def distance(real: GraphProfile, synth: GraphProfile) -> MetricReport:
@@ -290,11 +306,10 @@ def compare(real: LabeledGraph, synth: LabeledGraph,
             config: MetricConfig = None) -> MetricReport:
     """Run the full battery; per-metric failures become skips, not aborts.
 
-    Both graphs are profiled under the same config, so they are subsampled
-    by the same procedure and seed, and all sampled metrics reuse identical
-    seeds on both sides.  A graph compared with itself is profiled once.
+    Both graphs are profiled together under the same config, so they are
+    subsampled by the same procedure and seed, and all sampled metrics
+    reuse identical seeds on both sides.  A graph compared with itself is
+    profiled once.
     """
-    config = config or MetricConfig()
-    real_profile = profile(real, config)
-    return distance(real_profile, real_profile if synth is real
-                    else profile(synth, config))
+    found = profiles([real] if synth is real else [real, synth], config)
+    return distance(found[0], found[-1])

@@ -27,11 +27,11 @@ def average_ranks(values) -> np.ndarray:
         return np.full(values.size, np.nan)
     order = np.argsort(values, kind="stable")
     ordered = values[order]
-    new = np.r_[True, ordered[1:] != ordered[:-1]]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     # a tie group filling sorted slots first..last (1-based) has mean rank
     # (first + last) / 2
     first = np.flatnonzero(new) + 1
-    last = np.r_[first[1:] - 1, values.size]
+    last = np.concatenate((first[1:] - 1, [values.size]))
     ranks = np.empty(values.size)
     ranks[order] = ((first + last) / 2.0)[np.cumsum(new) - 1]
     return ranks

@@ -198,6 +198,11 @@ def test_fit_sbm_requires_labels(make_graph):
         fit_sbm(graph)
 
 
+def test_fit_sbm_rejects_an_empty_graph(make_graph):
+    with pytest.raises(BaselineError, match="empty"):
+        fit_sbm(make_graph(0, [], labels=[]))
+
+
 def test_generate_sbm_matches_block_means():
     rng = np.random.default_rng(1)
     labels = np.repeat([0, 1], 30)

@@ -19,7 +19,8 @@ from citegen.bench import (
 )
 from citegen.generator import CsParams, generate
 from citegen.graph import is_acyclic
-from citegen.metrics import MetricConfig, compare
+from citegen.metrics import MetricConfig, communities, compare
+from citegen.metrics.communities import union_capacity
 from citegen.neardag import back_edge_count, inject_back_edges
 
 SMALL_METRIC = MetricConfig(n_pairs=100, n_sources=30, max_nodes=500,
@@ -142,14 +143,15 @@ def test_run_bench_equals_per_cell_compare(small_datasets, monkeypatch,
 
     real_ids = {id(g) for g in small_datasets.values()}
     real_profiles = []
-    build = bench.profile
+    batches = []
+    build = bench.profiles
 
-    def counting(graph, config):
-        if id(graph) in real_ids:
-            real_profiles.append(id(graph))
-        return build(graph, config)
+    def counting(graphs, config):
+        real_profiles.extend(id(g) for g in graphs if id(g) in real_ids)
+        batches.append(len(graphs))
+        return build(graphs, config)
 
-    monkeypatch.setattr(bench, "profile", counting)
+    monkeypatch.setattr(bench, "profiles", counting)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -157,8 +159,36 @@ def test_run_bench_equals_per_cell_compare(small_datasets, monkeypatch,
     finally:
         sys.setswitchinterval(interval)
     assert result.runs.tobytes() == expected.tobytes()
-    # D x R real profiles: each dataset once per replicate
+    # D x R real profiles: each dataset once per replicate, together with
+    # the replicates of its three methods
     assert sorted(real_profiles) == sorted(2 * list(real_ids))
+    assert batches == [4] * 4
+
+
+def test_run_bench_holds_one_union_of_graphs_at_a_time(small_datasets,
+                                                     monkeypatch):
+    """With room for two graphs per union, a job profiles the real graph
+    with one replicate, then the others two at a time; the tensor is the
+    one the whole job's batch gives."""
+    config = BenchConfig(methods=("cs", "er", "sbm", "dcsbm", "config"),
+                         replicates=1, seed=5, metric=SMALL_METRIC)
+    datasets = {"one": small_datasets["one"]}
+    whole = run_bench(datasets, config)
+    real = small_datasets["one"]
+    per_graph = 2 * real.num_edges * len(SMALL_METRIC.resolutions)
+    monkeypatch.setattr(communities, "UNION_ENTRIES", 2 * per_graph + 1)
+    assert union_capacity(real, SMALL_METRIC.resolutions) == 2
+    batches = []
+    build = bench.profiles
+
+    def recording(graphs, config):
+        batches.append([g is real for g in graphs])
+        return build(graphs, config)
+
+    monkeypatch.setattr(bench, "profiles", recording)
+    split = run_bench(datasets, config)
+    assert batches == [[True, False], [False, False], [False, False]]
+    assert split.runs.tobytes() == whole.runs.tobytes()
 
 
 def test_run_bench_requires_datasets():

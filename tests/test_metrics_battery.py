@@ -3,10 +3,10 @@ import pytest
 
 from citegen.generator import CsParams, generate
 from citegen.graph import LabeledGraph
-from citegen.metrics import battery, triads
+from citegen.metrics import battery, communities, triads
 from citegen.metrics.battery import (CATEGORIES, MetricConfig, MetricReport,
                                      _clustering, compare, distance,
-                                     metric_schema, profile)
+                                     metric_schema, profile, profiles)
 from citegen.metrics.distances import MetricError
 from citegen.neardag import cycle_break, inject_back_edges
 
@@ -354,3 +354,35 @@ def test_density_pair_runs_once_per_labelled_profile(make_graph, monkeypatch):
     assert prof["gt_inter_density"] == 0.25
     profile(strip_labels(graph))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("budget", [1, communities.UNION_ENTRIES])
+def test_profiles_equal_the_profile_of_each_graph(make_graph, monkeypatch,
+                                                  budget):
+    # with budget 1 every graph is detected alone
+    monkeypatch.setattr(communities, "UNION_ENTRIES", budget)
+    params = CsParams(p=(0.6, 0.4), m=(4.0, 3.0), rho=(0.3, 0.6),
+                      sigma2=(6.0, 5.0))
+    grown = [inject_back_edges(generate(params, n, n), 0.1, 1)
+             for n in (300, 60, 140)]
+    graphs = grown + [strip_labels(grown[1]), make_graph(5, []),
+                      make_graph(2, [(0, 1)], labels=[0, 1])]
+    config = MetricConfig(seed=4, n_pairs=200, n_sources=30, max_nodes=200,
+                          triad_exact_limit=50, triad_samples=2000)
+    batch = profiles(graphs, config)
+    assert len(batch) == len(graphs)
+    for graph, got in zip(graphs, batch):
+        want = profile(LabeledGraph(
+            num_nodes=graph.num_nodes, src=graph.src, dst=graph.dst,
+            labels=graph.labels), config)
+        assert got.config == want.config
+        assert np.array_equal(got.graph.src, want.graph.src)
+        assert got.values.keys() == want.values.keys()
+        for name, value in want.values.items():
+            if isinstance(value, MetricError):
+                assert type(got.values[name]) is MetricError
+                assert str(got.values[name]) == str(value)
+            else:
+                assert np.array_equal(got.values[name], value)
+                assert np.asarray(got.values[name]).dtype == \
+                    np.asarray(value).dtype

@@ -10,15 +10,17 @@ from citegen.metrics import battery, communities
 from citegen.metrics.communities import (
     _batch_gain,
     _conflict_free,
-    _copies,
+    _union,
     conductance,
     density_pair,
     detect_at_resolutions,
+    detect_batch,
     detect_communities,
     detected_sizes,
     modularity,
     participation,
     symmetric_modularity,
+    union_capacity,
 )
 from citegen.metrics.distances import MetricError
 from citegen.neardag import inject_back_edges
@@ -208,6 +210,16 @@ def test_participation_rejects_bad_direction(make_graph):
         participation(graph, direction="sideways")
 
 
+def test_label_metrics_reject_an_empty_graph(make_graph):
+    empty = make_graph(0, [], labels=[])
+    assert modularity(empty) == 0.0
+    for metric in (conductance, density_pair, participation):
+        with pytest.raises(MetricError, match="empty"):
+            metric(empty)
+    with pytest.raises(MetricError, match="empty"):
+        participation(empty, "out")
+
+
 def test_metrics_require_labels(make_graph):
     graph = make_graph(2, [(0, 1)])
     for fn in (modularity, conductance, density_pair, participation):
@@ -348,9 +360,9 @@ def test_detect_at_resolutions_keeps_the_latest_seeds_runs(dag_graph,
     runs = []
     louvain = communities._louvain
 
-    def counting(graph, resolutions, seed):
-        runs.append(list(resolutions))
-        return louvain(graph, resolutions, seed)
+    def counting(copies, seed):
+        runs.append([resolution for _, resolution in copies])
+        return louvain(copies, seed)
 
     monkeypatch.setattr(communities, "_louvain", counting)
     graph = replace(dag_graph)
@@ -388,6 +400,89 @@ def test_detect_at_resolutions_degenerate_inputs(make_graph, dag_graph):
         detect_at_resolutions(make_graph(0, []), RESOLUTIONS, 0)
 
 
+@pytest.fixture(scope="module")
+def mixed_graphs(three_community_params):
+    """Graphs of different sizes, one edgeless and one without nodes."""
+    grown = [inject_back_edges(generate(three_community_params, n, 300 + n),
+                               0.05, n) for n in (40, 90, 200, 700)]
+    edgeless = LabeledGraph(num_nodes=5, src=[], dst=[])
+    empty = LabeledGraph(num_nodes=0, src=[], dst=[])
+    return grown[:2] + [edgeless] + grown[2:3] + [empty] + grown[3:]
+
+
+@pytest.mark.parametrize("budget", [1, communities.UNION_ENTRIES, 1 << 40])
+def test_detect_batch_copies_equal_single_runs(mixed_graphs, monkeypatch,
+                                               budget):
+    # one union per graph, the default budget, or one union for all graphs
+    monkeypatch.setattr(communities, "UNION_ENTRIES", budget)
+    for seed in (7, np.random.SeedSequence(7)):
+        fresh = [replace(g) for g in mixed_graphs]
+        found = detect_batch(fresh, RESOLUTIONS, seed)
+        assert len(found) == len(fresh)
+        for graph, runs in zip(mixed_graphs, found):
+            if graph.num_nodes == 0:
+                assert isinstance(runs, MetricError)
+                continue
+            assert len(runs) == len(RESOLUTIONS)
+            for (labels, q), res in zip(runs, RESOLUTIONS):
+                alone, q_alone = detect_communities(replace(graph), res, seed)
+                assert np.array_equal(labels, alone) and q == q_alone
+                assert not labels.flags.writeable
+
+
+def test_detect_batch_unions_stay_within_the_budget(mixed_graphs,
+                                                    monkeypatch):
+    unions = []
+    louvain = communities._louvain
+
+    def recording(copies, seed):
+        unions.append(copies)
+        return louvain(copies, seed)
+
+    monkeypatch.setattr(communities, "_louvain", recording)
+    # the three smaller graphs with edges fill a union exactly
+    budget = 2 * len(RESOLUTIONS) * sum(g.num_edges for g in mixed_graphs[:4])
+    monkeypatch.setattr(communities, "UNION_ENTRIES", budget)
+    fresh = [replace(g) for g in mixed_graphs]
+    # a graph named twice runs once
+    detect_batch(fresh + fresh[:1], RESOLUTIONS, 5)
+    entries = [2 * sum(g.num_edges for g, _ in copies) for copies in unions]
+    assert [g for copies in unions for g, _ in copies[::3]] == \
+        [g for g in fresh if g.num_edges]
+    for copies, count in zip(unions, entries):
+        assert count <= budget or len(copies) == len(RESOLUTIONS)
+    # consecutive unions could not have been one
+    assert all(a + b > budget for a, b in zip(entries, entries[1:]))
+    assert len(unions) == 2 and len(unions[0]) == 3 * len(RESOLUTIONS)
+    # every resolution is kept: a second call runs nothing
+    detect_batch(fresh, RESOLUTIONS, 5)
+    assert len(unions) == 2
+    for graph in mixed_graphs[:2]:
+        assert union_capacity(graph, RESOLUTIONS) == \
+            budget // (2 * graph.num_edges * len(RESOLUTIONS))
+    assert union_capacity(mixed_graphs[-1], RESOLUTIONS) == 1
+    assert union_capacity(mixed_graphs[2], RESOLUTIONS) == budget
+
+
+def test_detect_batch_keeps_runs_that_another_seed_evicted(make_graph,
+                                                          monkeypatch):
+    # another caller at seed 4 replaces the kept runs during the run
+    graph = make_graph(10, clique_pair_edges(cross=True))
+    runs = []
+    louvain = communities._louvain
+
+    def evicting(copies, seed):
+        runs.append(seed)
+        communities._kept_runs(graph, 4)
+        return louvain(copies, seed)
+
+    monkeypatch.setattr(communities, "_louvain", evicting)
+    found = detect_batch([graph], RESOLUTIONS, 3)[0]
+    for res, kept in zip(RESOLUTIONS, found):
+        assert detect_communities(graph, res, 3) is kept
+    assert runs == [3]
+
+
 def union_objective(indptr, indices, weights, kdeg, comm, copy, scale):
     """Per-copy objective 0.5 * intra weight - 0.5 * scale * sum_c S_c^2,
     from its definition; a lone move's gain is its difference."""
@@ -403,29 +498,34 @@ def union_objective(indptr, indices, weights, kdeg, comm, copy, scale):
 
 
 def random_union_state(rng, final_pass):
-    """A union of three copies of a random graph and a partition of it in
-    which no community spans copies.
+    """A union of three random graphs of different sizes and a partition of
+    it in which no community spans graphs.
 
-    Labels are node ids of the community's copy, or, with ``final_pass``,
-    compact ids numbered across copies as the final pass sees them, where
-    a label's copy is not the copy of the node with that id.
+    Labels are node ids of the community's graph, or, with ``final_pass``,
+    compact ids numbered across graphs as the final pass sees them, where
+    a label's graph is not the graph of the node with that id.
     """
-    n = int(rng.integers(6, 16))
-    adj = rng.random((n, n)) < 0.3
-    np.fill_diagonal(adj, False)
-    src, dst = np.nonzero(adj)
-    graph = LabeledGraph(num_nodes=n, src=src, dst=dst)
-    indptr, indices, weights = _copies(graph.undirected_csr, 3)
-    copy = np.repeat(np.arange(3), n)
-    kdeg = np.bincount(np.repeat(np.arange(3 * n), np.diff(indptr)),
-                       weights=weights, minlength=3 * n)
+    graphs = []
+    for _ in range(3):
+        n = int(rng.integers(6, 16))
+        adj = rng.random((n, n)) < 0.3
+        np.fill_diagonal(adj, False)
+        src, dst = np.nonzero(adj)
+        graphs.append(LabeledGraph(num_nodes=n, src=src, dst=dst))
+    sizes = np.array([g.num_nodes for g in graphs])
+    indptr, indices, weights = _union([g.undirected_csr for g in graphs])
+    copy = np.repeat(np.arange(3), sizes)
+    kdeg = np.bincount(np.repeat(np.arange(copy.size), np.diff(indptr)),
+                       weights=weights, minlength=copy.size)
     if final_pass:
-        k = rng.integers(1, n + 1, 3)
+        k = rng.integers(1, sizes + 1)
         pools = np.split(np.arange(k.sum()), np.cumsum(k)[:-1])
     else:
-        pools = [r * n + rng.choice(n, int(rng.integers(1, n + 1)),
-                                    replace=False) for r in range(3)]
-    comm = np.concatenate([rng.choice(pool, n) for pool in pools])
+        first = np.cumsum(sizes) - sizes
+        pools = [v + rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+                 for v, n in zip(first, sizes)]
+    comm = np.concatenate([rng.choice(pool, n)
+                           for pool, n in zip(pools, sizes)])
     return indptr, indices, weights, kdeg, comm, copy, pools
 
 
