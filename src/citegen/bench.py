@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -79,10 +80,8 @@ class MethodFits:
 def fit_methods(graph: LabeledGraph, methods: Sequence[str],
                 order_strategy: str) -> MethodFits:
     """Fit every requested method family once per dataset."""
-    if graph.timestamps is not None:
-        ordering = neardag.order_nodes(graph, "timestamps")
-    else:
-        ordering = neardag.order_nodes(graph, order_strategy)
+    ordering = neardag.order_nodes(
+        graph, neardag.age_strategy(graph, order_strategy))
     fits = MethodFits(n=graph.num_nodes,
                       back_ratio=neardag.back_edge_ratio(graph, ordering))
     wanted = set(methods)
@@ -154,24 +153,25 @@ class BenchResult:
         categories = [c for _ in self.datasets for c in self.metric_categories]
         return values, blocks, categories
 
-    def _table_and_runs(self, keep_mask: np.ndarray):
+    @cached_property
+    def tables(self) -> dict:
+        """Each artifact variant's rank table and the runs of its complete
+        blocks, ranked once and keyed by file suffix: every metric (""),
+        and the ground-truth community metrics excluded
+        ("_non_endogenous")."""
         values, blocks, categories = self.block_values()
-        values = values[keep_mask]
-        blocks = [b for b, k in zip(blocks, keep_mask) if k]
-        complete = ~np.isnan(values).any(axis=1)
-        table = rank_blocks(values, self.methods, blocks)
         n_d, n_met, n_m, n_rep = self.runs.shape
-        flat_runs = self.runs.reshape(n_d * n_met, n_m, n_rep)[keep_mask][complete]
-        return table, flat_runs
-
-    def full_table(self):
-        _, blocks, _ = self.block_values()
-        return self._table_and_runs(np.ones(len(blocks), bool))
-
-    def non_endogenous_table(self):
-        _, _, categories = self.block_values()
-        keep = np.array([c != ENDOGENOUS_CATEGORY for c in categories])
-        return self._table_and_runs(keep)
+        flat_runs = self.runs.reshape(n_d * n_met, n_m, n_rep)
+        keeps = {"": np.ones(len(blocks), bool),
+                 "_non_endogenous": np.array(
+                     [c != ENDOGENOUS_CATEGORY for c in categories])}
+        tables = {}
+        for suffix, keep in keeps.items():
+            table = rank_blocks(values[keep], self.methods,
+                                [b for b, k in zip(blocks, keep) if k])
+            complete = ~np.isnan(values[keep]).any(axis=1)
+            tables[suffix] = (table, flat_runs[keep][complete])
+        return tables
 
 
 def run_bench(datasets: Dict[str, LabeledGraph],
@@ -278,10 +278,8 @@ def write_artifacts(result: BenchResult, outdir, seed: int = 0) -> List[str]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: List[str] = []
-    variants = {"": result.full_table(),
-                "_non_endogenous": result.non_endogenous_table()}
     friedman_rows = []
-    for suffix, (table, runs) in variants.items():
+    for suffix, (table, runs) in result.tables.items():
         _write_rank_table(outdir / f"rank_table{suffix}.tsv", table)
         written.append(f"rank_table{suffix}.tsv")
         _write_mean_ranks(outdir / f"mean_ranks{suffix}.tsv", table, seed)

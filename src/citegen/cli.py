@@ -1,7 +1,8 @@
 """Command-line entry point wiring the package's workflows.
 
 Every option can also be supplied through a JSON config file
-(``--config``); explicit command-line flags override file values.  All
+(``--config``).  The file's values become the parser's defaults, so an
+explicit flag beats a config value, which beats the declared default.  All
 subcommands are deterministic under a fixed ``--seed``; when the seed is
 omitted one is drawn from system entropy and printed to stderr.
 
@@ -38,36 +39,25 @@ class UsageError(Exception):
     pass
 
 
-class Options:
-    """Merged view of command-line flags over JSON config file values."""
+def _load_config(path) -> dict:
+    """A JSON config file's keys, dashes read as underscores; {} without one."""
+    if not path:
+        return {}
+    path = _require_file(path, "config file")
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
+    return {str(k).replace("-", "_"): v for k, v in data.items()}
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        self.file = {}
-        cfg = self.args.get("config")
-        if cfg:
-            path = _require_file(cfg, "config file")
-            try:
-                data = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"config file {path} is not valid JSON: {exc}")
-            if not isinstance(data, dict):
-                raise UsageError(f"config file {path} must hold a JSON object")
-            self.file = {str(k).replace("-", "_"): v for k, v in data.items()}
 
-    def get(self, name: str, default=None):
-        value = self.args.get(name)
-        if value is not None:
-            return value
-        if name in self.file:
-            return self.file[name]
-        return default
-
-    def require(self, name: str, what: str):
-        value = self.get(name)
-        if value is None:
-            raise UsageError(f"missing {what} (flag or config key {name!r})")
-        return value
+def _require(args, name: str, what: str):
+    value = getattr(args, name)
+    if value is None:
+        raise UsageError(f"missing {what} (flag or config key {name!r})")
+    return value
 
 
 def _require_file(path, what: str) -> Path:
@@ -75,6 +65,14 @@ def _require_file(path, what: str) -> Path:
     if not p.is_file():
         raise UsageError(f"{what} not found: {p}")
     return p
+
+
+def _listed(value, cast, split=True) -> tuple:
+    """A JSON list, or a string of comma-separated items (one item unless
+    ``split``), each passed through ``cast``."""
+    if isinstance(value, str):
+        value = [tok for tok in value.split(",") if tok] if split else [value]
+    return tuple(cast(v) for v in value)
 
 
 def _resolve_seed(value) -> int:
@@ -125,21 +123,19 @@ def _save_graph(graph: LabeledGraph, out, labels_out=None):
         save_labels(graph, labels_out)
 
 
-def _pick_strategy(opts: Options, graph: LabeledGraph) -> str:
-    strategy = opts.get("strategy")
-    if strategy is None:
-        strategy = "timestamps" if graph.timestamps is not None else "degree-diff"
+def _pick_strategy(args, graph: LabeledGraph) -> str:
+    strategy = (neardag.age_strategy(graph) if args.strategy is None
+                else args.strategy)
     if strategy not in neardag.STRATEGIES:
         raise UsageError(f"unknown ordering strategy {strategy!r}; "
                          f"choose from {neardag.STRATEGIES}")
     return strategy
 
 
-def _measured_ratio(opts: Options, graph: LabeledGraph) -> float:
-    r = opts.get("r")
-    if r is not None:
-        return float(r)
-    ordering = neardag.order_nodes(graph, _pick_strategy(opts, graph))
+def _measured_ratio(args, graph: LabeledGraph) -> float:
+    if args.r is not None:
+        return float(args.r)
+    ordering = neardag.order_nodes(graph, _pick_strategy(args, graph))
     return neardag.back_edge_ratio(graph, ordering)
 
 
@@ -147,16 +143,15 @@ def _measured_ratio(opts: Options, graph: LabeledGraph) -> float:
 
 
 def cmd_fit(args) -> int:
-    opts = Options(args)
-    graph = _load_graph(opts.require("edges", "edge list path"),
-                        opts.require("labels", "labels path"),
-                        opts.get("timestamps"))
+    graph = _load_graph(_require(args, "edges", "edge list path"),
+                        _require(args, "labels", "labels path"),
+                        args.timestamps)
     fit = estimate(graph)
-    ratio = _measured_ratio(opts, graph)
+    ratio = _measured_ratio(args, graph)
     doc = json.loads(fit.params.to_json())
     doc["n"] = graph.num_nodes
     doc["back_edge_ratio"] = ratio
-    _write_text(opts.get("out"), json.dumps(doc, indent=2) + "\n")
+    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     lines = ["community\tsize\tp_hat\tm_hat\tsigma2_hat\trho_hat\trho_raw\tclamped"]
     names = graph.community_names or tuple(str(c) for c in range(fit.params.k))
     for c in range(fit.params.k):
@@ -167,9 +162,8 @@ def cmd_fit(args) -> int:
                      f"\t{float(fit.params.rho[c])!r}"
                      f"\t{float(fit.rho_raw[c])!r}\t{int(clamped)}")
     report = "\n".join(lines) + "\n"
-    report_path = opts.get("report")
-    if report_path is not None:
-        _write_text(report_path, report)
+    if args.report is not None:
+        _write_text(args.report, report)
     if fit.any_clamped:
         flagged = [names[c] for c in range(fit.params.k)
                    if fit.clamped_low[c] or fit.clamped_high[c]]
@@ -179,53 +173,51 @@ def cmd_fit(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    opts = Options(args)
-    params_path = _require_file(opts.require("params", "parameter file"),
+    params_path = _require_file(_require(args, "params", "parameter file"),
                                 "parameter file")
     text = params_path.read_text()
     params = CsParams.from_json(text)
     doc = json.loads(text)
-    n = opts.get("n", doc.get("n"))
+    n = doc.get("n") if args.n is None else args.n
     if n is None:
         raise UsageError("node count required (--n or config/params key 'n')")
-    seed = _resolve_seed(opts.get("seed"))
+    seed = _resolve_seed(args.seed)
     graph = generate(params, int(n), seed)
     dag_edges = graph.num_edges
-    if not opts.get("dag_only", False):
-        ratio = opts.get("back_ratio", doc.get("back_edge_ratio", 0.0))
+    if not args.dag_only:
+        ratio = (doc.get("back_edge_ratio", 0.0) if args.back_ratio is None
+                 else args.back_ratio)
         graph = neardag.inject_back_edges(graph, float(ratio),
                                           np.random.SeedSequence(seed, spawn_key=(1,)))
     print(f"generated {graph.num_nodes} nodes, {dag_edges} forward edges, "
           f"{graph.num_edges - dag_edges} back edges", file=sys.stderr)
-    _save_graph(graph, opts.get("out"), opts.get("labels_out"))
+    _save_graph(graph, args.out, args.labels_out)
     return 0
 
 
 def cmd_decycle(args) -> int:
-    opts = Options(args)
-    graph = _load_graph(opts.require("edges", "edge list path"),
-                        opts.get("labels"), opts.get("timestamps"))
-    strategy = _pick_strategy(opts, graph)
-    ratio = _measured_ratio(opts, graph)
-    seed = _resolve_seed(opts.get("seed"))
+    graph = _load_graph(_require(args, "edges", "edge list path"),
+                        args.labels, args.timestamps)
+    strategy = _pick_strategy(args, graph)
+    ratio = _measured_ratio(args, graph)
+    seed = _resolve_seed(args.seed)
     out_graph, report = neardag.cycle_break(graph, ratio, seed, strategy)
     print(f"decycled with strategy={report.strategy}: "
           f"{report.collapsed_edges} collapsed, {report.reversed_edges} "
           f"reversed, back-edge ratio {report.back_edge_ratio:.6f}",
           file=sys.stderr)
-    _save_graph(out_graph, opts.get("out"), opts.get("labels_out"))
+    _save_graph(out_graph, args.out, args.labels_out)
     return 0
 
 
 def cmd_baseline(args) -> int:
-    opts = Options(args)
-    name = opts.require("name", "baseline name")
+    name = _require(args, "name", "baseline name")
     if name not in BASELINE_NAMES:
         raise UsageError(f"unknown baseline {name!r}; "
                          f"choose from {BASELINE_NAMES}")
-    graph = _load_graph(opts.require("edges", "edge list path"),
-                        opts.get("labels"), opts.get("timestamps"))
-    seed = _resolve_seed(opts.get("seed"))
+    graph = _load_graph(_require(args, "edges", "edge list path"),
+                        args.labels, args.timestamps)
+    seed = _resolve_seed(args.seed)
     ss = np.random.SeedSequence(seed)
     s_gen, s_post = ss.spawn(2)
     if name == "er":
@@ -239,49 +231,46 @@ def cmd_baseline(args) -> int:
         synth = baselines.generate_sbm(baselines.fit_sbm(graph), s_gen)
     else:
         synth = baselines.generate_dcsbm(baselines.fit_sbm(graph), s_gen)
-    if opts.get("near_dag", False):
-        ratio = _measured_ratio(opts, graph)
-        strategy = opts.get("strategy", "degree-diff")
-        if strategy == "timestamps":
-            strategy = "degree-diff"
+    if args.near_dag:
+        ratio = _measured_ratio(args, graph)
+        # the sample has no timestamps, so it is ordered by degree-diff
+        strategy = ("degree-diff" if args.strategy in (None, "timestamps")
+                    else args.strategy)
         synth, report = neardag.cycle_break(synth, ratio, s_post, strategy)
         print(f"near-DAG transform: {report.collapsed_edges} collapsed, "
               f"{report.reversed_edges} reversed, back-edge ratio "
               f"{report.back_edge_ratio:.6f}", file=sys.stderr)
-    _save_graph(synth, opts.get("out"), opts.get("labels_out"))
+    _save_graph(synth, args.out, args.labels_out)
     return 0
 
 
-# metric flag -> MetricConfig field, besides --resolutions
-_METRIC_FIELDS = {"pairs": "n_pairs", "sources": "n_sources",
-                  "max_nodes": "max_nodes", "exact": "exact",
-                  "triad_exact_limit": "triad_exact_limit",
-                  "triad_samples": "triad_samples"}
+# metric flag -> (MetricConfig field, help); --exact and --resolutions aside
+_METRIC_FLAGS = {
+    "pairs": ("n_pairs", "sampled node pairs for distance metrics"),
+    "sources": ("n_sources", "BFS sources for betweenness/reachability"),
+    "max_nodes": ("max_nodes", "BFS subsample cap"),
+    "triad_samples": ("triad_samples", "sampled triads of the triad census"),
+    "triad_exact_limit": ("triad_exact_limit",
+                          "largest node count with an exact triad census"),
+}
 
 
-def _metric_config(opts: Options, seed: int) -> MetricConfig:
-    """MetricConfig defaults, overridden by the metric flags given."""
-    config = MetricConfig(seed=seed)
-    given = {field: type(getattr(config, field))(opts.get(flag))
-             for flag, field in _METRIC_FIELDS.items()
-             if opts.get(flag) is not None}
-    resolutions = opts.get("resolutions")
-    if resolutions is not None:
-        if isinstance(resolutions, str):
-            resolutions = resolutions.split(",")
-        given["resolutions"] = tuple(float(x) for x in resolutions)
-    return dc_replace(config, **given)
+def _metric_config(args, seed: int) -> MetricConfig:
+    return MetricConfig(
+        seed=seed, exact=bool(args.exact),
+        resolutions=_listed(args.resolutions, float),
+        **{field: int(getattr(args, flag))
+           for flag, (field, _) in _METRIC_FLAGS.items()})
 
 
 def cmd_compare(args) -> int:
-    opts = Options(args)
-    real = _load_graph(opts.require("real", "real edge list"),
-                       opts.get("real_labels"))
-    synth = _load_graph(opts.require("synth", "synthetic edge list"),
-                        opts.get("synth_labels"))
-    seed = _resolve_seed(opts.get("seed"))
-    report = compare(real, synth, _metric_config(opts, seed))
-    _write_text(opts.get("out"), report.to_tsv())
+    real = _load_graph(_require(args, "real", "real edge list"),
+                       args.real_labels)
+    synth = _load_graph(_require(args, "synth", "synthetic edge list"),
+                        args.synth_labels)
+    seed = _resolve_seed(args.seed)
+    report = compare(real, synth, _metric_config(args, seed))
+    _write_text(args.out, report.to_tsv())
     return 0
 
 
@@ -300,63 +289,48 @@ def _parse_dataset_spec(spec: str):
 
 
 def cmd_bench(args) -> int:
-    opts = Options(args)
-    specs = opts.get("dataset") or opts.get("datasets")
+    specs = args.dataset or args.datasets
     if not specs:
         raise UsageError("at least one --dataset NAME=EDGES[,LABELS[,TS]] "
                          "is required")
-    if isinstance(specs, str):
-        specs = [specs]
     datasets = {}
-    for spec in specs:
-        name, edges, labels, timestamps = _parse_dataset_spec(spec)
+    for name, edges, labels, timestamps in _listed(
+            specs, _parse_dataset_spec, split=False):
         if name in datasets:
             raise UsageError(f"duplicate dataset name {name!r}")
         datasets[name] = _load_graph(edges, labels, timestamps)
-    methods = opts.get("methods", ",".join(bench_mod.METHODS))
-    if isinstance(methods, str):
-        methods = tuple(tok for tok in methods.split(",") if tok)
-    else:
-        methods = tuple(methods)
-    seed = _resolve_seed(opts.get("seed"))
-    defaults = bench_mod.BenchConfig
+    seed = _resolve_seed(args.seed)
     try:
         config = bench_mod.BenchConfig(
-            methods=methods,
-            replicates=int(opts.get("replicates", defaults.replicates)),
+            methods=_listed(args.methods, str),
+            replicates=int(args.replicates),
             seed=seed,
-            order_strategy=opts.get("order_strategy", defaults.order_strategy),
-            metric=_metric_config(opts, 0),
-            threads=int(opts.get("threads", defaults.threads)),
+            order_strategy=args.order_strategy,
+            metric=_metric_config(args, 0),
+            threads=int(args.threads),
         )
     except bench_mod.BenchError as exc:
         raise UsageError(str(exc))
     result = bench_mod.run_bench(datasets, config)
-    outdir = opts.get("outdir", "bench_out")
-    written = bench_mod.write_artifacts(result, outdir, seed=seed)
-    table, _ = result.non_endogenous_table()
-    order = np.argsort(table.mean_ranks())
-    print(f"wrote {', '.join(written)} to {outdir}")
+    written = bench_mod.write_artifacts(result, args.outdir, seed=seed)
+    table, _ = result.tables["_non_endogenous"]
+    mean_ranks = table.mean_ranks()
+    print(f"wrote {', '.join(written)} to {args.outdir}")
     print("mean ranks (ground-truth community metrics excluded):")
-    for m in order:
-        print(f"  {table.methods[m]}\t{table.mean_ranks()[m]:.3f}")
+    for m in np.argsort(mean_ranks):
+        print(f"  {table.methods[m]}\t{mean_ranks[m]:.3f}")
     return 0
 
 
 def cmd_validate_theory(args) -> int:
-    opts = Options(args)
-    rho = opts.get("rho", "0.2,0.5,0.9")
-    if isinstance(rho, str):
-        rho = tuple(float(tok) for tok in rho.split(","))
-    else:
-        rho = tuple(float(x) for x in rho)
+    rho = _listed(args.rho, float)
     k = len(rho)
     if k == 0:
         raise UsageError("need at least one rho value")
-    n = int(opts.get("n", 30_000))
-    m = float(opts.get("m", 5.0))
-    sigma2 = float(opts.get("sigma2", m))
-    seed = _resolve_seed(opts.get("seed"))
+    n = int(args.n)
+    m = float(args.m)
+    sigma2 = m if args.sigma2 is None else float(args.sigma2)
+    seed = _resolve_seed(args.seed)
     params = CsParams(p=np.full(k, 1.0 / k), m=np.full(k, m),
                       rho=np.array(rho), sigma2=np.full(k, sigma2))
     graph = generate(params, n, seed)
@@ -378,7 +352,7 @@ def cmd_validate_theory(args) -> int:
                          f"\t{float(t)!r}\t{ks_full!r}\t{ks_bulk!r}")
         summaries.append(f"rho={rho[c]}: nodes={degs.size} "
                          f"ks={ks_full:.4f} ks_bulk99={ks_bulk:.4f}")
-    _write_text(opts.get("out"), "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     for line in summaries:
         print(line, file=sys.stderr)
     return 0
@@ -387,147 +361,158 @@ def cmd_validate_theory(args) -> int:
 # --- parser ----------------------------------------------------------------
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON file supplying defaults for any flag")
-    sp.add_argument("--seed", type=int, default=None)
+class _ReplaceDefault(argparse.Action):
+    """``append``, except that the first flag replaces the default.
+
+    So ``--dataset`` flags replace a config file's datasets, whether the
+    file lists them or gives one string.
+    """
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest,
+                [value] if items is self.default else [*items, value])
+
+
+def _add_graph_args(sp):
+    """The edge list, its labels and timestamps, and its age ordering."""
+    sp.add_argument("edges", nargs="?")
+    sp.add_argument("--labels")
+    sp.add_argument("--timestamps")
+    sp.add_argument("--strategy", choices=neardag.STRATEGIES,
+                    help="node age ordering (default: timestamps when the "
+                         "graph has them, else degree-diff)")
+
+
+def _add_graph_out_args(sp):
+    sp.add_argument("--out", help="edge list path (default stdout)")
+    sp.add_argument("--labels-out")
 
 
 def _add_metric_flags(sp):
-    sp.add_argument("--pairs", type=int, default=None,
-                    help="sampled node pairs for distance metrics "
-                         f"(default {MetricConfig.n_pairs})")
-    sp.add_argument("--sources", type=int, default=None,
-                    help="BFS sources for betweenness/reachability "
-                         f"(default {MetricConfig.n_sources})")
-    sp.add_argument("--max-nodes", type=int, default=None,
-                    help=f"BFS subsample cap (default {MetricConfig.max_nodes})")
-    sp.add_argument("--triad-samples", type=int, default=None)
-    sp.add_argument("--triad-exact-limit", type=int, default=None,
-                    help="largest node count with an exact triad census "
-                         f"(default {MetricConfig.triad_exact_limit})")
-    sp.add_argument("--exact", action="store_const", const=True, default=None,
+    for flag, (field, text) in _METRIC_FLAGS.items():
+        sp.add_argument("--" + flag.replace("_", "-"), type=int,
+                        default=getattr(MetricConfig, field),
+                        help=text + " (default %(default)s)")
+    sp.add_argument("--exact", action="store_true", default=MetricConfig.exact,
                     help="exhaustive distances, triads, and betweenness")
-    sp.add_argument("--resolutions", default=None,
-                    help="comma-separated detector resolutions (default "
-                         f"{','.join(map(str, MetricConfig.resolutions))})")
+    sp.add_argument("--resolutions",
+                    default=",".join(map(str, MetricConfig.resolutions)),
+                    help="comma-separated detector resolutions "
+                         "(default %(default)s)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults=None) -> argparse.ArgumentParser:
+    """The citegen parser; ``defaults`` (a config file's values, by key)
+    replace every subcommand's declared defaults."""
     parser = argparse.ArgumentParser(
         prog="citegen",
         description="Generate, transform, and benchmark citation-like graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("fit", help="estimate generator parameters from a graph")
-    sp.add_argument("edges", nargs="?", default=None)
-    sp.add_argument("--labels", default=None)
-    sp.add_argument("--timestamps", default=None)
-    sp.add_argument("--strategy", default=None, choices=neardag.STRATEGIES,
-                    help="node ordering for the back-edge ratio")
-    sp.add_argument("--out", default=None, help="parameter JSON path (default stdout)")
-    sp.add_argument("--report", default=None, help="per-community TSV report path")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_fit)
+    _add_graph_args(sp)
+    sp.add_argument("--out", help="parameter JSON path (default stdout)")
+    sp.add_argument("--report", help="per-community TSV report path")
+    # r, the back-edge ratio, is a config-only key here
+    sp.set_defaults(func=cmd_fit, r=None)
 
     sp = sub.add_parser("generate", help="sample a graph from fitted parameters")
-    sp.add_argument("params", nargs="?", default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--back-ratio", type=float, default=None,
+    sp.add_argument("params", nargs="?")
+    sp.add_argument("--n", type=int,
+                    help="node count (default: the parameter file's n)")
+    sp.add_argument("--back-ratio", type=float,
                     help="override the fitted back-edge ratio")
-    sp.add_argument("--dag-only", action="store_const", const=True,
-                    default=None, help="skip back-edge injection")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--labels-out", default=None)
-    _add_common(sp)
+    sp.add_argument("--dag-only", action="store_true",
+                    help="skip back-edge injection")
+    _add_graph_out_args(sp)
     sp.set_defaults(func=cmd_generate)
 
     sp = sub.add_parser("decycle", help="reorient a graph into a near-DAG")
-    sp.add_argument("edges", nargs="?", default=None)
-    sp.add_argument("--labels", default=None)
-    sp.add_argument("--timestamps", default=None)
-    sp.add_argument("--strategy", default=None, choices=neardag.STRATEGIES)
-    sp.add_argument("--r", type=float, default=None,
+    _add_graph_args(sp)
+    sp.add_argument("--r", type=float,
                     help="target back-edge ratio (default: measured)")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--labels-out", default=None)
-    _add_common(sp)
+    _add_graph_out_args(sp)
     sp.set_defaults(func=cmd_decycle)
 
     sp = sub.add_parser("baseline", help="fit and sample a classical generator")
-    sp.add_argument("name", nargs="?", default=None,
+    sp.add_argument("name", nargs="?",
                     help=f"one of {', '.join(BASELINE_NAMES)}")
-    sp.add_argument("edges", nargs="?", default=None)
-    sp.add_argument("--labels", default=None)
-    sp.add_argument("--timestamps", default=None)
-    sp.add_argument("--near-dag", action="store_const", const=True, default=None,
+    _add_graph_args(sp)
+    sp.add_argument("--near-dag", action="store_true",
                     help="apply cycle breaking at the measured back-edge ratio")
-    sp.add_argument("--r", type=float, default=None)
-    sp.add_argument("--strategy", default=None, choices=neardag.STRATEGIES)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--labels-out", default=None)
-    _add_common(sp)
+    sp.add_argument("--r", type=float,
+                    help="back-edge ratio of --near-dag (default: measured)")
+    _add_graph_out_args(sp)
     sp.set_defaults(func=cmd_baseline)
 
     sp = sub.add_parser("compare", help="score a synthetic graph against a real one")
-    sp.add_argument("real", nargs="?", default=None)
-    sp.add_argument("synth", nargs="?", default=None)
-    sp.add_argument("--real-labels", default=None)
-    sp.add_argument("--synth-labels", default=None)
-    sp.add_argument("--out", default=None, help="metric report TSV (default stdout)")
+    sp.add_argument("real", nargs="?")
+    sp.add_argument("synth", nargs="?")
+    sp.add_argument("--real-labels")
+    sp.add_argument("--synth-labels")
+    sp.add_argument("--out", help="metric report TSV (default stdout)")
     _add_metric_flags(sp)
-    _add_common(sp)
     sp.set_defaults(func=cmd_compare)
 
+    bench_config = bench_mod.BenchConfig
     sp = sub.add_parser("bench", help="rank generators across datasets")
-    sp.add_argument("--dataset", action="append", default=None,
-                    metavar="NAME=EDGES[,LABELS[,TIMESTAMPS]]")
-    sp.add_argument("--methods", default=None,
-                    help=f"comma-separated subset of {', '.join(bench_mod.METHODS)}")
-    sp.add_argument("--replicates", type=int, default=None,
-                    help="replicates per method and dataset (default "
-                         f"{bench_mod.BenchConfig.replicates})")
-    sp.add_argument("--outdir", default=None)
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default "
-                         f"{bench_mod.BenchConfig.threads})")
-    sp.add_argument("--order-strategy", default=None,
+    sp.add_argument("--dataset", action=_ReplaceDefault,
+                    metavar="NAME=EDGES[,LABELS[,TIMESTAMPS]]",
+                    help="a dataset to rank on; repeatable, and replaces "
+                         "the config file's datasets")
+    sp.add_argument("--methods", default=",".join(bench_config.methods),
+                    help="comma-separated methods (default %(default)s)")
+    sp.add_argument("--replicates", type=int, default=bench_config.replicates,
+                    help="replicates per method and dataset "
+                         "(default %(default)s)")
+    sp.add_argument("--outdir", default="bench_out",
+                    help="artifact directory (default %(default)s)")
+    sp.add_argument("--threads", type=int, default=bench_config.threads,
+                    help="worker threads (default %(default)s)")
+    sp.add_argument("--order-strategy", default=bench_config.order_strategy,
                     choices=("degree-diff", "eades"),
                     help="node ordering that measures each dataset's "
                          "back-edge ratio when it has no timestamps; -nd "
                          "replicates are always cycle-broken with "
-                         "degree-diff (default "
-                         f"{bench_mod.BenchConfig.order_strategy})")
+                         "degree-diff (default %(default)s)")
     _add_metric_flags(sp)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_bench)
+    # datasets, a list of --dataset specs, is a config-only key
+    sp.set_defaults(func=cmd_bench, datasets=None)
 
     sp = sub.add_parser("validate-theory",
                         help="compare generated in-degree tails to the "
                              "closed-form law")
-    sp.add_argument("--rho", default=None,
+    sp.add_argument("--rho", default="0.2,0.5,0.9",
                     help="comma-separated per-community preferential "
-                         "fractions (default 0.2,0.5,0.9)")
-    sp.add_argument("--n", type=int, default=None, help="node count (default 30000)")
-    sp.add_argument("--m", type=float, default=None,
-                    help="mean out-degree (default 5)")
-    sp.add_argument("--sigma2", type=float, default=None,
+                         "fractions (default %(default)s)")
+    sp.add_argument("--n", type=int, default=30_000,
+                    help="node count (default %(default)s)")
+    sp.add_argument("--m", type=float, default=5.0,
+                    help="mean out-degree (default %(default)s)")
+    sp.add_argument("--sigma2", type=float,
                     help="out-degree variance (default: equal to m)")
-    sp.add_argument("--out", default=None, help="CCDF table TSV (default stdout)")
-    _add_common(sp)
+    sp.add_argument("--out", help="CCDF table TSV (default stdout)")
     sp.set_defaults(func=cmd_validate_theory)
 
+    file = {k: v for k, v in (defaults or {}).items() if k != "func"}
+    for sp in sub.choices.values():
+        sp.add_argument("--config",
+                        help="JSON file supplying defaults for any flag")
+        sp.add_argument("--seed", type=int)
+        sp.set_defaults(**file)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
     try:
+        defaults = _load_config(pre.parse_known_args(argv)[0].config)
+        args = build_parser(defaults).parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

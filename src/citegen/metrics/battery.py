@@ -8,7 +8,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..graph import LabeledGraph, bfs_subsample, sample_pairs
-from ..neardag import order_nodes
+from ..neardag import age_strategy, order_nodes
 from .communities import (conductance, density_pair, detect_batch,
                           detect_communities, detected_sizes, modularity,
                           participation)
@@ -131,8 +131,10 @@ def _sample_sources(graph: LabeledGraph, config: MetricConfig, seed):
 
 
 def global_topology_metrics(graph, config, pair_seed, source_seed):
-    dist = all_pair_distances(graph) if config.exact else pair_distances(
-        graph, sample_pairs(graph, config.n_pairs, pair_seed))
+    # below 2 nodes there are no pairs to sample, and no distances
+    dist = (all_pair_distances(graph) if config.exact or graph.num_nodes < 2
+            else pair_distances(graph, sample_pairs(graph, config.n_pairs,
+                                                    pair_seed)))
     return {"effective_diameter": _try(effective_diameter, dist),
             "avg_path_length": _try(average_path_length, dist),
             "reachability": _try(reachability_counts, graph, _sample_sources(
@@ -218,10 +220,8 @@ def flow_metrics(graph, config, source_seed):
     return {"betweenness_dist": _try(betweenness_values, graph,
                                      _sample_sources(graph, config, source_seed)),
             "scc_sizes": _try(scc_sizes, graph),
-            # nodes ranked by age: timestamps when known, else the heuristic
             "longest_path_dist": _try(lambda: longest_path_lengths(
-                graph, order_nodes(graph, "degree-diff" if graph.timestamps
-                                   is None else "timestamps").rank))}
+                graph, order_nodes(graph, age_strategy(graph)).rank))}
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,12 @@ def order_nodes(graph: LabeledGraph, strategy: str) -> NodeOrdering:
     raise NearDagError(f"unknown ordering strategy {strategy!r}")
 
 
+def age_strategy(graph: LabeledGraph, heuristic: str = "degree-diff") -> str:
+    """The ordering that ranks ``graph``'s nodes by age: ``timestamps``
+    when the graph has them, else the ``heuristic``."""
+    return "timestamps" if graph.timestamps is not None else heuristic
+
+
 def _eades_sequence(graph: LabeledGraph) -> np.ndarray:
     """Greedy sequence with sources at the front, sinks at the back.
 

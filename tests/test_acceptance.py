@@ -196,19 +196,29 @@ def test_acceptance_5_linear_scaling():
     params = CsParams(p=(1.0,), m=(5.0,), rho=(0.5,), sigma2=(5.0,))
     generate(params, 2000, 0)  # warm up outside the clock
 
-    # every size is timed the same way: best of 3, with the sizes
-    # interleaved round by round so that a slow spell of the host hits
-    # them alike rather than one size's runs
+    # Each ratio is the median over rounds of the ratio of its two sizes
+    # timed back to back, in alternating order.  A slow spell of the host
+    # then slows both sides of one round's ratio rather than one size's
+    # best run: across full test runs the best-of-3 ratio of the small
+    # sizes read 1.4 to 2.8, while it is about 2.2 when the host is steady.
+    # A round of the small sizes takes about 2 s, so they get 9 rounds;
+    # the large sizes run in every third round.
     seeds = {100_000: 10, 200_000: 20, 500_000: 50, 1_000_000: 100}
-    best = dict.fromkeys(seeds, float("inf"))
-    for rep in range(3):
-        for n, seed in seeds.items():
-            t0 = time.perf_counter()
-            generate(params, n, seed + rep)
-            best[n] = min(best[n], time.perf_counter() - t0)
-    t_100k, t_200k, t_500k, t_1m = best.values()
-    ratio_small = t_200k / t_100k
-    ratio_large = t_1m / t_500k
+    ratios = {(100_000, 200_000): [], (500_000, 1_000_000): []}
+    t_1m = float("inf")
+    for rep in range(9):
+        for small, large in ratios:
+            if large > 200_000 and rep % 3:
+                continue
+            took = {}
+            for n in (small, large) if rep % 2 == 0 else (large, small):
+                t0 = time.perf_counter()
+                generate(params, n, seeds[n] + rep)
+                took[n] = time.perf_counter() - t0
+            ratios[small, large].append(took[large] / took[small])
+            if large == 1_000_000:
+                t_1m = min(t_1m, took[large])
+    ratio_small, ratio_large = (float(np.median(r)) for r in ratios.values())
     ok = ratio_small <= 2.5 and ratio_large <= 2.5 and t_1m <= 60.0
     print(f"ACCEPTANCE 5 (linear scaling): {'PASS' if ok else 'FAIL'} - "
           f"t(2e5)/t(1e5)={ratio_small:.2f}<=2.5, "

@@ -203,10 +203,10 @@ def test_block_tables_drop_incomplete_blocks():
                          metric_names=("m1", "m2"),
                          metric_categories=("degree", "meso-endogenous"),
                          runs=runs)
-    table, flat = result.full_table()
+    table, flat = result.tables[""]
     assert table.blocks == (("d", "m1"),)
     assert flat.shape == (1, 2, 2)
-    table_ne, flat_ne = result.non_endogenous_table()
+    table_ne, flat_ne = result.tables["_non_endogenous"]
     assert table_ne.blocks == (("d", "m1"),)
     assert np.array_equal(flat, flat_ne)
 

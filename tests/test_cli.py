@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from citegen import bench as bench_mod
+from citegen import cli
 from citegen.bench import BenchConfig
 from citegen.cli import main
 from citegen.generator import CsParams, generate
@@ -260,3 +261,111 @@ def test_runtime_errors_exit_one(cli_files, tmp_path, capsys):
     code = main(["fit", str(edges), "--labels", str(labels), "--seed", "1"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def _stopped_bench(monkeypatch, argv):
+    """The datasets and BenchConfig that ``main(argv)`` hands run_bench."""
+    seen = []
+
+    def stop(datasets, config):
+        seen.append((sorted(datasets), config))
+        raise RuntimeError("stop before running")
+
+    monkeypatch.setattr(bench_mod, "run_bench", stop)
+    assert main(argv) == 1
+    return seen[0]
+
+
+def _config_file(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return ["--config", str(path)]
+
+
+def test_flag_beats_config_beats_default(cli_files, tmp_path, monkeypatch):
+    base = ["bench", "--dataset", f"one={cli_files['edges']}", "--seed", "3"]
+    config = _config_file(tmp_path, {"pairs": 123, "replicates": 4})
+    _, default = _stopped_bench(monkeypatch, base)
+    _, from_file = _stopped_bench(monkeypatch, base + config)
+    _, flagged = _stopped_bench(
+        monkeypatch, base + config + ["--pairs", "77", "--replicates", "3"])
+    assert (default.metric.n_pairs, default.replicates) == (
+        MetricConfig.n_pairs, BenchConfig.replicates)
+    assert (from_file.metric.n_pairs, from_file.replicates) == (123, 4)
+    assert (flagged.metric.n_pairs, flagged.replicates) == (77, 3)
+
+
+def test_lists_read_from_json_or_comma_strings(cli_files, tmp_path,
+                                               monkeypatch):
+    base = ["bench", "--dataset", f"one={cli_files['edges']}", "--seed", "3"]
+    as_flags = base + ["--methods", "cs,er", "--resolutions", "0.5,1"]
+    as_strings = base + _config_file(tmp_path, {"methods": "cs,er",
+                                                "resolutions": "0.5,1"})
+    as_lists = base + _config_file(tmp_path, {"methods": ["cs", "er"],
+                                              "resolutions": [0.5, 1]})
+    for argv in (as_flags, as_strings, as_lists):
+        _, config = _stopped_bench(monkeypatch, argv)
+        assert config.methods == ("cs", "er")
+        assert config.metric.resolutions == (0.5, 1.0)
+
+
+def test_config_only_keys(cli_files, tmp_path, monkeypatch, capsys):
+    fit = ["fit", str(cli_files["edges"]), "--labels", str(cli_files["labels"])]
+    assert main(fit + _config_file(tmp_path, {"r": 0.25})) == 0
+    assert json.loads(capsys.readouterr().out)["back_edge_ratio"] == 0.25
+    names, _ = _stopped_bench(monkeypatch, ["bench", "--seed", "3"] +
+                              _config_file(tmp_path, {"datasets": [
+                                  f"one={cli_files['edges']}",
+                                  f"two={cli_files['edges2']}"]}))
+    assert names == ["one", "two"]
+
+
+def test_dataset_flags_replace_config_datasets(cli_files, tmp_path,
+                                               monkeypatch):
+    one = f"one={cli_files['edges']}"
+    two = f"two={cli_files['edges2']}"
+    for listed in ([one], one):
+        config = _config_file(tmp_path, {"dataset": listed})
+        names, _ = _stopped_bench(monkeypatch, ["bench", "--seed", "3"] + config)
+        assert names == ["one"]
+        names, _ = _stopped_bench(monkeypatch, ["bench", "--seed", "3",
+                                                "--dataset", two] + config)
+        assert names == ["two"]
+
+
+def test_subcommands_without_flags_use_config_defaults(cli_files, monkeypatch):
+    _, config = _stopped_bench(monkeypatch, [
+        "bench", "--dataset", f"one={cli_files['edges']}", "--seed", "3"])
+    assert config == BenchConfig(seed=3)
+    seen = []
+
+    def stop(*args):
+        seen.append(args)
+        raise RuntimeError("stop before running")
+
+    monkeypatch.setattr(cli, "compare", stop)
+    assert main(["compare", str(cli_files["edges"]), str(cli_files["edges"]),
+                 "--seed", "5"]) == 1
+    assert seen.pop()[2] == MetricConfig(seed=5)
+    monkeypatch.setattr(cli, "generate", stop)
+    assert main(["validate-theory", "--seed", "5"]) == 1
+    params, n, seed = seen.pop()
+    assert list(params.rho) == [0.2, 0.5, 0.9]
+    assert list(params.m) == list(params.sigma2) == [5.0] * 3
+    assert (n, seed) == (30_000, 5)
+
+
+def test_bench_ranks_each_variant_once(cli_files, tmp_path, monkeypatch,
+                                       caplog):
+    runs = np.ones((1, 3, 2, 2))
+    runs[0, 0, 1, 0] = np.nan  # a gap in a block both variants rank
+    result = bench_mod.BenchResult(
+        methods=("cs", "er"), datasets=("one",), metric_names=("a", "b", "c"),
+        metric_categories=("degree", "degree", "meso-endogenous"), runs=runs)
+    monkeypatch.setattr(bench_mod, "run_bench", lambda datasets, config: result)
+    with caplog.at_level("WARNING"):
+        assert main(["bench", "--dataset", f"one={cli_files['edges']}",
+                     "--seed", "3", "--outdir", str(tmp_path)]) == 0
+    dropped = [rec.args[0] for rec in caplog.records
+               if rec.msg.startswith("dropping %d blocks")]
+    assert dropped == [1, 1]

@@ -319,6 +319,21 @@ def test_profile_stores_failures_and_raises_them_on_read(make_graph):
     assert "gt_modularity" not in prof.values
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("n", [0, 1])
+def test_graphs_below_two_nodes_skip_path_lengths(make_graph, n, exact):
+    chain = make_graph(6, [(i + 1, i) for i in range(5)], labels=[0] * 6)
+    tiny = make_graph(n, [], labels=[0] * n)
+    real, synth = profiles([chain, tiny], MetricConfig(exact=exact))
+    for name in ("effective_diameter", "avg_path_length"):
+        with pytest.raises(MetricError, match="no finite-distance pairs"):
+            synth[name]
+    report = distance(real, synth)
+    assert len(report.entries) == 26
+    assert {"effective_diameter", "avg_path_length"} <= {
+        e.name for e in report.entries if e.skipped}
+
+
 def test_distance_rejects_profiles_of_different_configs(make_graph):
     chain = make_graph(6, [(i + 1, i) for i in range(5)])
     with pytest.raises(ValueError, match="different metric configs"):
