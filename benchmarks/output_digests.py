@@ -13,7 +13,10 @@ exact ``triad_census`` and one ``compare`` report on some of those
 graphs; the labels and modularities ``detect_at_resolutions`` finds at
 the battery's resolutions on one of them; the distance tensor and the
 seven artifact files of one ``run_bench`` over four methods and two
-replicates on a small fixed dataset; ``generate_er`` over a grid of
+replicates on a small fixed dataset; the artifact files of two
+hand-built results whose win/tie/loss tables hold wins, losses and ties
+under the exact null (5 tie-free replicates) and the normal one (25
+replicates with ties); ``generate_er`` over a grid of
 sizes and edge probabilities; the community labels and the edge lists of
 ``generate``; and the out-,
 in- and undirected CSR views and the scipy adjacency of each fixed input
@@ -32,7 +35,8 @@ import numpy as np
 
 from citegen.baselines import (ErFit, fit_config, fit_sbm, generate_config,
                                generate_dcsbm, generate_er, generate_sbm)
-from citegen.bench import BenchConfig, run_bench, write_artifacts
+from citegen.bench import (BenchConfig, BenchResult, run_bench,
+                           write_artifacts)
 from citegen.generator import CsParams, generate
 from citegen.graph import (LabeledGraph, bfs_subsample, in_csr,
                            load_edge_list, out_csr, save_edge_list,
@@ -81,6 +85,33 @@ def saved(graph):
     buf = io.StringIO()
     save_edge_list(graph, buf)
     return buf.getvalue()
+
+
+def artifacts(result, seed):
+    """The bytes of each file ``write_artifacts`` writes for ``result``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for name in write_artifacts(result, tmp, seed):
+            with open(os.path.join(tmp, name), "rb") as fh:
+                files.append(np.frombuffer(fh.read(), np.uint8))
+    return files
+
+
+def separated_result(replicates, integers, seed):
+    """Bench runs of 4 methods set about one spread apart, so that the U
+    tests find wins, losses and ties; integer runs hold ties."""
+    rng = np.random.default_rng(seed)
+    shape = (2, 3, 4, replicates)  # datasets, metrics, methods, replicates
+    shift = rng.normal(scale=1.5, size=shape[:3] + (1,))
+    if integers:
+        runs = rng.integers(0, 6, shape) + 2.0 * np.round(shift)
+    else:
+        runs = rng.normal(size=shape) + shift
+    return BenchResult(methods=("m0", "m1", "m2", "m3"), datasets=("d0", "d1"),
+                       metric_names=("a", "b", "c"),
+                       metric_categories=("degree", "degree",
+                                          "meso-endogenous"),
+                       runs=runs)
 
 
 def main():
@@ -165,12 +196,10 @@ def main():
     result = run_bench({"small": small}, BenchConfig(
         methods=("cs", "er-nd", "config-nd", "dcsbm-nd"), replicates=2,
         seed=17))
-    with tempfile.TemporaryDirectory() as tmp:
-        files = []
-        for name in write_artifacts(result, tmp, 17):
-            with open(os.path.join(tmp, name), "rb") as fh:
-                files.append(np.frombuffer(fh.read(), np.uint8))
-    out["run_bench/small"] = digest(result.runs, *files)
+    out["run_bench/small"] = digest(result.runs, *artifacts(result, 17))
+    out["write_artifacts/wtl"] = digest(
+        *artifacts(separated_result(5, False, 18), 19),
+        *artifacts(separated_result(25, True, 20), 21))
 
     for n in (2, 3, 50, 1000):
         for p in (1e-6, 0.01, 0.3, 0.99, 1.0):

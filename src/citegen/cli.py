@@ -2,9 +2,11 @@
 
 Every option can also be supplied through a JSON config file
 (``--config``).  The file's values become the parser's defaults, so an
-explicit flag beats a config value, which beats the declared default.  All
-subcommands are deterministic under a fixed ``--seed``; when the seed is
-omitted one is drawn from system entropy and printed to stderr.
+explicit flag beats a config value, which beats the declared default, and a
+config value of ``null`` counts as not given.  Every subcommand but ``fit``,
+which draws nothing at random, takes ``--seed`` and is deterministic under
+it; when the seed is omitted one is drawn from system entropy and printed to
+stderr.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 """
@@ -40,7 +42,8 @@ class UsageError(Exception):
 
 
 def _load_config(path) -> dict:
-    """A JSON config file's keys, dashes read as underscores; {} without one."""
+    """A JSON config file's keys, dashes read as underscores, without those
+    whose value is null (not given); {} without a file."""
     if not path:
         return {}
     path = _require_file(path, "config file")
@@ -50,7 +53,8 @@ def _load_config(path) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    return {str(k).replace("-", "_"): v for k, v in data.items()}
+    return {str(k).replace("-", "_"): v for k, v in data.items()
+            if v is not None}
 
 
 def _require(args, name: str, what: str):
@@ -496,10 +500,11 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_validate_theory)
 
     file = {k: v for k, v in (defaults or {}).items() if k != "func"}
-    for sp in sub.choices.values():
+    for name, sp in sub.choices.items():
         sp.add_argument("--config",
                         help="JSON file supplying defaults for any flag")
-        sp.add_argument("--seed", type=int)
+        if name != "fit":  # the only subcommand that draws nothing
+            sp.add_argument("--seed", type=int)
         sp.set_defaults(**file)
     return parser
 

@@ -17,23 +17,25 @@ class StatsError(ValueError):
 
 
 def average_ranks(values) -> np.ndarray:
-    """Ranks 1..n of a 1-D sample, ties sharing their average rank.
+    """Ranks 1..n along the last axis, ties sharing their average rank.
 
-    Matches ``scipy.stats.rankdata`` (method "average"), which citegen does
-    not import for its cost: all NaN when any value is NaN.
+    Matches ``scipy.stats.rankdata(values, axis=-1)``, which citegen does
+    not import for its cost: a row holding a NaN ranks all NaN.
     """
     values = np.asarray(values, np.float64)
-    if np.isnan(values).any():
-        return np.full(values.size, np.nan)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    # a tie group filling sorted slots first..last (1-based) has mean rank
-    # (first + last) / 2
-    first = np.flatnonzero(new) + 1
-    last = np.concatenate((first[1:] - 1, [values.size]))
-    ranks = np.empty(values.size)
-    ranks[order] = ((first + last) / 2.0)[np.cumsum(new) - 1]
+    order = np.argsort(values, axis=-1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=-1)
+    slot = np.arange(values.shape[-1], dtype=np.int32)
+    new = np.ones(values.shape, bool)
+    new[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    # a tie group filling sorted slots first..last (0-based) has mean rank
+    # (first + last + 2) / 2; its last slot precedes the next group's first
+    first = np.maximum.accumulate(np.where(new, slot, 0), axis=-1)
+    ends = np.where(np.roll(new, -1, axis=-1), slot, slot.size)
+    last = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, (first + last + 2) / 2.0, axis=-1)
+    ranks[np.isnan(values).any(axis=-1)] = np.nan
     return ranks
 
 
@@ -72,10 +74,9 @@ def rank_blocks(values: np.ndarray, methods: Sequence[str],
     values = values[keep]
     if values.shape[0] == 0:
         raise StatsError("no complete blocks to rank")
-    ranks = np.apply_along_axis(average_ranks, 1, values)
     return RankTable(methods=tuple(methods),
                      blocks=tuple(b for b, k in zip(blocks, keep) if k),
-                     values=values, ranks=ranks)
+                     values=values, ranks=average_ranks(values))
 
 
 def friedman(table: RankTable) -> Tuple[float, float]:
@@ -107,39 +108,40 @@ def _exact_u_counts(n1: int, n2: int) -> np.ndarray:
     return table[n2]
 
 
-def mann_whitney(a, b) -> Tuple[float, float]:
-    """Mann-Whitney U (for the first sample) with a two-sided p-value.
-
-    Small tie-free samples use the exact permutation null; otherwise a
-    normal approximation with midrank tie correction and continuity
-    correction.
+def _u_test(a: np.ndarray, b: np.ndarray):
+    """Mann-Whitney U and two-sided p of every row pair of ``a`` (..., n1)
+    and ``b`` (..., n2): the exact permutation null for tie-free rows when
+    both sizes are under 20, else a normal approximation with midrank tie
+    and continuity corrections.  A row holding a NaN gets U and p NaN.
     """
-    a = np.asarray(a, np.float64)
-    b = np.asarray(b, np.float64)
-    n1, n2 = a.size, b.size
+    n1, n2 = a.shape[-1], b.shape[-1]
     if n1 == 0 or n2 == 0:
         raise StatsError("Mann-Whitney needs non-empty samples")
-    combined = np.concatenate([a, b])
-    ranks = average_ranks(combined)
-    r1 = float(ranks[:n1].sum())
-    u1 = r1 - n1 * (n1 + 1) / 2.0
     n = n1 + n2
-    _, tie_counts = np.unique(combined, return_counts=True)
-    has_ties = bool((tie_counts > 1).any())
-    if not has_ties and n1 < 20 and n2 < 20:
-        counts = _exact_u_counts(n1, n2)
-        total = counts.sum()
-        u_static = min(u1, n1 * n2 - u1)
-        p = 2.0 * float(counts[:int(round(u_static)) + 1].sum()) / total
-        return u1, min(p, 1.0)
-    mu = n1 * n2 / 2.0
-    tie_term = float(np.sum(tie_counts ** 3 - tie_counts)) / (n * (n - 1))
-    sigma2 = n1 * n2 / 12.0 * ((n + 1) - tie_term)
-    if sigma2 <= 0:
-        return u1, 1.0
-    diff = abs(u1 - mu)
-    z = max(diff - 0.5, 0.0) / np.sqrt(sigma2)
-    return u1, float(2.0 * ndtr(-z))
+    ranks = average_ranks(np.concatenate([a, b], axis=-1))
+    u1 = ranks[..., :n1].sum(axis=-1) - n1 * (n1 + 1) / 2.0
+    # a group of t tied values lowers the sum of squared ranks from the
+    # tie-free n(n+1)(2n+1)/6 by (t^3 - t)/12, exactly in half-integers
+    tie_sum = 12.0 * (n * (n + 1) * (2 * n + 1) // 6
+                      - np.einsum("...i,...i", ranks, ranks))
+    sigma2 = n1 * n2 / 12.0 * ((n + 1) - tie_sum / (n * (n - 1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.maximum(np.abs(u1 - n1 * n2 / 2.0) - 0.5, 0.0) / np.sqrt(sigma2)
+    p = np.where(sigma2 <= 0, 1.0, 2.0 * ndtr(-z))
+    exact = (tie_sum == 0) & (n1 < 20) & (n2 < 20)
+    if exact.any():
+        cdf = np.cumsum(_exact_u_counts(n1, n2))
+        u_static = np.where(exact, np.minimum(u1, n1 * n2 - u1), 0)
+        p = np.where(exact, np.minimum(
+            2.0 * cdf[u_static.astype(np.intp)] / cdf[-1], 1.0), p)
+    return u1, p
+
+
+def mann_whitney(a, b) -> Tuple[float, float]:
+    """Mann-Whitney U (for the first sample) with a two-sided p-value;
+    ``_u_test`` on one pair of samples."""
+    u1, p = _u_test(np.asarray(a, np.float64), np.asarray(b, np.float64))
+    return float(u1), float(p)
 
 
 def wtl_matrix(runs: np.ndarray, alpha: float = 0.05):
@@ -147,23 +149,18 @@ def wtl_matrix(runs: np.ndarray, alpha: float = 0.05):
 
     ``runs`` has shape (n_blocks, n_methods, n_replicates).  Method i beats
     j in a block when the two-sided Mann-Whitney p < alpha and i's
-    replicate distances sit on the lower side.
+    replicate distances sit on the lower side; one U test covers them all.
     """
     runs = np.asarray(runs, np.float64)
     if runs.ndim != 3:
         raise StatsError("runs must be (blocks, methods, replicates)")
-    n_blocks, k, _ = runs.shape
+    n_blocks, k, r = runs.shape
+    i, j = np.triu_indices(k, 1)
+    u1, p = _u_test(runs[:, i], runs[:, j])
+    significant = p < alpha
     wins = np.zeros((k, k), np.int64)
-    for bidx in range(n_blocks):
-        for i in range(k):
-            for j in range(i + 1, k):
-                u1, p = mann_whitney(runs[bidx, i], runs[bidx, j])
-                if p < alpha:
-                    half = runs.shape[2] ** 2 / 2.0
-                    if u1 < half:
-                        wins[i, j] += 1
-                    elif u1 > half:
-                        wins[j, i] += 1
+    wins[i, j] = (significant & (u1 < r * r / 2.0)).sum(axis=0)
+    wins[j, i] = (significant & (u1 > r * r / 2.0)).sum(axis=0)
     losses = wins.T.copy()
     ties = n_blocks - wins - losses
     np.fill_diagonal(ties, 0)
@@ -180,5 +177,8 @@ def bootstrap_ci(table: RankTable, draws: int = 10_000, seed=0) -> np.ndarray:
         raise StatsError("bootstrap needs at least one block")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(draws, n))
-    means = table.ranks[idx].mean(axis=1)
-    return np.percentile(means, [2.5, 97.5], axis=0).T
+    # block counts per draw times the ranks: half-integer ranks keep every
+    # sum exact, so this is ranks[idx].mean(axis=1) without its 3-D gather
+    idx += n * np.arange(draws)[:, None]
+    counts = np.bincount(idx.ravel(), minlength=draws * n).reshape(draws, n)
+    return np.percentile(counts @ table.ranks / n, [2.5, 97.5], axis=0).T

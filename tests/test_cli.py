@@ -39,8 +39,7 @@ def test_fit_writes_params_and_report(cli_files, tmp_path, capsys):
     report_path = tmp_path / "report.tsv"
     code = main(["fit", str(cli_files["edges"]),
                  "--labels", str(cli_files["labels"]),
-                 "--out", str(params_path), "--report", str(report_path),
-                 "--seed", "1"])
+                 "--out", str(params_path), "--report", str(report_path)])
     assert code == 0
     doc = json.loads(params_path.read_text())
     assert set(doc) >= {"p", "m", "rho", "sigma2", "n", "back_edge_ratio"}
@@ -54,7 +53,7 @@ def test_fit_writes_params_and_report(cli_files, tmp_path, capsys):
 
 def test_fit_stdout_by_default(cli_files, capsys):
     code = main(["fit", str(cli_files["edges"]),
-                 "--labels", str(cli_files["labels"]), "--seed", "1"])
+                 "--labels", str(cli_files["labels"])])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert "rho" in doc
@@ -64,7 +63,7 @@ def test_fit_then_generate_round_trip(cli_files, tmp_path, capsys):
     params_path = tmp_path / "params.json"
     assert main(["fit", str(cli_files["edges"]),
                  "--labels", str(cli_files["labels"]),
-                 "--out", str(params_path), "--seed", "1"]) == 0
+                 "--out", str(params_path)]) == 0
     out_edges = tmp_path / "synth.edges"
     out_labels = tmp_path / "synth.labels"
     code = main(["generate", str(params_path), "--out", str(out_edges),
@@ -83,7 +82,7 @@ def test_generate_dag_only_is_acyclic(cli_files, tmp_path):
     params_path = tmp_path / "params.json"
     assert main(["fit", str(cli_files["edges"]),
                  "--labels", str(cli_files["labels"]),
-                 "--out", str(params_path), "--seed", "1"]) == 0
+                 "--out", str(params_path)]) == 0
     out_edges = tmp_path / "dag.edges"
     assert main(["generate", str(params_path), "--dag-only",
                  "--out", str(out_edges), "--seed", "9"]) == 0
@@ -95,7 +94,7 @@ def test_generate_reruns_byte_identical(cli_files, tmp_path):
     params_path = tmp_path / "params.json"
     assert main(["fit", str(cli_files["edges"]),
                  "--labels", str(cli_files["labels"]),
-                 "--out", str(params_path), "--seed", "1"]) == 0
+                 "--out", str(params_path)]) == 0
     a = tmp_path / "a.edges"
     b = tmp_path / "b.edges"
     for out in (a, b):
@@ -108,7 +107,7 @@ def test_generate_without_seed_reports_one(cli_files, tmp_path, capsys):
     params_path = tmp_path / "params.json"
     assert main(["fit", str(cli_files["edges"]),
                  "--labels", str(cli_files["labels"]),
-                 "--out", str(params_path), "--seed", "1"]) == 0
+                 "--out", str(params_path)]) == 0
     assert main(["generate", str(params_path),
                  "--out", str(tmp_path / "x.edges")]) == 0
     assert "seed: " in capsys.readouterr().err
@@ -122,7 +121,7 @@ def test_config_file_supplies_flags(cli_files, tmp_path):
     via_config = tmp_path / "via.json"
     assert main(["fit", str(cli_files["edges"]),
                  "--labels", str(cli_files["labels"]),
-                 "--out", str(direct), "--seed", "1"]) == 0
+                 "--out", str(direct)]) == 0
     assert main(["fit", str(cli_files["edges"]), "--config", str(config),
                  "--out", str(via_config)]) == 0
     assert direct.read_text() == via_config.read_text()
@@ -258,7 +257,7 @@ def test_runtime_errors_exit_one(cli_files, tmp_path, capsys):
     labels = tmp_path / "tiny.labels"
     edges.write_text("a\tb\nb\tc\n")
     labels.write_text("a\t0\nb\t0\nc\t1\n")
-    code = main(["fit", str(edges), "--labels", str(labels), "--seed", "1"])
+    code = main(["fit", str(edges), "--labels", str(labels)])
     assert code == 1
     assert "error" in capsys.readouterr().err
 
@@ -318,6 +317,32 @@ def test_config_only_keys(cli_files, tmp_path, monkeypatch, capsys):
                                   f"one={cli_files['edges']}",
                                   f"two={cli_files['edges2']}"]}))
     assert names == ["one", "two"]
+
+
+def test_fit_takes_no_seed(cli_files, tmp_path, capsys):
+    # fit draws nothing at random, so it declares no --seed; a config file
+    # shared with the seeded subcommands may still hold one
+    fit = ["fit", str(cli_files["edges"]), "--labels", str(cli_files["labels"])]
+    with pytest.raises(SystemExit) as exc:
+        main(fit + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main(fit) == 0
+    plain = capsys.readouterr().out
+    assert main(fit + _config_file(tmp_path, {"seed": 1})) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_config_null_means_not_given(cli_files, tmp_path, monkeypatch,
+                                     capsys):
+    base = ["bench", "--dataset", f"one={cli_files['edges']}"]
+    _, config = _stopped_bench(monkeypatch, base + _config_file(
+        tmp_path, {"replicates": None, "seed": 3}))
+    assert config == BenchConfig(seed=3)
+    capsys.readouterr()
+    _, config = _stopped_bench(monkeypatch, base + _config_file(
+        tmp_path, {"seed": None}))
+    assert f"seed: {config.seed}\n" in capsys.readouterr().err
 
 
 def test_dataset_flags_replace_config_datasets(cli_files, tmp_path,

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,32 @@ def exact_mwu_oracle(a, b):
     return min(1.0, 2.0 * hits / total)
 
 
+def scipy_mwu(a, b):
+    """scipy's two-sided test under citegen's choice of null: exact for
+    tie-free samples both under 20, else normal with continuity."""
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    pooled = np.concatenate([a, b])
+    exact = (np.unique(pooled).size == pooled.size and a.size < 20
+             and b.size < 20)
+    return scipy.stats.mannwhitneyu(
+        a, b, alternative="two-sided", use_continuity=True,
+        method="exact" if exact else "asymptotic")
+
+
+def scipy_wtl(runs, alpha=0.05):
+    """W/T/L tallies from one scipy test per block and ordered pair."""
+    n_blocks, k, r = runs.shape
+    wins = np.zeros((k, k), np.int64)
+    for b, i, j in itertools.product(range(n_blocks), range(k), range(k)):
+        if i != j:
+            res = scipy_mwu(runs[b, i], runs[b, j])
+            wins[i, j] += res.pvalue < alpha and res.statistic < r * r / 2
+    ties = n_blocks - wins - wins.T
+    np.fill_diagonal(ties, 0)
+    return wins, ties, wins.T
+
+
 # ----------------------------------------------------------------- ranking
 
 
@@ -68,10 +95,13 @@ def test_average_ranks_match_scipy_rankdata():
     for values in samples:
         want = scipy.stats.rankdata(values)
         assert np.array_equal(average_ranks(values), want, equal_nan=True)
-    rows = rng.integers(0, 3, (20, 6)).astype(float)
-    rows[4] = 1.0
-    assert np.array_equal(np.apply_along_axis(average_ranks, 1, rows),
-                          scipy.stats.rankdata(rows, axis=1))
+    # ranks run along the last axis of any array
+    rows = rng.integers(0, 3, (4, 20, 6)).astype(float)
+    rows[0, 4] = 1.0
+    rows[1, 7, 2] = np.nan
+    want = scipy.stats.rankdata(rows, axis=-1)
+    want[1, 7] = np.nan
+    assert np.array_equal(average_ranks(rows), want, equal_nan=True)
 
 
 def test_rank_blocks_drops_incomplete_rows(caplog):
@@ -176,6 +206,22 @@ def test_mann_whitney_large_samples_use_normal_tail():
     assert u1 < 40 * 40 / 2
 
 
+def test_mann_whitney_matches_scipy_on_unequal_sizes():
+    rng = np.random.default_rng(41)
+    for n1, n2 in ((3, 7), (19, 4), (5, 19), (12, 30), (25, 6), (1, 2)):
+        for a, b in ((rng.normal(size=n1), rng.normal(0.8, size=n2)),
+                     (rng.integers(0, 4, n1), rng.integers(1, 5, n2))):
+            u1, p = mann_whitney(a, b)
+            want = scipy_mwu(a, b)
+            assert u1 == want.statistic
+            assert p == pytest.approx(want.pvalue, rel=1e-12, abs=1e-15)
+
+
+def test_mann_whitney_nan_propagates():
+    u1, p = mann_whitney([1.0, np.nan, 3.0], [4.0, 5.0, 6.0])
+    assert math.isnan(u1) and math.isnan(p)
+
+
 def test_mann_whitney_rejects_empty():
     with pytest.raises(StatsError):
         mann_whitney([], [1.0])
@@ -220,6 +266,54 @@ def test_wtl_insignificant_differences_tie():
     assert (ties[off_diag] == 2).all()
 
 
+def shifted_runs(rng, n_blocks, k, r, integers=False):
+    """Runs whose methods sit apart by about one spread: the tests see
+    wins, losses and ties."""
+    shift = rng.normal(scale=1.5, size=(n_blocks, k, 1))
+    if integers:
+        return rng.integers(0, 6, (n_blocks, k, r)) + np.round(shift) * 2.0
+    return rng.normal(size=(n_blocks, k, r)) + shift
+
+
+@pytest.mark.parametrize("r", [3, 4, 8, 19, 20, 25])
+def test_wtl_matches_scipy_oracle(r):
+    rng = np.random.default_rng(43 + r)
+    for integers in (False, True):
+        runs = shifted_runs(rng, 12, 4, r, integers)
+        got = wtl_matrix(runs)
+        for mine, want in zip(got, scipy_wtl(runs)):
+            assert np.array_equal(mine, want)
+        if r >= 4:  # three replicates can never reach p < 0.05
+            assert got[0].sum() > 0 and got[1].sum() > 0
+
+
+def test_wtl_block_with_nan_ties():
+    rng = np.random.default_rng(47)
+    runs = shifted_runs(rng, 6, 3, 25) + np.array([0.0, 10.0, 20.0])[:, None]
+    runs[0, 1, 4] = np.nan  # method 1 ties both its pairs in block 0
+    wins, ties, losses = wtl_matrix(runs)
+    for mine, want in zip((wins, ties, losses), scipy_wtl(runs)):
+        assert np.array_equal(mine, want)
+    assert wins[0].tolist() == [0, 5, 6] and wins[1].tolist() == [0, 0, 5]
+    assert ties[0, 1] == ties[1, 2] == 1 and ties[0, 2] == 0
+
+
+def test_wtl_memory_is_linear_in_the_samples():
+    # paper scale: 182 blocks x 10 methods x 50 replicates; the combined
+    # samples of all 45 pairs hold 182 * 45 * 100 doubles, and a per-pair
+    # r x r comparison would hold 25 times that
+    rng = np.random.default_rng(53)
+    runs = shifted_runs(rng, 182, 10, 50)
+    combined_bytes = 182 * 45 * 100 * 8
+    tracemalloc.start()
+    try:
+        wtl_matrix(runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * combined_bytes
+
+
 # --------------------------------------------------------------- bootstrap
 
 
@@ -249,3 +343,32 @@ def test_bootstrap_ci_single_draw():
     ci = bootstrap_ci(table, draws=1, seed=1)
     assert ci.shape == (3, 2)
     assert np.array_equal(ci[:, 0], ci[:, 1])
+
+
+def test_bootstrap_ci_equals_gathered_means_bit_for_bit():
+    rng = np.random.default_rng(59)
+    for n_blocks, k in ((1, 2), (7, 3), (40, 5), (182, 10)):
+        # few distinct values: many tied, half-integer ranks
+        values = rng.integers(0, 4, (n_blocks, k)).astype(float)
+        table = rank_blocks(values, [f"m{i}" for i in range(k)],
+                            blocks_for(n_blocks))
+        for draws, seed in ((1, 0), (999, 3)):
+            idx = np.random.default_rng(seed).integers(
+                0, n_blocks, size=(draws, n_blocks))
+            want = np.percentile(table.ranks[idx].mean(axis=1), [2.5, 97.5],
+                                 axis=0).T
+            assert np.array_equal(bootstrap_ci(table, draws, seed), want)
+
+
+def test_bootstrap_ci_peak_memory_at_paper_scale():
+    # the gathered draws x blocks x methods array alone is 139 MiB here
+    values = np.random.default_rng(61).normal(size=(182, 10))
+    table = rank_blocks(values, [f"m{i}" for i in range(10)],
+                        blocks_for(182))
+    tracemalloc.start()
+    try:
+        bootstrap_ci(table, draws=10_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
