@@ -18,7 +18,10 @@ hand-built results whose win/tie/loss tables hold wins, losses and ties
 under the exact null (5 tie-free replicates) and the normal one (25
 replicates with ties); ``generate_er`` over a grid of
 sizes and edge probabilities; the community labels and the edge lists of
-``generate``; and the out-,
+``generate``; the parameters, raw estimates and clamp flags ``estimate``
+recovers from a generated DAG, its near-DAG and a graph with a community
+clamped high and two whose preferentiality fits land on the two ends of
+their search interval; and the out-,
 in- and undirected CSR views and the scipy adjacency of each fixed input
 graph, dtypes included.  Run it on two checkouts and compare:
 
@@ -37,6 +40,7 @@ from citegen.baselines import (ErFit, fit_config, fit_sbm, generate_config,
                                generate_dcsbm, generate_er, generate_sbm)
 from citegen.bench import (BenchConfig, BenchResult, run_bench,
                            write_artifacts)
+from citegen.estimation import estimate
 from citegen.generator import CsParams, generate
 from citegen.graph import (LabeledGraph, bfs_subsample, in_csr,
                            load_edge_list, out_csr, save_edge_list,
@@ -85,6 +89,20 @@ def saved(graph):
     buf = io.StringIO()
     save_edge_list(graph, buf)
     return buf.getvalue()
+
+
+def bounds_graph():
+    """A star community whose fit lands on NU_MAX, a ring whose members each
+    cite 11 nodes of a third community (fit on NU_MIN), and that third, a
+    ring with equal in- and out-totals and Gini 0, so that its closed-form
+    estimate is its size, clamped high."""
+    star = [(v, 0) for v in range(1, 10)]
+    ring = [(10 + (i + 1) % 10, 10 + i) for i in range(10)]
+    spread = [(10 + i, 20 + 11 * i + j) for i in range(10) for j in range(11)]
+    ring += [(20 + (i + 1) % 110, 20 + i) for i in range(110)]
+    src, dst = np.array(star + ring + spread, np.int64).T
+    return LabeledGraph(num_nodes=130, src=src, dst=dst,
+                        labels=np.repeat(np.arange(3), (10, 10, 110)))
 
 
 def artifacts(result, seed):
@@ -221,6 +239,16 @@ def main():
                 g = generate(p, n, seed)
                 out[f"generate-labels/{i}/{n}/{seed}"] = digest(g.labels)
                 out[f"generate-edges/{i}/{n}/{seed}"] = digest(g.src, g.dst)
+
+    dag = generate(params[0], 3000, 22)
+    fixtures = {"dag": dag, "near-dag": inject_back_edges(dag, 0.1, 23),
+                "bounds": bounds_graph()}
+    for name, g in fixtures.items():
+        fit = estimate(g)
+        f = fit.params
+        out[f"estimate/{name}"] = typed_digest(
+            f.p, f.m, f.rho, f.sigma2, fit.rho_raw, fit.sigma2_raw,
+            fit.clamped_low, fit.clamped_high)
 
     for key in sorted(out):
         print(key, out[key])

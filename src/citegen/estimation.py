@@ -8,15 +8,17 @@ by a one-dimensional root find per community: the generator's in-degrees
 follow the discrete Waring law (Simon 1955), and its Gini, evaluated by
 ``waring_gini``, is matched to the community's sample Gini.  The closed-form
 inversion of the continuous (Lomax) law is kept as ``rho_raw`` and decides
-the clamp flags.
+the clamp flags.  The root find is Brent's method, ported from scipy's
+``brentq`` so that every fit equals scipy's bit for bit without importing
+``scipy.optimize``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .generator import CsParams, RHO_MAX, RHO_MIN
@@ -28,6 +30,9 @@ NU_MIN = 1e-6
 NU_MAX = 1.0 - 1e-6
 # Survival-function terms summed exactly before the analytic tail.
 WARING_TERMS = 2048
+# scipy.optimize.brentq's default relative tolerance and iteration cap.
+_BRENT_RTOL = 4.0 * float(np.finfo(np.float64).eps)
+_BRENT_MAXITER = 100
 
 
 class EstimationError(ValueError):
@@ -106,6 +111,70 @@ def waring_gini(nu: float, mu: float) -> float:
     return float(1.0 - (np.sum(s[:-1] ** 2) + tail) / mu)
 
 
+def _brentq(f, xa, xb, xtol):
+    """A root of ``f`` between ``xa`` and ``xb`` by Brent's method.
+
+    A port of scipy's ``brentq`` (Brent 1973, *Algorithms for Minimization
+    without Derivatives*, ch. 4) with its default rtol and maxiter.  It
+    keeps the C code's order of floating-point operations, so it returns
+    the same float.  The root x satisfies |x - x*| <= xtol + rtol |x|, or
+    f(x) == 0, as at an endpoint.  A NaN value, endpoints of one sign and
+    non-convergence raise EstimationError.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise EstimationError(f"the function is NaN at x={x}")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise EstimationError(f"f({xa}) and f({xb}) have the same sign")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # C gets a non-finite step: bisect
+                stry = math.inf
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise EstimationError(
+        f"no convergence after {_BRENT_MAXITER} iterations, x={xcur}")
+
+
 def _fit_nu(g: float, mu: float) -> float:
     """The nu in [NU_MIN, NU_MAX] whose Waring Gini at mean ``mu`` equals ``g``.
 
@@ -119,7 +188,7 @@ def _fit_nu(g: float, mu: float) -> float:
         return NU_MIN
     if excess(NU_MAX) <= 0.0:
         return NU_MAX
-    return float(brentq(excess, NU_MIN, NU_MAX, xtol=1e-10))
+    return _brentq(excess, NU_MIN, NU_MAX, 1e-10)
 
 
 def community_stats(graph: LabeledGraph) -> CommunityStats:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Union
 
@@ -181,17 +182,21 @@ def _urn_walk(labels, d, n_acc, members, starts, urns, u_tgt):
     Each draw scales the next uniform of ``u_tgt`` (one per draw, in node
     order) to an index.  A repeated target is dropped.  ``members`` lists
     the nodes by community in id order, community c from ``starts[c]``.
-    ``urns`` holds one list per community; every cited node is appended
-    once more to its own community's list, after its citer's draws.
+    ``urns`` holds one ``array('q')`` (or list) per community; every cited
+    node is appended once more to its own community's urn, after its
+    citer's draws.
 
     The walk is sequential (each draw reads the urns the earlier nodes
-    filled), so it runs on Python lists, which step several times faster
-    than numpy scalars.
+    filled), so it runs on Python lists and arrays, which step several
+    times faster than numpy scalars.  The urns, the uniforms and ``dst``,
+    each about one entry per edge, are 8-byte arrays rather than lists of
+    Python objects.
     """
-    labels, d, n_acc, members, starts, u_tgt = (
-        a.tolist() for a in (labels, d, n_acc, members, starts, u_tgt))
+    labels, d, n_acc, members, starts = (
+        a.tolist() for a in (labels, d, n_acc, members, starts))
+    u_tgt = array("d", u_tgt.tobytes())
     mem_n = [1] * len(starts)
-    dst = []
+    dst = array("q")
     kept_n = []
     t = 0
     for v in range(len(starts), len(labels)):
@@ -202,21 +207,27 @@ def _urn_walk(labels, d, n_acc, members, starts, urns, u_tgt):
         for a in range(d[v]):
             x = u_tgt[t]
             t += 1
+            # x < 1, so int(x * size) <= size; size itself (x * size
+            # rounded up) takes the last index
             if a < na:
-                u = min(int(x * v), v - 1)
+                u = int(x * v)
+                if u == v:
+                    u -= 1
             elif urn:
-                u = urn[min(int(x * len(urn)), len(urn) - 1)]
+                j = int(x * len(urn))
+                u = urn[j] if j < len(urn) else urn[-1]
             else:
-                u = members[starts[c] + min(int(x * mem_n[c]), mem_n[c] - 1)]
+                j = int(x * mem_n[c])
+                u = members[starts[c] + (j if j < mem_n[c] else j - 1)]
             if u not in kept:
                 kept.append(u)
         for u in kept:
             urns[labels[u]].append(u)
-        dst += kept
+        dst.extend(kept)
         kept_n.append(len(kept))
         mem_n[c] += 1
     src = np.repeat(np.arange(len(starts), len(labels), dtype=np.int64), kept_n)
-    return src, np.array(dst, np.int64)
+    return src, np.frombuffer(dst, np.int64)
 
 
 def generate(params: CsParams, n: int, seed: SeedLike) -> LabeledGraph:
@@ -233,7 +244,7 @@ def generate(params: CsParams, n: int, seed: SeedLike) -> LabeledGraph:
     labels, d, n_acc, u_tgt = _draw_node_streams(params, int(n), seed)
     members, bounds = _label_groups(labels, k)
     src, dst = _urn_walk(labels, d, n_acc, members, bounds[:-1],
-                         [[] for _ in range(k)], u_tgt)
+                         [array("q") for _ in range(k)], u_tgt)
     return LabeledGraph(num_nodes=int(n), src=src, dst=dst, labels=labels)
 
 

@@ -1,8 +1,16 @@
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from citegen.estimation import (NU_MAX, NU_MIN, EstimationError,
-                                community_stats, estimate, gini, waring_gini)
+import citegen
+from citegen.estimation import (NU_MAX, NU_MIN, EstimationError, _brentq,
+                                _fit_nu, community_stats, estimate, gini,
+                                waring_gini)
 from citegen.generator import CsParams, derive, generate
 
 
@@ -198,3 +206,82 @@ def test_waring_gini_rejects_bad_input():
         waring_gini(1.0, 2.0)
     with pytest.raises(EstimationError):
         waring_gini(0.5, 0.0)
+
+
+def same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_brentq_matches_scipy_on_fit_nu_targets():
+    for mu in np.geomspace(0.3, 30.0, 9):
+        low, high = waring_gini(NU_MIN, mu), waring_gini(NU_MAX, mu)
+        for g in np.linspace(low, high, 12)[1:-1]:
+            def excess(nu):
+                return waring_gini(nu, mu) - g
+            want = brentq(excess, NU_MIN, NU_MAX, xtol=1e-10)
+            assert same_float(_brentq(excess, NU_MIN, NU_MAX, 1e-10),
+                              want), (mu, g)
+            assert same_float(_fit_nu(g, mu), want), (mu, g)
+
+
+def test_brentq_matches_scipy_on_random_brackets():
+    rng = np.random.default_rng(3)
+    shapes = (
+        lambda r, s, p: lambda x: s * (x - r) ** 3 - s * 0.1 * p * (x - r),
+        lambda r, s, p: lambda x: s * math.tanh(x - r) + s * 0.01 * math.sin(7 * x),
+        lambda r, s, p: lambda x: s * (math.exp(p * (x - r)) - 1.0),
+        lambda r, s, p: lambda x: s * math.atan(10.0 ** p * (x - r)),
+        lambda r, s, p: lambda x: -s if x < r else s,
+    )
+    for trial in range(1000):
+        # scales down to 1e-300 make products of values underflow
+        f = shapes[trial % len(shapes)](rng.uniform(-2.0, 2.0),
+                                        10.0 ** rng.uniform(-300.0, 300.0),
+                                        rng.uniform(0.2, 5.0))
+        a, b = rng.uniform(-4.0, -3.0), rng.uniform(3.0, 4.0)
+        if trial % 2:
+            a, b = b, a
+        for xtol in (1e-10, 2e-12, 1e-4, 0.1):
+            assert same_float(_brentq(f, a, b, xtol),
+                              brentq(f, a, b, xtol=xtol)), (trial, xtol)
+    # about 1 in 300 of these steps lands between 3|sbis| - delta and
+    # 3|sbis|, the edge of the interpolation step's bound
+    for trial in range(3000):
+        r, p = rng.uniform(-2.0, 2.0), rng.uniform(0.2, 5.0)
+        a, b = rng.uniform(-4.0, -3.0), rng.uniform(3.0, 4.0)
+        def f(x):
+            return math.exp(p * (x - r)) - 1.0
+        assert same_float(_brentq(f, a, b, 0.1),
+                          brentq(f, a, b, xtol=0.1)), trial
+
+
+def test_brentq_returns_exact_zero_endpoints():
+    for f, a, b in ((lambda x: x, 0.0, 1.0), (lambda x: x - 1.0, 0.0, 1.0),
+                    (lambda x: -0.0 if x == 2.0 else x, 2.0, -1.0),
+                    (lambda x: 0.0, 5.0, 6.0)):
+        got = _brentq(f, a, b, 1e-10)
+        assert same_float(got, brentq(f, a, b, xtol=1e-10))
+        assert f(got) == 0.0
+
+
+def test_brentq_raises_estimation_error():
+    with pytest.raises(EstimationError, match="NaN"):
+        _brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, 1e-10)
+    with pytest.raises(EstimationError, match="same sign"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)
+    # a step at 1e-290 takes about 1900 halvings of [0, 1e300]
+    with pytest.raises(EstimationError, match="no convergence"):
+        _brentq(lambda x: -1.0 if x < 1e-290 else 1.0, 0.0, 1e300, 1e-300)
+
+
+def test_import_loads_no_scipy_optimize():
+    # a fresh interpreter, so that the tests' own imports do not leak in
+    src = str(Path(citegen.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import citegen, citegen.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['scipy', 'optimize']))")
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
