@@ -10,7 +10,9 @@ for those graphs, with and without node names, and the graph and report
 ``bfs_subsample`` at two budgets and ``longest_path_lengths`` under the
 identity and a permuted rank on each of them; ``betweenness_values``, the
 exact ``triad_census`` and one ``compare`` report on some of those
-graphs; the labels and modularities ``detect_at_resolutions`` finds at
+graphs; the two reports of one real graph compared in turn with two
+others under one config, where the second reads the real graph's kept
+detections; the labels and modularities ``detect_at_resolutions`` finds at
 the battery's resolutions on one of them; the distance tensor and the
 seven artifact files of one ``run_bench`` over four methods and two
 replicates on a small fixed dataset; the artifact files of two
@@ -203,6 +205,11 @@ def main():
     report = compare(inputs["dag2k"], inputs["dense60"])
     out["compare/dag2k/dense60"] = digest(
         np.frombuffer(report.to_tsv().encode(), np.uint8))
+    real = random_graph(1000, 5000, 3, 24, True)
+    config = MetricConfig(seed=27, n_pairs=500, n_sources=100)
+    reports = [compare(real, synth, config).to_tsv() for synth in (
+        inject_back_edges(real, 0.1, 25), random_graph(1000, 5000, 3, 26, False))]
+    out["compare/repeat"] = digest(*(text_bytes(r) for r in reports))
     found = detect_at_resolutions(inputs["dag2k"], MetricConfig.resolutions, 15)
     out["detect/dag2k"] = digest(*(labels for labels, _ in found),
                                  np.array([q for _, q in found]))

@@ -32,7 +32,7 @@ from .generator import (CsParams, derive, empirical_ccdf, generate,
 from .graph import (GraphError, LabeledGraph, load_edge_list, load_labels,
                     load_timestamps, prune_unlabeled, save_edge_list,
                     save_labels)
-from .metrics import MetricConfig, compare
+from .metrics import MetricConfig, MetricError, compare
 
 BASELINE_NAMES = ("er", "config", "sbm", "dcsbm")
 
@@ -260,11 +260,14 @@ _METRIC_FLAGS = {
 
 
 def _metric_config(args, seed: int) -> MetricConfig:
-    return MetricConfig(
-        seed=seed, exact=bool(args.exact),
-        resolutions=_listed(args.resolutions, float),
-        **{field: int(getattr(args, flag))
-           for flag, (field, _) in _METRIC_FLAGS.items()})
+    try:
+        return MetricConfig(
+            seed=seed, exact=bool(args.exact),
+            resolutions=_listed(args.resolutions, float),
+            **{field: int(getattr(args, flag))
+               for flag, (field, _) in _METRIC_FLAGS.items()})
+    except MetricError as exc:
+        raise UsageError(str(exc))
 
 
 def cmd_compare(args) -> int:

@@ -214,7 +214,9 @@ def community_stats(graph: LabeledGraph) -> CommunityStats:
 def estimate(graph: LabeledGraph) -> FitResult:
     """Recover generation parameters from a labelled graph.
 
-    Communities of size one abort (their mean out-degree is undefined).
+    Communities of size one abort (their mean out-degree is undefined), and
+    so do communities without out-edges (a CS community's mean out-degree
+    is positive).
 
     ``rho_raw`` is the raw preferential fraction: the closed-form inversion
     of the continuous-law Gini G = 1/(2 - nu) with a finite-size term.  It
@@ -238,6 +240,11 @@ def estimate(graph: LabeledGraph) -> FitResult:
         raise EstimationError(
             "communities of size <= 1 cannot be estimated: "
             + ", ".join(str(c) for c in singles))
+    silent = np.flatnonzero(stats.out_totals == 0)
+    if silent.size:
+        raise EstimationError(
+            "communities that cite nothing cannot be estimated: "
+            + ", ".join(str(c) for c in silent))
     n = graph.num_nodes
     sizes = stats.sizes.astype(np.float64)
     p_hat = sizes / n
@@ -248,14 +255,8 @@ def estimate(graph: LabeledGraph) -> FitResult:
     g = stats.gini_in
     numer = stats.in_totals * (2.0 * g + sizes - 2.0 * g * sizes)
     denom = stats.out_totals * (g + 1.0 - g * sizes)
-    rho_raw = np.empty(k, np.float64)
-    for c in range(k):
-        if stats.out_totals[c] == 0:
-            rho_raw[c] = -np.inf
-        elif denom[c] == 0.0:
-            rho_raw[c] = np.inf
-        else:
-            rho_raw[c] = numer[c] / denom[c]
+    rho_raw = np.divide(numer, denom, out=np.full(k, np.inf),
+                        where=denom != 0.0)
     clamped_low = rho_raw < RHO_MIN
     clamped_high = rho_raw > RHO_MAX
     rho_hat = np.clip(rho_raw, RHO_MIN, RHO_MAX)

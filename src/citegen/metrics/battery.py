@@ -47,7 +47,7 @@ class MetricConfig:
     Graphs of at most ``triad_exact_limit`` nodes get the exact triad
     census anyway; on a 2-core Xeon the exact census of a generated
     near-DAG is no slower than the default sampled one up to about 7000
-    nodes.
+    nodes.  The sample sizes and ``max_nodes`` must be at least 1.
     """
 
     seed: int = 0
@@ -58,6 +58,12 @@ class MetricConfig:
     triad_exact_limit: int = 7000
     triad_samples: int = 200_000
     resolutions: tuple = (1.0, 0.5, 2.0)
+
+    def __post_init__(self):
+        for name in ("n_pairs", "n_sources", "max_nodes", "triad_samples"):
+            value = getattr(self, name)
+            if value < 1:
+                raise MetricError(f"{name} must be at least 1, got {value}")
 
 
 def _tags(config: MetricConfig) -> list:
@@ -252,7 +258,8 @@ def profiles(graphs, config: MetricConfig = None) -> list:
     metric.  The sampling seeds are spawned from ``config.seed`` alone, so
     every graph profiled under one config is sampled alike, and each
     profile equals that of its graph alone.  Community detection runs
-    once for all the graphs (see ``exogenous_metrics``).
+    once for all the graphs (see ``exogenous_metrics``), and a graph
+    profiled before under an equal config reads its kept detections.
     """
     config = config or MetricConfig()
     ss = np.random.SeedSequence(config.seed)

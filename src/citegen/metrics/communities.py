@@ -314,12 +314,21 @@ def _louvain(copies, seed):
 def _kept_runs(graph: LabeledGraph, seed) -> dict:
     """The graph's kept detections at ``seed``, by resolution.
 
-    The graph keeps those of its latest seed only.  A seed that does not
-    fix the random streams (None, a Generator) gets a throwaway dict.
+    Runs are kept by the seed's value, so equal seeds share them: an int
+    ``s`` is keyed as ``SeedSequence(s)``, which gives the same
+    ``default_rng`` stream, and a SeedSequence by its entropy, spawn key
+    and pool size.  ``profiles`` spawns its detection seed anew on each
+    call, but under an equal config with an equal value.  The graph keeps
+    the runs of its latest seed only.  A seed that does not fix the random
+    streams (None, a Generator) gets a throwaway dict.
     """
     if not isinstance(seed, (int, np.integer, np.random.SeedSequence)):
         return {}
-    key = seed if isinstance(seed, np.random.SeedSequence) else int(seed)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(int(seed))
+    entropy = seed.entropy
+    key = (entropy if isinstance(entropy, (int, np.integer))
+           else tuple(entropy), seed.spawn_key, seed.pool_size)
     kept = graph.detections
     runs = kept.get(key)
     if runs is None:
@@ -398,9 +407,9 @@ def detect_at_resolutions(graph: LabeledGraph, resolutions, seed=0):
     coarse level leave it.  Labels are dense and read-only, and the
     modularity is the one achieved at that resolution.
 
-    The graph keeps the results of its latest seed (see ``_kept_runs``),
-    so a later call at that seed runs only the resolutions not yet found.
-    This is ``detect_batch`` of the one graph.
+    The graph keeps the results of its latest seed by the seed's value
+    (see ``_kept_runs``), so a later call at an equal seed runs only the
+    resolutions not yet found.  This is ``detect_batch`` of the one graph.
     """
     found = detect_batch([graph], resolutions, seed)[0]
     if isinstance(found, MetricError):

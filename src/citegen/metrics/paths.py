@@ -19,11 +19,13 @@ def _bfs_blocks(graph: LabeledGraph, sources: np.ndarray):
     ``dist`` is a ``(k, n)`` float64 block of whole numbers, -1 where a node
     is unreachable.  Callers pass distinct sources, so each costs one
     traversal.  Dijkstra is named because ``method="auto"`` may choose the
-    dense n x n Floyd-Warshall on a dense graph.
+    dense n x n Floyd-Warshall on a dense graph.  The adjacency's weights
+    are all 1.0, so its weighted distances are the hop counts, and scipy
+    skips the copy it makes of an unweighted graph on every call.
     """
     step = max(1, _BLOCK_CELLS // max(graph.num_nodes, 1))
     for lo in range(0, sources.size, step):
-        dist = shortest_path(graph.adjacency, method="D", unweighted=True,
+        dist = shortest_path(graph.adjacency, method="D", unweighted=False,
                              indices=sources[lo:lo + step])
         dist[np.isinf(dist)] = -1
         yield lo, dist

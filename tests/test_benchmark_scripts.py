@@ -38,9 +38,10 @@ def test_output_digests_script_runs():
         env=script_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 223
+    assert len(lines) == 224
     assert all(len(line.split()) == 2 for line in lines)
     assert any(line.startswith("detect/dag2k ") for line in lines)
     assert any(line.startswith("run_bench/small ") for line in lines)
     assert any(line.startswith("write_artifacts/wtl ") for line in lines)
+    assert any(line.startswith("compare/repeat ") for line in lines)
     assert sum(line.startswith("estimate/") for line in lines) == 3

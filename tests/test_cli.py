@@ -250,6 +250,18 @@ def test_usage_errors_exit_two(cli_files, tmp_path):
                  str(bad_config)]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--sources", "0"], ["--pairs", "-1"], ["--max-nodes", "0"],
+    ["--triad-samples", "0", "--triad-exact-limit", "10"]])
+def test_metric_counts_below_one_are_usage_errors(cli_files, tmp_path, capsys,
+                                                  flags):
+    out = tmp_path / "report.tsv"
+    assert main(["compare", str(cli_files["edges2"]), str(cli_files["edges2"]),
+                 "--seed", "1", "--out", str(out)] + flags) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_errors_exit_one(cli_files, tmp_path, capsys):
     # A singleton community defeats estimation; that is a data problem,
     # not a usage problem.

@@ -145,6 +145,14 @@ def test_estimate_rejects_singleton_community(make_graph):
         estimate(graph)
 
 
+def test_estimate_rejects_a_community_that_cites_nothing(make_graph):
+    # community 2 (nodes 5 and 6) is cited but cites nothing
+    graph = make_graph(7, [(1, 0), (2, 0), (3, 1), (4, 2), (4, 5)],
+                       labels=[0, 0, 0, 1, 1, 2, 2])
+    with pytest.raises(EstimationError, match="cite nothing.*: 2$"):
+        estimate(graph)
+
+
 def test_estimate_requires_labels(make_graph):
     with pytest.raises(EstimationError):
         estimate(make_graph(3, [(2, 0)]))

@@ -144,6 +144,8 @@ def test_cached_views_built_once_read_only_and_equal_to_builders(make_graph):
     n, src, dst = graph.num_nodes, graph.src, graph.dst
     adj = graph.adjacency
     want_adj = coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n)).tocsr()
+    # the distance kernels read the weights as hop lengths
+    assert np.all(adj.data == 1.0)
     views = {
         "out_csr": (graph.out_csr, lexsort_csr(n, src, dst)),
         "in_csr": (graph.in_csr, lexsort_csr(n, dst, src)),

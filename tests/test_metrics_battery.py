@@ -334,6 +334,18 @@ def test_graphs_below_two_nodes_skip_path_lengths(make_graph, n, exact):
         e.name for e in report.entries if e.skipped}
 
 
+def test_metric_config_rejects_counts_below_one(make_graph):
+    for field in ("n_pairs", "n_sources", "max_nodes", "triad_samples"):
+        for value in (0, -1):
+            with pytest.raises(MetricError,
+                               match=f"{field} must be at least 1"):
+                MetricConfig(**{field: value})
+        assert getattr(MetricConfig(**{field: 1}), field) == 1
+    chain = make_graph(6, [(i + 1, i) for i in range(5)])
+    with pytest.raises(MetricError, match="n_sources"):
+        compare(chain, chain, MetricConfig(n_sources=0))
+
+
 def test_distance_rejects_profiles_of_different_configs(make_graph):
     chain = make_graph(6, [(i + 1, i) for i in range(5)])
     with pytest.raises(ValueError, match="different metric configs"):

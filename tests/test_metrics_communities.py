@@ -483,6 +483,65 @@ def test_detect_batch_keeps_runs_that_another_seed_evicted(make_graph,
     assert runs == [3]
 
 
+def recorded_louvain(monkeypatch):
+    """The list to which each ``_louvain`` call appends its copies."""
+    calls = []
+    louvain = communities._louvain
+
+    def recording(copies, seed):
+        calls.append(copies)
+        return louvain(copies, seed)
+
+    monkeypatch.setattr(communities, "_louvain", recording)
+    return calls
+
+
+def test_kept_runs_match_on_an_equal_seed_value(make_graph, monkeypatch):
+    calls = recorded_louvain(monkeypatch)
+    graph = make_graph(10, clique_pair_edges(cross=True))
+    seq = np.random.SeedSequence
+    found = detect_communities(graph, 1.0, seq(5, spawn_key=(1, 2)))
+    assert detect_communities(graph, 1.0, seq(5, spawn_key=(1, 2))) is found
+    found = detect_communities(graph, 1.0, 6)
+    for seed in (seq(6), np.int64(6), 6):
+        assert detect_communities(graph, 1.0, seed) is found
+    found = detect_communities(graph, 1.0, seq([6, 7]))
+    assert detect_communities(graph, 1.0, seq(np.array([6, 7]))) is found
+    assert len(calls) == 3
+
+
+def test_kept_runs_differ_by_entropy_spawn_key_and_pool_size(make_graph,
+                                                             monkeypatch):
+    calls = recorded_louvain(monkeypatch)
+    graph = make_graph(10, clique_pair_edges(cross=True))
+    base = dict(entropy=[8, 1], spawn_key=(2,), pool_size=4)
+    for change in ({"entropy": [8, 2]}, {"entropy": 8}, {"spawn_key": (3,)},
+                   {"spawn_key": (2, 0)}, {"pool_size": 8}):
+        detect_communities(graph, 1.0, np.random.SeedSequence(**base))
+        calls.clear()
+        detect_communities(graph, 1.0,
+                           np.random.SeedSequence(**{**base, **change}))
+        assert len(calls) == 1, change
+
+
+def test_a_repeated_compare_detects_the_real_graph_once(
+        three_community_params, monkeypatch):
+    real, first = (inject_back_edges(generate(three_community_params, 300, s),
+                                     0.1, s) for s in (61, 62))
+    second = inject_back_edges(real, 0.2, 63)
+    config = battery.MetricConfig(seed=2, n_pairs=100, n_sources=20)
+    calls = recorded_louvain(monkeypatch)
+    battery.compare(real, first, config)
+    assert [id(g) for copies in calls for g, _ in copies] == \
+        [id(real)] * 3 + [id(first)] * 3
+    calls.clear()
+    report = battery.compare(real, second, config)
+    assert [id(g) for copies in calls for g, _ in copies] == [id(second)] * 3
+    # a kept run is the run itself: fresh graphs give the same report
+    fresh = battery.compare(replace(real), replace(second), config)
+    assert report.to_tsv() == fresh.to_tsv()
+
+
 def union_objective(indptr, indices, weights, kdeg, comm, copy, scale):
     """Per-copy objective 0.5 * intra weight - 0.5 * scale * sum_c S_c^2,
     from its definition; a lone move's gain is its difference."""
