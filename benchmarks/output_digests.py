@@ -15,7 +15,8 @@ others under one config, where the second reads the real graph's kept
 detections; the labels and modularities ``detect_at_resolutions`` finds at
 the battery's resolutions on one of them; the distance tensor and the
 seven artifact files of one ``run_bench`` over four methods and two
-replicates on a small fixed dataset; the artifact files of two
+replicates on a small fixed dataset, run on one thread and on two; the
+artifact files of two
 hand-built results whose win/tie/loss tables hold wins, losses and ties
 under the exact null (5 tie-free replicates) and the normal one (25
 replicates with ties); ``generate_er`` over a grid of
@@ -25,10 +26,13 @@ recovers from a generated DAG, its near-DAG and a graph with a community
 clamped high and two whose preferentiality fits land on the two ends of
 their search interval; and the out-,
 in- and undirected CSR views and the scipy adjacency of each fixed input
-graph, dtypes included.  Run it on two checkouts and compare:
+graph, dtypes included.
 
-    PYTHONPATH=src python3 benchmarks/output_digests.py > after.txt
-    diff before.txt after.txt
+``benchmarks/digests.txt`` holds the expected output, and Tier-1 compares
+the script's output with it line by line.  A change that alters an
+output on purpose regenerates the file in the same commit:
+
+    PYTHONPATH=src python3 benchmarks/output_digests.py > benchmarks/digests.txt
 """
 
 import hashlib
@@ -218,10 +222,13 @@ def main():
     small = random_graph(100, 450, 3, 16, True)
     small = LabeledGraph(num_nodes=small.num_nodes, src=small.src,
                          dst=small.dst, labels=small.labels)
-    result = run_bench({"small": small}, BenchConfig(
-        methods=("cs", "er-nd", "config-nd", "dcsbm-nd"), replicates=2,
-        seed=17))
-    out["run_bench/small"] = digest(result.runs, *artifacts(result, 17))
+    digests = {}
+    for threads in (1, 2):
+        result = run_bench({"small": small}, BenchConfig(
+            methods=("cs", "er-nd", "config-nd", "dcsbm-nd"), replicates=2,
+            seed=17, threads=threads))
+        digests[threads] = digest(result.runs, *artifacts(result, 17))
+    out["run_bench/small"] = digests[1]
     out["write_artifacts/wtl"] = digest(
         *artifacts(separated_result(5, False, 18), 19),
         *artifacts(separated_result(25, True, 20), 21))
@@ -259,6 +266,9 @@ def main():
 
     for key in sorted(out):
         print(key, out[key])
+    # lines added since digests.txt was first committed follow the sorted
+    # ones, so that no committed line moves
+    print("run_bench/threads2", digests[2])
 
 
 if __name__ == "__main__":

@@ -43,9 +43,10 @@ class BenchConfig:
     """Grid and seeds of one benchmark run.
 
     ``order_strategy`` is the node ordering that measures a dataset's
-    back-edge ratio when the dataset has no timestamps.  It does not
-    affect cycle breaking: ``realize`` always breaks the ``-nd``
-    replicates with ``degree-diff``.
+    back-edge ratio when the dataset has no timestamps: ``run_bench``
+    resolves it per dataset with ``neardag.age_strategy`` and hands the
+    result to ``fit_methods``.  It does not affect cycle breaking:
+    ``realize`` always breaks the ``-nd`` replicates with ``degree-diff``.
     """
 
     methods: Tuple[str, ...] = METHODS
@@ -78,10 +79,13 @@ class MethodFits:
 
 
 def fit_methods(graph: LabeledGraph, methods: Sequence[str],
-                order_strategy: str) -> MethodFits:
-    """Fit every requested method family once per dataset."""
-    ordering = neardag.order_nodes(
-        graph, neardag.age_strategy(graph, order_strategy))
+                strategy: str) -> MethodFits:
+    """Fit every requested method family once per dataset.
+
+    ``strategy`` is the node ordering, already resolved (one of
+    ``neardag.STRATEGIES``), under which the back-edge ratio is measured.
+    """
+    ordering = neardag.order_nodes(graph, strategy)
     fits = MethodFits(n=graph.num_nodes,
                       back_ratio=neardag.back_edge_ratio(graph, ordering))
     wanted = set(methods)
@@ -194,8 +198,8 @@ def run_bench(datasets: Dict[str, LabeledGraph],
         raise BenchError("no datasets supplied")
     names = tuple(datasets)
     methods = config.methods
-    fits = {name: fit_methods(datasets[name], methods, config.order_strategy)
-            for name in names}
+    fits = {name: fit_methods(graph, methods, neardag.age_strategy(
+        graph, config.order_strategy)) for name, graph in datasets.items()}
 
     schema = metric_schema(config.metric)
     runs = np.full((len(names), len(schema), len(methods),

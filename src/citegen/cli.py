@@ -6,7 +6,9 @@ explicit flag beats a config value, which beats the declared default, and a
 config value of ``null`` counts as not given.  Every subcommand but ``fit``,
 which draws nothing at random, takes ``--seed`` and is deterministic under
 it; when the seed is omitted one is drawn from system entropy and printed to
-stderr.
+stderr.  ``fit``, ``generate`` and ``baseline`` run the benchmark's own
+``fit_methods`` and ``realize``; the latter two write the replicate that
+``realize`` makes under ``SeedSequence(seed)``.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 """
@@ -23,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines
 from . import bench as bench_mod
 from . import neardag
 from .estimation import estimate
@@ -80,10 +81,15 @@ def _listed(value, cast, split=True) -> tuple:
 
 
 def _resolve_seed(value) -> int:
+    """The given seed, or one drawn from entropy and printed to stderr when
+    it is None.  A config file's non-string seed skips the flag's
+    ``type=int``, so the type is checked here."""
     if value is None:
         value = int(np.random.SeedSequence().entropy % (2 ** 63))
         print(f"seed: {value}", file=sys.stderr)
-    return int(value)
+    if type(value) is not int or value < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _load_graph(edges, labels=None, timestamps=None) -> LabeledGraph:
@@ -136,13 +142,6 @@ def _pick_strategy(args, graph: LabeledGraph) -> str:
     return strategy
 
 
-def _measured_ratio(args, graph: LabeledGraph) -> float:
-    if args.r is not None:
-        return float(args.r)
-    ordering = neardag.order_nodes(graph, _pick_strategy(args, graph))
-    return neardag.back_edge_ratio(graph, ordering)
-
-
 # --- subcommands -----------------------------------------------------------
 
 
@@ -150,11 +149,12 @@ def cmd_fit(args) -> int:
     graph = _load_graph(_require(args, "edges", "edge list path"),
                         _require(args, "labels", "labels path"),
                         args.timestamps)
+    fits = bench_mod.fit_methods(graph, (), _pick_strategy(args, graph))
+    # the estimate fit_methods makes for "cs", kept whole for the report
     fit = estimate(graph)
-    ratio = _measured_ratio(args, graph)
     doc = json.loads(fit.params.to_json())
-    doc["n"] = graph.num_nodes
-    doc["back_edge_ratio"] = ratio
+    doc["n"] = fits.n
+    doc["back_edge_ratio"] = fits.back_ratio
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     lines = ["community\tsize\tp_hat\tm_hat\tsigma2_hat\trho_hat\trho_raw\tclamped"]
     names = graph.community_names or tuple(str(c) for c in range(fit.params.k))
@@ -180,21 +180,21 @@ def cmd_generate(args) -> int:
     params_path = _require_file(_require(args, "params", "parameter file"),
                                 "parameter file")
     text = params_path.read_text()
-    params = CsParams.from_json(text)
     doc = json.loads(text)
     n = doc.get("n") if args.n is None else args.n
     if n is None:
         raise UsageError("node count required (--n or config/params key 'n')")
+    ratio = (doc.get("back_edge_ratio", 0.0) if args.back_ratio is None
+             else args.back_ratio)
+    fits = bench_mod.MethodFits(n=int(n), back_ratio=float(ratio),
+                                cs_params=CsParams.from_json(text))
     seed = _resolve_seed(args.seed)
-    graph = generate(params, int(n), seed)
-    dag_edges = graph.num_edges
-    if not args.dag_only:
-        ratio = (doc.get("back_edge_ratio", 0.0) if args.back_ratio is None
-                 else args.back_ratio)
-        graph = neardag.inject_back_edges(graph, float(ratio),
-                                          np.random.SeedSequence(seed, spawn_key=(1,)))
-    print(f"generated {graph.num_nodes} nodes, {dag_edges} forward edges, "
-          f"{graph.num_edges - dag_edges} back edges", file=sys.stderr)
+    graph = bench_mod.realize("cs-dag" if args.dag_only else "cs", fits,
+                              np.random.SeedSequence(seed))
+    # generated edges cite older (smaller) ids, injected ones newer ids
+    back = int(np.count_nonzero(graph.src < graph.dst))
+    print(f"generated {graph.num_nodes} nodes, {graph.num_edges - back} "
+          f"forward edges, {back} back edges", file=sys.stderr)
     _save_graph(graph, args.out, args.labels_out)
     return 0
 
@@ -203,7 +203,8 @@ def cmd_decycle(args) -> int:
     graph = _load_graph(_require(args, "edges", "edge list path"),
                         args.labels, args.timestamps)
     strategy = _pick_strategy(args, graph)
-    ratio = _measured_ratio(args, graph)
+    ratio = (bench_mod.fit_methods(graph, (), strategy).back_ratio
+             if args.r is None else float(args.r))
     seed = _resolve_seed(args.seed)
     out_graph, report = neardag.cycle_break(graph, ratio, seed, strategy)
     print(f"decycled with strategy={report.strategy}: "
@@ -222,28 +223,11 @@ def cmd_baseline(args) -> int:
     graph = _load_graph(_require(args, "edges", "edge list path"),
                         args.labels, args.timestamps)
     seed = _resolve_seed(args.seed)
-    ss = np.random.SeedSequence(seed)
-    s_gen, s_post = ss.spawn(2)
-    if name == "er":
-        synth = baselines.generate_er(baselines.fit_er(graph), s_gen)
-    elif name == "config":
-        synth, erased = baselines.generate_config(baselines.fit_config(graph),
-                                                  s_gen)
-        if erased:
-            print(f"note: {erased} multi-edges erased", file=sys.stderr)
-    elif name == "sbm":
-        synth = baselines.generate_sbm(baselines.fit_sbm(graph), s_gen)
-    else:
-        synth = baselines.generate_dcsbm(baselines.fit_sbm(graph), s_gen)
-    if args.near_dag:
-        ratio = _measured_ratio(args, graph)
-        # the sample has no timestamps, so it is ordered by degree-diff
-        strategy = ("degree-diff" if args.strategy in (None, "timestamps")
-                    else args.strategy)
-        synth, report = neardag.cycle_break(synth, ratio, s_post, strategy)
-        print(f"near-DAG transform: {report.collapsed_edges} collapsed, "
-              f"{report.reversed_edges} reversed, back-edge ratio "
-              f"{report.back_edge_ratio:.6f}", file=sys.stderr)
+    method = name + "-nd" if args.near_dag else name
+    fits = bench_mod.fit_methods(graph, (method,), _pick_strategy(args, graph))
+    if args.r is not None:
+        fits.back_ratio = float(args.r)
+    synth = bench_mod.realize(method, fits, np.random.SeedSequence(seed))
     _save_graph(synth, args.out, args.labels_out)
     return 0
 
@@ -421,8 +405,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     _add_graph_args(sp)
     sp.add_argument("--out", help="parameter JSON path (default stdout)")
     sp.add_argument("--report", help="per-community TSV report path")
-    # r, the back-edge ratio, is a config-only key here
-    sp.set_defaults(func=cmd_fit, r=None)
+    sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("generate", help="sample a graph from fitted parameters")
     sp.add_argument("params", nargs="?")
@@ -447,7 +430,8 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
                     help=f"one of {', '.join(BASELINE_NAMES)}")
     _add_graph_args(sp)
     sp.add_argument("--near-dag", action="store_true",
-                    help="apply cycle breaking at the measured back-edge ratio")
+                    help="apply degree-diff cycle breaking at the measured "
+                         "back-edge ratio")
     sp.add_argument("--r", type=float,
                     help="back-edge ratio of --near-dag (default: measured)")
     _add_graph_out_args(sp)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from ..graph import LabeledGraph, _row_edges
 from .distances import MetricError
@@ -18,15 +18,15 @@ def _bfs_blocks(graph: LabeledGraph, sources: np.ndarray):
 
     ``dist`` is a ``(k, n)`` float64 block of whole numbers, -1 where a node
     is unreachable.  Callers pass distinct sources, so each costs one
-    traversal.  Dijkstra is named because ``method="auto"`` may choose the
-    dense n x n Floyd-Warshall on a dense graph.  The adjacency's weights
-    are all 1.0, so its weighted distances are the hop counts, and scipy
-    skips the copy it makes of an unweighted graph on every call.
+    traversal.  The adjacency's weights are all 1.0, so its weighted
+    distances are the hop counts.  ``dijkstra`` is called directly:
+    ``shortest_path`` validates its input by copying the adjacency on
+    every call, weighted or not, and with ``method="auto"`` may choose
+    the dense n x n Floyd-Warshall on a dense graph.
     """
     step = max(1, _BLOCK_CELLS // max(graph.num_nodes, 1))
     for lo in range(0, sources.size, step):
-        dist = shortest_path(graph.adjacency, method="D", unweighted=False,
-                             indices=sources[lo:lo + step])
+        dist = dijkstra(graph.adjacency, indices=sources[lo:lo + step])
         dist[np.isinf(dist)] = -1
         yield lo, dist
 

@@ -21,7 +21,7 @@ from citegen.generator import CsParams, generate
 from citegen.graph import is_acyclic
 from citegen.metrics import MetricConfig, communities, compare
 from citegen.metrics.communities import union_capacity
-from citegen.neardag import back_edge_count, inject_back_edges
+from citegen.neardag import age_strategy, back_edge_count, inject_back_edges
 
 SMALL_METRIC = MetricConfig(n_pairs=100, n_sources=30, max_nodes=500,
                             triad_exact_limit=200, triad_samples=2000)
@@ -129,8 +129,8 @@ def test_run_bench_equals_per_cell_compare(small_datasets, monkeypatch,
     names = tuple(small_datasets)
     expected = np.full((2, 26, 3, 2), np.nan)
     for d, name in enumerate(names):
-        fits = fit_methods(small_datasets[name], config.methods,
-                           config.order_strategy)
+        fits = fit_methods(small_datasets[name], config.methods, age_strategy(
+            small_datasets[name], config.order_strategy))
         for m, method in enumerate(config.methods):
             for rep in range(config.replicates):
                 synth = realize(method, fits, _gen_seed(config.seed, d, m, rep))

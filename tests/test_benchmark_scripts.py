@@ -1,9 +1,11 @@
 """Smoke runs of the scripts under ``benchmarks/``, so an API change that
-breaks one fails here rather than when someone next benchmarks."""
+breaks one fails here rather than when someone next benchmarks, and the
+digest script's output checked against ``benchmarks/digests.txt``."""
 
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,8 +40,14 @@ def test_output_digests_script_runs():
         env=script_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 224
+    expected = (ROOT / "benchmarks" / "digests.txt").read_text().splitlines()
+    changed = [f"line {i}: {want!r} -> {got!r}" for i, (want, got)
+               in enumerate(zip_longest(expected, lines), 1) if want != got]
+    assert not changed, "outputs changed:\n" + "\n".join(changed)
+    assert len(lines) == len(expected) == 225
     assert all(len(line.split()) == 2 for line in lines)
+    digests = dict(line.split() for line in lines)
+    assert digests["run_bench/threads2"] == digests["run_bench/small"]
     assert any(line.startswith("detect/dag2k ") for line in lines)
     assert any(line.startswith("run_bench/small ") for line in lines)
     assert any(line.startswith("write_artifacts/wtl ") for line in lines)

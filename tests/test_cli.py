@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from citegen import bench as bench_mod
 from citegen import cli
-from citegen.bench import BenchConfig
+from citegen.bench import BenchConfig, fit_methods, realize
 from citegen.cli import main
 from citegen.generator import CsParams, generate
 from citegen.graph import is_acyclic, load_edge_list, save_edge_list, save_labels
@@ -160,6 +161,80 @@ def test_baseline_er_and_near_dag(cli_files, tmp_path):
     assert main(["baseline", "er", str(cli_files["edges"]), "--near-dag",
                  "--out", str(out_nd), "--seed", "3"]) == 0
     assert out_nd.exists()
+
+
+def _saved(graph) -> str:
+    buf = io.StringIO()
+    save_edge_list(graph, buf)
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def cli_graph(cli_files):
+    """The fixture graph as the CLI loads it, with its labels."""
+    return cli._load_graph(cli_files["edges"], cli_files["labels"])
+
+
+def test_fit_equals_fit_methods(cli_files, cli_graph, capsys):
+    assert main(["fit", str(cli_files["edges"]),
+                 "--labels", str(cli_files["labels"])]) == 0
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    fits = fit_methods(cli_graph, ("cs",), "degree-diff")
+    assert (doc["n"], doc["back_edge_ratio"]) == (fits.n, fits.back_ratio)
+    params = CsParams.from_json(text)
+    for key in ("p", "m", "rho", "sigma2"):
+        assert np.array_equal(getattr(params, key),
+                              getattr(fits.cs_params, key))
+
+
+@pytest.mark.parametrize("dag_only", [False, True])
+def test_generate_equals_realize(cli_files, cli_graph, tmp_path, dag_only):
+    params_path = tmp_path / "params.json"
+    out = tmp_path / "synth.edges"
+    assert main(["fit", str(cli_files["edges"]),
+                 "--labels", str(cli_files["labels"]),
+                 "--out", str(params_path)]) == 0
+    assert main(["generate", str(params_path), "--seed", "5",
+                 "--out", str(out)] + ["--dag-only"] * dag_only) == 0
+    fits = fit_methods(cli_graph, ("cs",), "degree-diff")
+    expected = realize("cs-dag" if dag_only else "cs", fits,
+                       np.random.SeedSequence(5))
+    assert out.read_text() == _saved(expected)
+
+
+@pytest.mark.parametrize("near_dag", [False, True])
+@pytest.mark.parametrize("name", cli.BASELINE_NAMES)
+def test_baseline_equals_realize(cli_files, cli_graph, tmp_path, name,
+                                 near_dag):
+    out = tmp_path / "synth.edges"
+    assert main(["baseline", name, str(cli_files["edges"]),
+                 "--labels", str(cli_files["labels"]), "--seed", "3",
+                 "--out", str(out)] + ["--near-dag"] * near_dag) == 0
+    method = name + "-nd" if near_dag else name
+    fits = fit_methods(cli_graph, (method,), "degree-diff")
+    assert out.read_text() == _saved(
+        realize(method, fits, np.random.SeedSequence(3)))
+
+
+@pytest.mark.parametrize("argv", [
+    "generate {params} --out {out}", "decycle {edges} --out {out}",
+    "baseline er {edges} --out {out}", "compare {edges} {edges} --out {out}",
+    "bench --dataset one={edges} --outdir {out}",
+    "validate-theory --n 100 --out {out}"])
+@pytest.mark.parametrize("seed", [["--seed", "-1"], {"seed": 1.5},
+                                  {"seed": True}])
+def test_bad_seeds_are_usage_errors(cli_files, tmp_path, capsys, argv, seed):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"k": 1, "p": [1.0], "m": [2.0],
+                                  "rho": [0.5], "sigma2": [2.0], "n": 50}))
+    out = tmp_path / "out"
+    argv = argv.format(params=params, edges=cli_files["edges2"],
+                       out=out).split()
+    flags = seed if isinstance(seed, list) else _config_file(tmp_path, seed)
+    assert main(argv + flags) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_self_is_zero(cli_files, tmp_path):
@@ -320,10 +395,7 @@ def test_lists_read_from_json_or_comma_strings(cli_files, tmp_path,
         assert config.metric.resolutions == (0.5, 1.0)
 
 
-def test_config_only_keys(cli_files, tmp_path, monkeypatch, capsys):
-    fit = ["fit", str(cli_files["edges"]), "--labels", str(cli_files["labels"])]
-    assert main(fit + _config_file(tmp_path, {"r": 0.25})) == 0
-    assert json.loads(capsys.readouterr().out)["back_edge_ratio"] == 0.25
+def test_config_only_keys(cli_files, tmp_path, monkeypatch):
     names, _ = _stopped_bench(monkeypatch, ["bench", "--seed", "3"] +
                               _config_file(tmp_path, {"datasets": [
                                   f"one={cli_files['edges']}",
