@@ -12,8 +12,10 @@ identity and a permuted rank on each of them; ``betweenness_values``, the
 exact ``triad_census`` and one ``compare`` report on some of those
 graphs; the two reports of one real graph compared in turn with two
 others under one config, where the second reads the real graph's kept
-detections; the labels and modularities ``detect_at_resolutions`` finds at
-the battery's resolutions on one of them; the distance tensor and the
+detections, and again under a config whose ``max_nodes`` makes it
+subsample the real graph, where the second reads its kept profile; the
+labels and modularities ``detect_at_resolutions`` finds at the battery's
+resolutions on one of them; the distance tensor and the
 seven artifact files of one ``run_bench`` over four methods and two
 replicates on a small fixed dataset, run on one thread and on two; the
 artifact files of two
@@ -39,6 +41,7 @@ import hashlib
 import io
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -211,9 +214,13 @@ def main():
         np.frombuffer(report.to_tsv().encode(), np.uint8))
     real = random_graph(1000, 5000, 3, 24, True)
     config = MetricConfig(seed=27, n_pairs=500, n_sources=100)
-    reports = [compare(real, synth, config).to_tsv() for synth in (
-        inject_back_edges(real, 0.1, 25), random_graph(1000, 5000, 3, 26, False))]
+    synths = (inject_back_edges(real, 0.1, 25),
+              random_graph(1000, 5000, 3, 26, False))
+    reports = [compare(real, synth, config).to_tsv() for synth in synths]
     out["compare/repeat"] = digest(*(text_bytes(r) for r in reports))
+    subsampled = replace(config, max_nodes=600)
+    kept_subsampled = digest(*(text_bytes(compare(
+        real, synth, subsampled).to_tsv()) for synth in synths))
     found = detect_at_resolutions(inputs["dag2k"], MetricConfig.resolutions, 15)
     out["detect/dag2k"] = digest(*(labels for labels, _ in found),
                                  np.array([q for _, q in found]))
@@ -269,6 +276,7 @@ def main():
     # lines added since digests.txt was first committed follow the sorted
     # ones, so that no committed line moves
     print("run_bench/threads2", digests[2])
+    print("compare/kept-subsampled", kept_subsampled)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .generator import (CsParams, derive, empirical_ccdf, generate,
 from .graph import (GraphError, LabeledGraph, load_edge_list, load_labels,
                     load_timestamps, prune_unlabeled, save_edge_list,
                     save_labels)
-from .metrics import MetricConfig, MetricError, compare
+from .metrics import MetricConfig, compare
 
 BASELINE_NAMES = ("er", "config", "sbm", "dcsbm")
 
@@ -139,6 +139,9 @@ def _pick_strategy(args, graph: LabeledGraph) -> str:
     if strategy not in neardag.STRATEGIES:
         raise UsageError(f"unknown ordering strategy {strategy!r}; "
                          f"choose from {neardag.STRATEGIES}")
+    if strategy == "timestamps" and graph.timestamps is None:
+        raise UsageError("the timestamps strategy needs node timestamps "
+                         "(--timestamps)")
     return strategy
 
 
@@ -250,7 +253,7 @@ def _metric_config(args, seed: int) -> MetricConfig:
             resolutions=_listed(args.resolutions, float),
             **{field: int(getattr(args, flag))
                for flag, (field, _) in _METRIC_FLAGS.items()})
-    except MetricError as exc:
+    except ValueError as exc:  # a MetricError, or a value that is no number
         raise UsageError(str(exc))
 
 

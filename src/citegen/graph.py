@@ -123,6 +123,13 @@ class LabeledGraph:
         ``metrics.communities.detect_batch``."""
         return {}
 
+    @cached_property
+    def profiles(self) -> dict:
+        """This graph's latest battery profile, as ``(subsample or None,
+        values)`` keyed by its MetricConfig, kept and read by
+        ``metrics.battery.profiles``."""
+        return {}
+
 
 def _read_only(*arrays) -> tuple:
     for a in arrays:

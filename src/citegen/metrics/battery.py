@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import List, Optional
 
 import numpy as np
@@ -48,6 +51,9 @@ class MetricConfig:
     census anyway; on a 2-core Xeon the exact census of a generated
     near-DAG is no slower than the default sampled one up to about 7000
     nodes.  The sample sizes and ``max_nodes`` must be at least 1.
+    ``resolutions`` is kept as a tuple of floats, each finite and
+    positive, and no two of them may share a row tag.  A config is
+    hashable: ``profiles`` keys the profiles it keeps by it.
     """
 
     seed: int = 0
@@ -64,6 +70,18 @@ class MetricConfig:
             value = getattr(self, name)
             if value < 1:
                 raise MetricError(f"{name} must be at least 1, got {value}")
+        resolutions = tuple(map(float, self.resolutions))
+        object.__setattr__(self, "resolutions", resolutions)
+        for res in resolutions:
+            if not 0 < res < math.inf:
+                raise MetricError(
+                    f"resolutions must be finite and positive, got {res!r}")
+        tags = _tags(self)
+        for i, tag in enumerate(tags):
+            if tag in tags[:i]:
+                raise MetricError(
+                    f"resolutions {resolutions[tags.index(tag)]!r} and "
+                    f"{resolutions[i]!r} share the row tag {tag}")
 
 
 def _tags(config: MetricConfig) -> list:
@@ -234,20 +252,34 @@ def flow_metrics(graph, config, source_seed):
 class GraphProfile:
     """One graph's battery quantities under one config, keyed by metric.
 
-    ``graph`` is the subsampled graph they were measured on.  A quantity
-    whose computation failed holds its MetricError, raised when read.  The
-    distance samples (n(n-1) in exact mode) are kept as two statistics.
+    ``graph`` is the subsampled graph they were measured on.  ``values``
+    is a read-only mapping whose arrays are read-only too.  A quantity
+    whose computation failed holds its MetricError, raised (as a copy)
+    when read.  The distance samples (n(n-1) in exact mode) are kept as
+    two statistics.
     """
 
     graph: LabeledGraph
     config: MetricConfig
-    values: dict
+    values: MappingProxyType
 
     def __getitem__(self, name: str):
         value = self.values[name]
         if isinstance(value, MetricError):
-            raise value.with_traceback(None)
+            # a copy: raising the kept error would give it a traceback
+            # whose frames hold this profile, and with it the graph
+            raise copy.copy(value)
         return value
+
+
+def _keepable(value):
+    """``value`` made fit to keep on its graph: an array read-only, an
+    error without the traceback and context whose frames hold the graph."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, MetricError):
+        value.__traceback__ = value.__context__ = None
+    return value
 
 
 def profiles(graphs, config: MetricConfig = None) -> list:
@@ -258,22 +290,42 @@ def profiles(graphs, config: MetricConfig = None) -> list:
     metric.  The sampling seeds are spawned from ``config.seed`` alone, so
     every graph profiled under one config is sampled alike, and each
     profile equals that of its graph alone.  Community detection runs
-    once for all the graphs (see ``exogenous_metrics``), and a graph
-    profiled before under an equal config reads its kept detections.
+    once for all the graphs (see ``exogenous_metrics``).
+
+    Each graph keeps the quantities of its latest profile (and its
+    subsample, if it has one) keyed by the config, so a graph profiled
+    before under an equal config is not profiled again: ``compare(real,
+    ., config)`` in a loop profiles ``real`` once.  A profile under
+    another config replaces the kept one.  The profiles returned are
+    those computed here, never read back from a graph, because a
+    concurrent call under another config may replace what a graph keeps.
     """
     config = config or MetricConfig()
+    found = {id(g): g.profiles.get(config) for g in graphs}
+    todo = [g for g in {id(g): g for g in graphs}.values()
+            if found[id(g)] is None]
     ss = np.random.SeedSequence(config.seed)
     sub_seed, pair_seed, source_seed, triad_seed, detect_seed = ss.spawn(5)
-    graphs = [bfs_subsample(g, config.max_nodes, sub_seed) for g in graphs]
-    detected = exogenous_metrics(graphs, config, detect_seed)
-    return [GraphProfile(graph, config, {
-        **global_topology_metrics(graph, config, pair_seed, source_seed),
-        **degree_metrics(graph, config),
-        **endogenous_metrics(graph, config),
-        **exogenous,
-        **local_metrics(graph, config, triad_seed),
-        **flow_metrics(graph, config, source_seed)})
-        for graph, exogenous in zip(graphs, detected)]
+    subs = [bfs_subsample(g, config.max_nodes, sub_seed) for g in todo]
+    detected = exogenous_metrics(subs, config, detect_seed)
+    for graph, sub, exogenous in zip(todo, subs, detected):
+        values = {
+            **global_topology_metrics(sub, config, pair_seed, source_seed),
+            **degree_metrics(sub, config),
+            **endogenous_metrics(sub, config),
+            **exogenous,
+            **local_metrics(sub, config, triad_seed),
+            **flow_metrics(sub, config, source_seed)}
+        entry = found[id(graph)] = (
+            None if sub is graph else sub, MappingProxyType(
+                {name: _keepable(v) for name, v in values.items()}))
+        graph.profiles.clear()
+        graph.profiles[config] = entry
+    out = []
+    for graph in graphs:
+        sub, values = found[id(graph)]
+        out.append(GraphProfile(graph if sub is None else sub, config, values))
+    return out
 
 
 def profile(graph: LabeledGraph, config: MetricConfig = None) -> GraphProfile:

@@ -44,7 +44,7 @@ def test_output_digests_script_runs():
     changed = [f"line {i}: {want!r} -> {got!r}" for i, (want, got)
                in enumerate(zip_longest(expected, lines), 1) if want != got]
     assert not changed, "outputs changed:\n" + "\n".join(changed)
-    assert len(lines) == len(expected) == 225
+    assert len(lines) == len(expected) == 226
     assert all(len(line.split()) == 2 for line in lines)
     digests = dict(line.split() for line in lines)
     assert digests["run_bench/threads2"] == digests["run_bench/small"]
@@ -52,4 +52,5 @@ def test_output_digests_script_runs():
     assert any(line.startswith("run_bench/small ") for line in lines)
     assert any(line.startswith("write_artifacts/wtl ") for line in lines)
     assert any(line.startswith("compare/repeat ") for line in lines)
+    assert lines[-1].startswith("compare/kept-subsampled ")
     assert sum(line.startswith("estimate/") for line in lines) == 3

@@ -337,6 +337,33 @@ def test_metric_counts_below_one_are_usage_errors(cli_files, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("resolutions, match", [
+    ("nan", "finite and positive"), ("1,0", "finite and positive"),
+    ("1,1.001", "share the row tag r100"), ("x", "could not convert")])
+def test_bad_resolutions_are_usage_errors(cli_files, tmp_path, capsys,
+                                          resolutions, match):
+    out = tmp_path / "report.tsv"
+    assert main(["compare", str(cli_files["edges2"]), str(cli_files["edges2"]),
+                 "--seed", "1", "--out", str(out),
+                 "--resolutions", resolutions]) == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "fit {edges} --labels {labels}", "decycle {edges} --out {out}",
+    "baseline er {edges} --out {out}"])
+def test_timestamps_strategy_without_timestamps_is_a_usage_error(
+        cli_files, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = argv.format(edges=cli_files["edges2"], labels=cli_files["labels2"],
+                       out=out).split()
+    assert main(argv + ["--seed", "1"] * (argv[0] != "fit")
+                + ["--strategy", "timestamps"]) == 2
+    assert "needs node timestamps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_errors_exit_one(cli_files, tmp_path, capsys):
     # A singleton community defeats estimation; that is a data problem,
     # not a usage problem.

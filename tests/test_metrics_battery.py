@@ -1,3 +1,9 @@
+import gc
+import sys
+import threading
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -334,6 +340,24 @@ def test_graphs_below_two_nodes_skip_path_lengths(make_graph, n, exact):
         e.name for e in report.entries if e.skipped}
 
 
+def test_metric_config_keeps_resolutions_as_a_hashable_tuple():
+    config = MetricConfig(resolutions=[1, 0.5])
+    assert config.resolutions == (1.0, 0.5)
+    assert config == MetricConfig(resolutions=(1.0, 0.5))
+    assert hash(config) == hash(MetricConfig(resolutions=(1.0, 0.5)))
+
+
+@pytest.mark.parametrize("resolutions, match", [
+    ((float("nan"),), "finite and positive"),
+    ((1.0, float("inf")), "finite and positive"),
+    ((0.0,), "finite and positive"), ((-1.0,), "finite and positive"),
+    ((1.0, 1.0), "1.0 and 1.0 share the row tag r100"),
+    ((0.5, 1.0, 1.001), "1.0 and 1.001 share the row tag r100")])
+def test_metric_config_rejects_bad_resolutions(resolutions, match):
+    with pytest.raises(MetricError, match=match):
+        MetricConfig(resolutions=resolutions)
+
+
 def test_metric_config_rejects_counts_below_one(make_graph):
     for field in ("n_pairs", "n_sources", "max_nodes", "triad_samples"):
         for value in (0, -1):
@@ -363,10 +387,12 @@ def test_self_comparison_builds_one_profile(near_dag_graph, monkeypatch):
 
     monkeypatch.setattr(battery, "detect_communities", counting)
     config = MetricConfig(n_pairs=100, n_sources=20)
-    compare(near_dag_graph, near_dag_graph, config)
+    graph = replace(near_dag_graph)  # profiled by no other test
+    compare(graph, graph, config)
     assert len(calls) == 3
-    compare(near_dag_graph, strip_labels(near_dag_graph), config)
-    assert len(calls) == 9
+    # the second compare reads the kept profile of graph
+    compare(graph, strip_labels(graph), config)
+    assert len(calls) == 6
 
 
 def test_density_pair_runs_once_per_labelled_profile(make_graph, monkeypatch):
@@ -413,3 +439,142 @@ def test_profiles_equal_the_profile_of_each_graph(make_graph, monkeypatch,
                 assert np.array_equal(got.values[name], value)
                 assert np.asarray(got.values[name]).dtype == \
                     np.asarray(value).dtype
+
+
+def _kept_cases(near_dag_graph, make_graph):
+    """(real, two synthetic graphs, config) for each kind of kept profile:
+    a labelled graph, a subsampled one, and one holding failed rows."""
+    small = MetricConfig(seed=3, n_pairs=100, n_sources=20)
+    others = [inject_back_edges(near_dag_graph, 0.2, s) for s in (5, 6)]
+    pair = make_graph(2, [(0, 1)], labels=[0, 1])
+    return {
+        "labelled": (replace(near_dag_graph), others, small),
+        "subsampled": (replace(near_dag_graph), others,
+                       replace(small, max_nodes=400)),
+        "skipped": (pair, [make_graph(3, [(1, 0), (2, 0)], labels=[0, 0, 1]),
+                           make_graph(3, [(1, 0), (2, 1)], labels=[0, 1, 1])],
+                    small)}
+
+
+@pytest.mark.parametrize("case", ["labelled", "subsampled", "skipped"])
+def test_a_kept_profile_reports_as_a_fresh_graph(near_dag_graph, make_graph,
+                                                 case):
+    real, others, config = _kept_cases(near_dag_graph, make_graph)[case]
+    first = compare(real, others[0], config)
+    (key, (sub, values)), = real.profiles.items()
+    assert key == config
+    assert (sub is None) == (case != "subsampled")
+    if sub is not None:
+        assert sub.num_nodes == config.max_nodes
+    assert any(isinstance(v, MetricError)
+               for v in values.values()) == (case == "skipped")
+    # the second compare reads the kept profile
+    second = compare(real, others[1], config)
+    assert real.profiles[config][1] is values
+    assert profile(real, config).values is values
+    for synth, report in zip(others, (first, second)):
+        fresh = compare(replace(real), replace(synth), config)
+        assert report.to_tsv() == fresh.to_tsv()
+    assert any(e.skipped for e in second.entries) == (case == "skipped")
+
+
+def test_a_second_config_replaces_the_kept_profile(make_graph, monkeypatch):
+    calls = []
+    flow = battery.flow_metrics
+    monkeypatch.setattr(battery, "flow_metrics",
+                        lambda graph, *args: calls.append(graph)
+                        or flow(graph, *args))
+    graph = make_graph(6, [(1, 0), (2, 0), (3, 1), (4, 2), (5, 3), (0, 5)],
+                       labels=[0, 0, 0, 1, 1, 1])
+    one, two = MetricConfig(seed=1), MetricConfig(seed=2)
+    first = profile(graph, one)
+    assert profile(graph, one).values is first.values and len(calls) == 1
+    assert list(graph.profiles) == [one]
+    profile(graph, two)
+    assert list(graph.profiles) == [two] and len(calls) == 2
+    again = profile(graph, one)
+    assert list(graph.profiles) == [one] and len(calls) == 3
+    assert again.values is not first.values
+    assert distance(again, first).to_tsv() == distance(first, first).to_tsv()
+
+
+def _profiled_and_dropped(graph, config):
+    """A weak reference to ``graph`` after profiling it and reading every
+    row, under an exception being handled, and dropping it."""
+    try:
+        raise KeyError("handled while profiling")
+    except KeyError:
+        prof = profile(graph, config)
+    report = distance(prof, prof)
+    assert report.entries
+    return weakref.ref(graph)
+
+
+def test_a_profiled_graph_is_freed_without_the_cycle_collector(make_graph):
+    config = MetricConfig(seed=2, max_nodes=60)
+    params = CsParams(p=(0.6, 0.4), m=(4.0, 3.0), rho=(0.3, 0.6),
+                      sigma2=(6.0, 5.0))
+    gc.collect()
+    gc.disable()
+    try:
+        refs = [_profiled_and_dropped(graph, config) for graph in (
+            make_graph(2, [(0, 1)], labels=[0, 1]),  # rows that fail
+            inject_back_edges(generate(params, 200, 3), 0.1, 4))]  # subsampled
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_kept_values_are_read_only(near_dag_graph):
+    config = MetricConfig(seed=5, n_pairs=100, n_sources=20)
+    prof = profile(replace(near_dag_graph), config)
+    arrays = [v for v in prof.values.values() if isinstance(v, np.ndarray)]
+    assert len(arrays) >= 8
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(TypeError):
+        prof.values["reachability"] = None
+
+
+def _same_values(got, want):
+    return got.keys() == want.keys() and all(
+        str(g) == str(w) if isinstance(w, MetricError)
+        else np.array_equal(g, w) for g, w in
+        ((got[name], want[name]) for name in want))
+
+
+def test_concurrent_profiles_under_other_configs_return_their_own(
+        make_graph):
+    # threads replace the graph's kept profile under one another; each
+    # must still get the profile of its own config
+    params = CsParams(p=(0.6, 0.4), m=(3.0, 2.0), rho=(0.3, 0.6),
+                      sigma2=(3.0, 2.0))
+    graph = inject_back_edges(generate(params, 60, 9), 0.1, 9)
+    configs = [MetricConfig(seed=s, n_pairs=50, n_sources=10,
+                            max_nodes=50) for s in range(4)]
+    want = [profile(replace(graph), c).values for c in configs]
+    errors = []
+
+    def work(shift):
+        try:
+            for i in range(12):
+                k = (i + shift) % len(configs)
+                # a second graph to profile after this one is kept
+                got = profiles([graph, replace(graph)], configs[k])[0]
+                if got.config != configs[k] or not _same_values(
+                        got.values, want[k]):
+                    errors.append((shift, i))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
