@@ -5,8 +5,8 @@ Generates an n-node graph, injects back edges, and prints the best of
 injection, the scipy adjacency and the out-, in- and undirected CSR views
 of a fresh copy of the near-DAG (so no cached view is reused), cycle
 breaking, community detection at the battery's resolutions in one
-``detect_at_resolutions`` call (as ``profile`` of one graph makes it; the
-graph's kept detections are dropped first), the sampled and exact triad
+``detect_batch`` call (as ``profile`` of one graph makes it; the graph's
+kept detections are dropped first), the sampled and exact triad
 census, BFS subsampling to half the nodes, betweenness from sampled
 sources, longest paths, and ER, SBM and DC-SBM sampling.
 
@@ -24,7 +24,7 @@ from citegen.baselines import (fit_er, fit_sbm, generate_dcsbm, generate_er,
 from citegen.generator import CsParams, generate
 from citegen.graph import LabeledGraph, bfs_subsample
 from citegen.metrics.battery import MetricConfig
-from citegen.metrics.communities import detect_at_resolutions
+from citegen.metrics.communities import detect_batch
 from citegen.metrics.paths import betweenness_values, longest_path_lengths
 from citegen.metrics.triads import triad_census
 from citegen.neardag import cycle_break, inject_back_edges
@@ -42,7 +42,7 @@ def best_time(fn, repeat):
 
 def detect_afresh(graph):
     graph.detections.clear()
-    return detect_at_resolutions(graph, MetricConfig.resolutions, seed=2)
+    return detect_batch([graph], MetricConfig.resolutions, seed=2)
 
 
 def views_time(graph, repeat):
@@ -81,7 +81,7 @@ def main():
         "cycle_break": lambda: cycle_break(near, 0.1, 9, "degree-diff"),
         "triad_census": lambda: triad_census(near, n_samples=200_000, seed=1),
         "triad_census_exact": lambda: triad_census(near),
-        "detect_at_resolutions": lambda: detect_afresh(near),
+        "detect_batch": lambda: detect_afresh(near),
         "bfs_subsample": lambda: bfs_subsample(near, n // 2, 3),
         "betweenness": lambda: betweenness_values(near, sources=sources),
         "longest_paths": lambda: longest_path_lengths(near, np.arange(n)),

@@ -12,9 +12,9 @@ identity and a permuted rank on each of them; ``betweenness_values``, the
 exact ``triad_census`` and one ``compare`` report on some of those
 graphs; the two reports of one real graph compared in turn with two
 others under one config, where the second reads the real graph's kept
-detections, and again under a config whose ``max_nodes`` makes it
-subsample the real graph, where the second reads its kept profile; the
-labels and modularities ``detect_at_resolutions`` finds at the battery's
+profile, and again under a config whose ``max_nodes`` makes it
+subsample the real graph, where the second reads its kept subsample too; the
+labels and modularities ``detect_batch`` finds at the battery's
 resolutions on one of them; the distance tensor and the
 seven artifact files of one ``run_bench`` over four methods and two
 replicates on a small fixed dataset, run on one thread and on two; the
@@ -55,7 +55,7 @@ from citegen.graph import (LabeledGraph, bfs_subsample, in_csr,
                            load_edge_list, out_csr, save_edge_list,
                            undirected_csr)
 from citegen.metrics.battery import MetricConfig, compare
-from citegen.metrics.communities import detect_at_resolutions
+from citegen.metrics.communities import detect_batch
 from citegen.metrics.paths import betweenness_values, longest_path_lengths
 from citegen.metrics.triads import triad_census
 from citegen.neardag import cycle_break, inject_back_edges
@@ -221,7 +221,7 @@ def main():
     subsampled = replace(config, max_nodes=600)
     kept_subsampled = digest(*(text_bytes(compare(
         real, synth, subsampled).to_tsv()) for synth in synths))
-    found = detect_at_resolutions(inputs["dag2k"], MetricConfig.resolutions, 15)
+    found, = detect_batch([inputs["dag2k"]], MetricConfig.resolutions, 15)
     out["detect/dag2k"] = digest(*(labels for labels, _ in found),
                                  np.array([q for _, q in found]))
 

@@ -31,6 +31,7 @@ log = logging.getLogger(__name__)
 
 METHODS = ("cs", "cs-dag", "er", "er-nd", "config", "config-nd",
            "sbm", "sbm-nd", "dcsbm", "dcsbm-nd")
+ORDER_STRATEGIES = ("degree-diff", "eades")
 ENDOGENOUS_CATEGORY = "meso-endogenous"
 
 
@@ -64,6 +65,9 @@ class BenchConfig:
             raise BenchError("replicates must be >= 1")
         if self.threads < 1:
             raise BenchError("threads must be >= 1")
+        if self.order_strategy not in ORDER_STRATEGIES:
+            raise BenchError(f"unknown order_strategy {self.order_strategy!r}"
+                             f"; known: {ORDER_STRATEGIES}")
 
 
 @dataclass

@@ -465,7 +465,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=bench_config.threads,
                     help="worker threads (default %(default)s)")
     sp.add_argument("--order-strategy", default=bench_config.order_strategy,
-                    choices=("degree-diff", "eades"),
+                    choices=bench_mod.ORDER_STRATEGIES,
                     help="node ordering that measures each dataset's "
                          "back-edge ratio when it has no timestamps; -nd "
                          "replicates are always cycle-broken with "

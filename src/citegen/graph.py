@@ -119,8 +119,8 @@ class LabeledGraph:
 
     @cached_property
     def detections(self) -> dict:
-        """Community detections on this graph, kept and read by
-        ``metrics.communities.detect_batch``."""
+        """Detections at this graph's latest seed, which ``detect_batch``
+        hands to the per-resolution reads of one ``profiles`` call."""
         return {}
 
     @cached_property

@@ -2,8 +2,7 @@
 
 from .distances import MetricError, ape, l1_triad, wasserstein1
 from .triads import TRIAD_NAMES, ffl_count, triad_census
-from .communities import (detect_at_resolutions, detect_batch,
-                          detect_communities, modularity)
+from .communities import detect_batch, detect_communities, modularity
 from .battery import (GraphProfile, MetricConfig, MetricEntry, MetricReport,
                       compare, distance, metric_schema, profile,
                       profiles)
@@ -11,8 +10,7 @@ from .battery import (GraphProfile, MetricConfig, MetricEntry, MetricReport,
 __all__ = [
     "MetricError", "ape", "wasserstein1", "l1_triad",
     "TRIAD_NAMES", "triad_census", "ffl_count",
-    "detect_at_resolutions", "detect_batch", "detect_communities",
-    "modularity",
+    "detect_batch", "detect_communities", "modularity",
     "MetricConfig", "MetricEntry", "MetricReport", "compare",
     "GraphProfile", "profile", "profiles", "distance", "metric_schema",
 ]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import List, Optional
@@ -51,9 +50,10 @@ class MetricConfig:
     census anyway; on a 2-core Xeon the exact census of a generated
     near-DAG is no slower than the default sampled one up to about 7000
     nodes.  The sample sizes and ``max_nodes`` must be at least 1.
-    ``resolutions`` is kept as a tuple of floats, each finite and
-    positive, and no two of them may share a row tag.  A config is
-    hashable: ``profiles`` keys the profiles it keeps by it.
+    ``resolutions`` is kept as a tuple of floats, each positive and at
+    most 1e306 (so its row tag is finite), and no two of them may share a
+    row tag.  A config is hashable: ``profiles`` keys the profiles it
+    keeps by it.
     """
 
     seed: int = 0
@@ -73,9 +73,9 @@ class MetricConfig:
         resolutions = tuple(map(float, self.resolutions))
         object.__setattr__(self, "resolutions", resolutions)
         for res in resolutions:
-            if not 0 < res < math.inf:
-                raise MetricError(
-                    f"resolutions must be finite and positive, got {res!r}")
+            if not 0 < res <= 1e306:
+                raise MetricError(f"resolutions must be finite and positive, "
+                                  f"at most 1e306, got {res!r}")
         tags = _tags(self)
         for i, tag in enumerate(tags):
             if tag in tags[:i]:

@@ -262,7 +262,10 @@ def _union(csrs):
 
 def _louvain(copies, seed):
     """One (labels, modularity) per (graph, resolution) of ``copies``, from
-    one Louvain run on the disjoint union of their graphs."""
+    one Louvain run on the disjoint union of their symmetrized graphs:
+    seeded local moving and aggregation repeat until no move gains, then a
+    last local moving on the input graphs lets nodes leave a community
+    merged at a coarse level.  Labels are dense and read-only."""
     rngs = [np.random.default_rng(seed) for _ in copies]
     sizes = [graph.num_nodes for graph, _ in copies]
     scale = np.array([resolution / graph.undirected_csr[2].sum()
@@ -314,26 +317,19 @@ def _louvain(copies, seed):
 def _kept_runs(graph: LabeledGraph, seed) -> dict:
     """The graph's kept detections at ``seed``, by resolution.
 
-    Runs are kept by the seed's value, so equal seeds share them: an int
-    ``s`` is keyed as ``SeedSequence(s)``, which gives the same
-    ``default_rng`` stream, and a SeedSequence by its entropy, spawn key
-    and pool size.  ``profiles`` spawns its detection seed anew on each
-    call, but under an equal config with an equal value.  The graph keeps
-    the runs of its latest seed only.  A seed that does not fix the random
-    streams (None, a Generator) gets a throwaway dict.
+    Runs are kept by the seed as passed: an int by its value, a
+    SeedSequence by identity, so the ``detect_communities`` reads of one
+    ``profiles`` call find what its ``detect_batch`` found.  The graph
+    keeps the runs of its latest seed only.  A seed that does not fix the
+    random streams (None, a Generator) gets a throwaway dict.
     """
     if not isinstance(seed, (int, np.integer, np.random.SeedSequence)):
         return {}
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(int(seed))
-    entropy = seed.entropy
-    key = (entropy if isinstance(entropy, (int, np.integer))
-           else tuple(entropy), seed.spawn_key, seed.pool_size)
     kept = graph.detections
-    runs = kept.get(key)
+    runs = kept.get(seed)
     if runs is None:
         kept.clear()
-        runs = kept[key] = {}
+        runs = kept[seed] = {}
     return runs
 
 
@@ -350,9 +346,10 @@ def union_capacity(graph: LabeledGraph, resolutions) -> int:
 
 
 def detect_batch(graphs, resolutions, seed=0) -> list:
-    """``detect_at_resolutions`` of each of ``graphs``: per graph, one
-    (labels, modularity) per resolution, or the MetricError of a graph
-    without nodes.
+    """Label-blind greedy modularity maximization (Louvain scheme) of each
+    of ``graphs`` at each of ``resolutions``: per graph, one (labels,
+    modularity) per resolution, or the MetricError of a graph without
+    nodes.
 
     Consecutive graphs share one Louvain run on the disjoint union of
     their copies, one per graph and resolution, while the union's
@@ -361,6 +358,8 @@ def detect_batch(graphs, resolutions, seed=0) -> list:
     and draws from its own generator seeded with ``seed``, so each copy's
     result is that of its graph at its resolution alone, whatever its
     batch-mates.  An edgeless graph gets singletons and modularity 0.
+    Each graph keeps the results of its latest seed (see ``_kept_runs``),
+    so a later call at that seed runs only the resolutions not yet found.
     """
     wanted = [float(r) for r in resolutions]
     found = {}
@@ -392,36 +391,14 @@ def detect_batch(graphs, resolutions, seed=0) -> list:
             else MetricError("empty graph") for g in graphs]
 
 
-def detect_at_resolutions(graph: LabeledGraph, resolutions, seed=0):
-    """Label-blind greedy modularity maximization (Louvain scheme) at each
-    of ``resolutions``; returns one (labels, modularity) per resolution.
-
-    One run covers every resolution: it works on the disjoint union of one
-    copy of the symmetrized weighted graph per resolution (node ``i`` of
-    copy ``r`` is ``r * n + i``).  Communities never span copies and each
-    copy draws from its own generator seeded with ``seed``, so each copy's
-    result is exactly that of a run at its resolution alone.  Seeded
-    synchronous local moving and community aggregation repeat until no
-    move improves the objective, then one more local moving on the input
-    graph from that partition lets nodes merged into a community at a
-    coarse level leave it.  Labels are dense and read-only, and the
-    modularity is the one achieved at that resolution.
-
-    The graph keeps the results of its latest seed by the seed's value
-    (see ``_kept_runs``), so a later call at an equal seed runs only the
-    resolutions not yet found.  This is ``detect_batch`` of the one graph.
-    """
-    found = detect_batch([graph], resolutions, seed)[0]
-    if isinstance(found, MetricError):
-        raise found
-    return found
-
-
 def detect_communities(graph: LabeledGraph, resolution: float = 1.0,
                        seed=0):
-    """``detect_at_resolutions`` at the one ``resolution``: (labels,
-    achieved modularity at this resolution)."""
-    return detect_at_resolutions(graph, (resolution,), seed)[0]
+    """``detect_batch`` of the one graph at the one ``resolution``:
+    (labels, achieved modularity at this resolution)."""
+    found = detect_batch([graph], (resolution,), seed)[0]
+    if isinstance(found, MetricError):
+        raise found
+    return found[0]
 
 
 def detected_sizes(labels: np.ndarray) -> np.ndarray:

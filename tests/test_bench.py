@@ -54,6 +54,16 @@ def test_config_rejects_zero_threads():
         BenchConfig(threads=0)
 
 
+def test_config_rejects_unknown_order_strategy():
+    for strategy in bench.ORDER_STRATEGIES:
+        assert BenchConfig(order_strategy=strategy).order_strategy == strategy
+    # timestamps is no heuristic: a dataset without them could not use it
+    for strategy in ("bogus", "timestamps"):
+        with pytest.raises(BenchError,
+                           match=f"unknown order_strategy '{strategy}'"):
+            BenchConfig(order_strategy=strategy)
+
+
 def test_fit_methods_only_requested_families(small_datasets):
     fits = fit_methods(small_datasets["one"], ("er",), "degree-diff")
     assert fits.er is not None

@@ -339,7 +339,8 @@ def test_metric_counts_below_one_are_usage_errors(cli_files, tmp_path, capsys,
 
 @pytest.mark.parametrize("resolutions, match", [
     ("nan", "finite and positive"), ("1,0", "finite and positive"),
-    ("1,1.001", "share the row tag r100"), ("x", "could not convert")])
+    ("1,1.001", "share the row tag r100"), ("x", "could not convert"),
+    ("1e307", "at most 1e306, got 1e+307")])
 def test_bad_resolutions_are_usage_errors(cli_files, tmp_path, capsys,
                                           resolutions, match):
     out = tmp_path / "report.tsv"
@@ -420,6 +421,17 @@ def test_lists_read_from_json_or_comma_strings(cli_files, tmp_path,
         _, config = _stopped_bench(monkeypatch, argv)
         assert config.methods == ("cs", "er")
         assert config.metric.resolutions == (0.5, 1.0)
+
+
+def test_unknown_order_strategy_in_a_config_is_a_usage_error(
+        cli_files, tmp_path, capsys):
+    # argparse checks the flag's choices but not a config file's default
+    argv = ["bench", "--dataset", f"one={cli_files['edges']}", "--seed", "3",
+            "--outdir", str(tmp_path / "out")]
+    assert main(argv + _config_file(tmp_path,
+                                    {"order_strategy": "bogus"})) == 2
+    assert "'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_only_keys(cli_files, tmp_path, monkeypatch):

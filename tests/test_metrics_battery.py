@@ -352,7 +352,8 @@ def test_metric_config_keeps_resolutions_as_a_hashable_tuple():
     ((1.0, float("inf")), "finite and positive"),
     ((0.0,), "finite and positive"), ((-1.0,), "finite and positive"),
     ((1.0, 1.0), "1.0 and 1.0 share the row tag r100"),
-    ((0.5, 1.0, 1.001), "1.0 and 1.001 share the row tag r100")])
+    ((0.5, 1.0, 1.001), "1.0 and 1.001 share the row tag r100"),
+    ((1.0, 1e307), "at most 1e306, got 1e\\+307")])
 def test_metric_config_rejects_bad_resolutions(resolutions, match):
     with pytest.raises(MetricError, match=match):
         MetricConfig(resolutions=resolutions)

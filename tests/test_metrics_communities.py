@@ -13,7 +13,6 @@ from citegen.metrics.communities import (
     _union,
     conductance,
     density_pair,
-    detect_at_resolutions,
     detect_batch,
     detect_communities,
     detected_sizes,
@@ -348,7 +347,7 @@ def test_detect_at_resolutions_copies_equal_single_runs(near_dags_1k):
     # tests above cover the batched call; fresh graphs keep nothing
     for graph in near_dags_1k:
         for seed in (7, np.random.SeedSequence(7)):
-            found = detect_at_resolutions(replace(graph), RESOLUTIONS, seed)
+            found, = detect_batch([replace(graph)], RESOLUTIONS, seed)
             assert len(found) == len(RESOLUTIONS)
             for (labels, q), res in zip(found, RESOLUTIONS):
                 alone, q_alone = detect_communities(replace(graph), res, seed)
@@ -366,9 +365,9 @@ def test_detect_at_resolutions_keeps_the_latest_seeds_runs(dag_graph,
 
     monkeypatch.setattr(communities, "_louvain", counting)
     graph = replace(dag_graph)
-    found = detect_at_resolutions(graph, RESOLUTIONS, 3)
+    found, = detect_batch([graph], RESOLUTIONS, 3)
     assert detect_communities(graph, 0.5, 3) is found[1]
-    assert detect_at_resolutions(graph, (2.0, 0.25), 3)[0] is found[2]
+    assert detect_batch([graph], (2.0, 0.25), 3)[0][0] is found[2]
     assert runs == [list(RESOLUTIONS), [0.25]]
     assert not found[0][0].flags.writeable
     detect_communities(graph, 1.0, 4)
@@ -382,22 +381,22 @@ def test_detect_at_resolutions_keeps_the_latest_seeds_runs(dag_graph,
 
 def test_detect_at_resolutions_degenerate_inputs(make_graph, dag_graph):
     cliques = make_graph(10, clique_pair_edges())
-    assert detect_at_resolutions(cliques, (), 0) == []
+    assert detect_batch([cliques], (), 0) == [[]]
     config = battery.MetricConfig(resolutions=(), n_pairs=50, n_sources=10)
     values = battery.profile(dag_graph, config).values
     assert not [name for name in values if name.startswith("detected_")]
     repeated = (1.0, 0.5, 1.0)
-    found = detect_at_resolutions(cliques, repeated, 2)
+    found, = detect_batch([cliques], repeated, 2)
     assert len(found) == 3
     for (labels, q), res in zip(found, repeated):
         assert q == symmetric_modularity(cliques, labels, res)
     assert found[0][1] == found[2][1] == pytest.approx(0.5)
     edgeless = make_graph(4, [])
-    found = detect_at_resolutions(edgeless, RESOLUTIONS, 0)
+    found, = detect_batch([edgeless], RESOLUTIONS, 0)
     assert [(labels.tolist(), q) for labels, q in found] == \
         [([0, 1, 2, 3], 0.0)] * 3
-    with pytest.raises(MetricError, match="empty"):
-        detect_at_resolutions(make_graph(0, []), RESOLUTIONS, 0)
+    empty, = detect_batch([make_graph(0, [])], RESOLUTIONS, 0)
+    assert isinstance(empty, MetricError) and "empty" in str(empty)
 
 
 @pytest.fixture(scope="module")
@@ -464,8 +463,10 @@ def test_detect_batch_unions_stay_within_the_budget(mixed_graphs,
     assert union_capacity(mixed_graphs[2], RESOLUTIONS) == budget
 
 
+@pytest.mark.parametrize("seed", [3, np.random.SeedSequence(3)],
+                         ids=["int", "SeedSequence"])
 def test_detect_batch_keeps_runs_that_another_seed_evicted(make_graph,
-                                                          monkeypatch):
+                                                          monkeypatch, seed):
     # another caller at seed 4 replaces the kept runs during the run
     graph = make_graph(10, clique_pair_edges(cross=True))
     runs = []
@@ -477,10 +478,10 @@ def test_detect_batch_keeps_runs_that_another_seed_evicted(make_graph,
         return louvain(copies, seed)
 
     monkeypatch.setattr(communities, "_louvain", evicting)
-    found = detect_batch([graph], RESOLUTIONS, 3)[0]
+    found = detect_batch([graph], RESOLUTIONS, seed)[0]
     for res, kept in zip(RESOLUTIONS, found):
-        assert detect_communities(graph, res, 3) is kept
-    assert runs == [3]
+        assert detect_communities(graph, res, seed) is kept
+    assert runs == [seed]
 
 
 def recorded_louvain(monkeypatch):
@@ -494,34 +495,6 @@ def recorded_louvain(monkeypatch):
 
     monkeypatch.setattr(communities, "_louvain", recording)
     return calls
-
-
-def test_kept_runs_match_on_an_equal_seed_value(make_graph, monkeypatch):
-    calls = recorded_louvain(monkeypatch)
-    graph = make_graph(10, clique_pair_edges(cross=True))
-    seq = np.random.SeedSequence
-    found = detect_communities(graph, 1.0, seq(5, spawn_key=(1, 2)))
-    assert detect_communities(graph, 1.0, seq(5, spawn_key=(1, 2))) is found
-    found = detect_communities(graph, 1.0, 6)
-    for seed in (seq(6), np.int64(6), 6):
-        assert detect_communities(graph, 1.0, seed) is found
-    found = detect_communities(graph, 1.0, seq([6, 7]))
-    assert detect_communities(graph, 1.0, seq(np.array([6, 7]))) is found
-    assert len(calls) == 3
-
-
-def test_kept_runs_differ_by_entropy_spawn_key_and_pool_size(make_graph,
-                                                             monkeypatch):
-    calls = recorded_louvain(monkeypatch)
-    graph = make_graph(10, clique_pair_edges(cross=True))
-    base = dict(entropy=[8, 1], spawn_key=(2,), pool_size=4)
-    for change in ({"entropy": [8, 2]}, {"entropy": 8}, {"spawn_key": (3,)},
-                   {"spawn_key": (2, 0)}, {"pool_size": 8}):
-        detect_communities(graph, 1.0, np.random.SeedSequence(**base))
-        calls.clear()
-        detect_communities(graph, 1.0,
-                           np.random.SeedSequence(**{**base, **change}))
-        assert len(calls) == 1, change
 
 
 def test_a_repeated_compare_detects_the_real_graph_once(
