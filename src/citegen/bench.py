@@ -48,6 +48,7 @@ class BenchConfig:
     resolves it per dataset with ``neardag.age_strategy`` and hands the
     result to ``fit_methods``.  It does not affect cycle breaking:
     ``realize`` always breaks the ``-nd`` replicates with ``degree-diff``.
+    ``methods`` must name at least two distinct methods, for the ranking.
     """
 
     methods: Tuple[str, ...] = METHODS
@@ -61,6 +62,12 @@ class BenchConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise BenchError(f"unknown methods: {unknown}; known: {METHODS}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise BenchError(f"methods named more than once: {repeated}")
+        if len(self.methods) < 2:
+            raise BenchError(f"ranking needs at least 2 methods, got "
+                             f"{len(self.methods)}")
         if self.replicates < 1:
             raise BenchError("replicates must be >= 1")
         if self.threads < 1:

@@ -133,6 +133,17 @@ def _save_graph(graph: LabeledGraph, out, labels_out=None):
         save_labels(graph, labels_out)
 
 
+def _back_ratio(value) -> float:
+    """``value`` as a back-edge ratio; outside neardag's range it is a
+    usage error."""
+    ratio = float(value)
+    try:
+        neardag.back_edge_count(0, ratio)
+    except neardag.NearDagError as exc:
+        raise UsageError(str(exc))
+    return ratio
+
+
 def _pick_strategy(args, graph: LabeledGraph) -> str:
     strategy = (neardag.age_strategy(graph) if args.strategy is None
                 else args.strategy)
@@ -188,7 +199,7 @@ def cmd_generate(args) -> int:
     if n is None:
         raise UsageError("node count required (--n or config/params key 'n')")
     ratio = (doc.get("back_edge_ratio", 0.0) if args.back_ratio is None
-             else args.back_ratio)
+             else _back_ratio(args.back_ratio))
     fits = bench_mod.MethodFits(n=int(n), back_ratio=float(ratio),
                                 cs_params=CsParams.from_json(text))
     seed = _resolve_seed(args.seed)
@@ -207,7 +218,7 @@ def cmd_decycle(args) -> int:
                         args.labels, args.timestamps)
     strategy = _pick_strategy(args, graph)
     ratio = (bench_mod.fit_methods(graph, (), strategy).back_ratio
-             if args.r is None else float(args.r))
+             if args.r is None else _back_ratio(args.r))
     seed = _resolve_seed(args.seed)
     out_graph, report = neardag.cycle_break(graph, ratio, seed, strategy)
     print(f"decycled with strategy={report.strategy}: "
@@ -229,7 +240,7 @@ def cmd_baseline(args) -> int:
     method = name + "-nd" if args.near_dag else name
     fits = bench_mod.fit_methods(graph, (method,), _pick_strategy(args, graph))
     if args.r is not None:
-        fits.back_ratio = float(args.r)
+        fits.back_ratio = _back_ratio(args.r)
     synth = bench_mod.realize(method, fits, np.random.SeedSequence(seed))
     _save_graph(synth, args.out, args.labels_out)
     return 0

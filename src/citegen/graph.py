@@ -119,8 +119,9 @@ class LabeledGraph:
 
     @cached_property
     def detections(self) -> dict:
-        """Detections at this graph's latest seed, which ``detect_batch``
-        hands to the per-resolution reads of one ``profiles`` call."""
+        """Runs that one ``metrics.battery.exogenous_metrics`` call holds
+        for its per-resolution ``detect_communities`` reads; empty once
+        that call returns."""
         return {}
 
     @cached_property

@@ -201,20 +201,28 @@ def exogenous_metrics(graphs, config, detect_seed):
     per graph of ``graphs``.
 
     One batched run (``detect_batch``) detects every graph at every
-    resolution; each graph keeps its results, so each resolution's
-    ``detect_communities`` call reads them.
+    resolution.  Until this call returns, each graph holds its runs in
+    ``graph.detections`` for the ``detect_communities`` reads.
     """
-    detect_batch(graphs, config.resolutions, detect_seed)
+    keys = [(id(detect_seed), res) for res in config.resolutions]
     out = []
-    for graph in graphs:
-        values = {}
-        for res, tag in zip(config.resolutions, _tags(config)):
-            found = _try(detect_communities, graph, res, detect_seed)
-            ok = not isinstance(found, MetricError)
-            values[f"detected_modularity_{tag}"] = found[1] if ok else found
-            values[f"detected_sizes_{tag}"] = (detected_sizes(found[0]) if ok
-                                               else found)
-        out.append(values)
+    try:
+        for graph, runs in zip(graphs, detect_batch(
+                graphs, config.resolutions, detect_seed)):
+            if not isinstance(runs, MetricError):
+                graph.detections.update(zip(keys, runs))
+            values = {}
+            for (_, res), tag in zip(keys, _tags(config)):
+                found = _try(detect_communities, graph, res, detect_seed)
+                ok = not isinstance(found, MetricError)
+                values[f"detected_modularity_{tag}"] = found[1] if ok else found
+                values[f"detected_sizes_{tag}"] = (detected_sizes(found[0])
+                                                   if ok else found)
+            out.append(values)
+    finally:
+        for graph in graphs:
+            for key in keys:
+                graph.detections.pop(key, None)
     return out
 
 

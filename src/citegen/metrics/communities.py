@@ -314,25 +314,6 @@ def _louvain(copies, seed):
     return out
 
 
-def _kept_runs(graph: LabeledGraph, seed) -> dict:
-    """The graph's kept detections at ``seed``, by resolution.
-
-    Runs are kept by the seed as passed: an int by its value, a
-    SeedSequence by identity, so the ``detect_communities`` reads of one
-    ``profiles`` call find what its ``detect_batch`` found.  The graph
-    keeps the runs of its latest seed only.  A seed that does not fix the
-    random streams (None, a Generator) gets a throwaway dict.
-    """
-    if not isinstance(seed, (int, np.integer, np.random.SeedSequence)):
-        return {}
-    kept = graph.detections
-    runs = kept.get(seed)
-    if runs is None:
-        kept.clear()
-        runs = kept[seed] = {}
-    return runs
-
-
 def _entries(graph: LabeledGraph, copies: int) -> int:
     """Undirected adjacency entries of ``copies`` copies of ``graph`` in a
     union, counted as two per edge: a reciprocal pair counts four."""
@@ -358,17 +339,16 @@ def detect_batch(graphs, resolutions, seed=0) -> list:
     and draws from its own generator seeded with ``seed``, so each copy's
     result is that of its graph at its resolution alone, whatever its
     batch-mates.  An edgeless graph gets singletons and modularity 0.
-    Each graph keeps the results of its latest seed (see ``_kept_runs``),
-    so a later call at that seed runs only the resolutions not yet found.
+    Nothing is kept on the graphs: a repeated call runs again.
     """
     wanted = [float(r) for r in resolutions]
+    todo = list(dict.fromkeys(wanted))
     found = {}
     unions, entries = [[]], 0
     for graph in graphs:
         if graph.num_nodes == 0 or id(graph) in found:
             continue
-        runs = found[id(graph)] = dict(_kept_runs(graph, seed))
-        todo = [r for r in dict.fromkeys(wanted) if r not in runs]
+        runs = found[id(graph)] = {}
         if graph.num_edges == 0:
             runs.update((r, (_read_only(np.arange(
                 graph.num_nodes, dtype=np.int64))[0], 0.0)) for r in todo)
@@ -382,11 +362,6 @@ def detect_batch(graphs, resolutions, seed=0) -> list:
     for copies in filter(None, unions):
         for (graph, r), result in zip(copies, _louvain(copies, seed)):
             found[id(graph)][r] = result
-    # kept only now: a concurrent call at another seed replaces the graph's
-    # kept runs, and would drop these before the caller reads them
-    for graph in graphs:
-        if graph.num_nodes:
-            _kept_runs(graph, seed).update(found[id(graph)])
     return [[found[id(g)][r] for r in wanted] if g.num_nodes
             else MetricError("empty graph") for g in graphs]
 
@@ -394,7 +369,11 @@ def detect_batch(graphs, resolutions, seed=0) -> list:
 def detect_communities(graph: LabeledGraph, resolution: float = 1.0,
                        seed=0):
     """``detect_batch`` of the one graph at the one ``resolution``:
-    (labels, achieved modularity at this resolution)."""
+    (labels, achieved modularity at this resolution), or the run that
+    ``battery.exogenous_metrics`` holds for this seed object."""
+    held = graph.detections.get((id(seed), resolution))
+    if held is not None:
+        return held
     found = detect_batch([graph], (resolution,), seed)[0]
     if isinstance(found, MetricError):
         raise found

@@ -19,7 +19,7 @@ from citegen.bench import (
 )
 from citegen.generator import CsParams, generate
 from citegen.graph import is_acyclic
-from citegen.metrics import MetricConfig, communities, compare
+from citegen.metrics import MetricConfig, battery, communities, compare
 from citegen.metrics.communities import union_capacity
 from citegen.neardag import age_strategy, back_edge_count, inject_back_edges
 
@@ -46,6 +46,15 @@ def test_config_rejects_unknown_method():
         BenchConfig(methods=("cs", "flux"))
     with pytest.raises(BenchError, match="replicates"):
         BenchConfig(replicates=0)
+
+
+def test_config_rejects_repeated_or_too_few_methods():
+    assert BenchConfig(methods=("cs", "er")).methods == ("cs", "er")
+    with pytest.raises(BenchError, match=r"more than once: \['cs'\]"):
+        BenchConfig(methods=("cs", "er", "cs"))
+    for methods in (("cs",), ()):
+        with pytest.raises(BenchError, match="at least 2 methods"):
+            BenchConfig(methods=methods)
 
 
 def test_config_rejects_zero_threads():
@@ -127,6 +136,20 @@ def test_run_bench_reproducible_and_thread_invariant(small_datasets):
                                      seed=6, metric=SMALL_METRIC, threads=4))
     assert np.array_equal(serial.runs, again.runs, equal_nan=True)
     assert np.array_equal(serial.runs, threaded.runs, equal_nan=True)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_bench_leaves_no_detections_on_any_graph(small_datasets,
+                                                     monkeypatch, threads):
+    seen = []
+    detect_batch = battery.detect_batch
+    monkeypatch.setattr(battery, "detect_batch", lambda graphs, *args: (
+        seen.extend(graphs) or detect_batch(graphs, *args)))
+    run_bench(small_datasets, BenchConfig(
+        methods=("cs", "er-nd"), replicates=2, seed=3, metric=SMALL_METRIC,
+        threads=threads))
+    assert set(map(id, small_datasets.values())) <= set(map(id, seen))
+    assert not any(g.detections for g in seen)
 
 
 @pytest.mark.parametrize("threads", [1, 3])

@@ -423,6 +423,37 @@ def test_lists_read_from_json_or_comma_strings(cli_files, tmp_path,
         assert config.metric.resolutions == (0.5, 1.0)
 
 
+@pytest.mark.parametrize("methods, match", [
+    ("cs", "at least 2 methods"), ("cs,cs", "more than once: ['cs']")])
+def test_bad_method_lists_are_usage_errors(cli_files, tmp_path, monkeypatch,
+                                           capsys, methods, match):
+    def fit(*args):
+        raise AssertionError("fitted before checking the methods")
+
+    monkeypatch.setattr(bench_mod, "fit_methods", fit)
+    out = tmp_path / "out"
+    assert main(["bench", "--dataset", f"one={cli_files['edges2']}",
+                 "--seed", "3", "--methods", methods,
+                 "--outdir", str(out)]) == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "generate {params} --back-ratio 1", "decycle {edges} --r -0.1",
+    "baseline er {edges} --near-dag --r 1.5"])
+def test_back_edge_ratios_outside_the_range_are_usage_errors(
+        cli_files, tmp_path, capsys, argv):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"k": 1, "p": [1.0], "m": [2.0],
+                                  "rho": [0.5], "sigma2": [2.0], "n": 50}))
+    out = tmp_path / "out"
+    argv = argv.format(params=params, edges=cli_files["edges2"]).split()
+    assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
+    assert "back-edge ratio must lie in [0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_order_strategy_in_a_config_is_a_usage_error(
         cli_files, tmp_path, capsys):
     # argparse checks the flag's choices but not a config file's default

@@ -579,3 +579,51 @@ def test_concurrent_profiles_under_other_configs_return_their_own(
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+    assert not graph.detections
+
+
+@pytest.mark.parametrize("during", ["_louvain", "detect_communities"])
+def test_nested_profiles_calls_hold_their_own_runs(near_dag_graph,
+                                                   monkeypatch, during):
+    # a second profiles call on the graph runs inside the first one's
+    # detection run, or inside its first read of a held run; each must
+    # read only the runs it found
+    graph = replace(near_dag_graph)
+    configs = [MetricConfig(seed=s, n_pairs=100, n_sources=20)
+               for s in (1, 2)]
+    want = [profile(replace(graph), c).values for c in configs]
+    runs, inner = [], []
+    louvain = communities._louvain
+    monkeypatch.setattr(communities, "_louvain", lambda copies, seed: (
+        runs.append(seed.entropy) or louvain(copies, seed)))
+    module = communities if during == "_louvain" else battery
+    nested = getattr(module, during)
+
+    def nesting(*args):
+        if not inner:
+            inner.append(None)
+            inner[0] = profiles([graph], configs[1])[0]
+        return nested(*args)
+
+    monkeypatch.setattr(module, during, nesting)
+    outer, = profiles([graph], configs[0])
+    assert sorted(runs) == [1, 2]
+    assert _same_values(outer.values, want[0])
+    assert _same_values(inner[0].values, want[1])
+    assert not graph.detections
+
+
+def test_no_graph_holds_detections_after_a_call(near_dag_graph, make_graph,
+                                                monkeypatch):
+    seen = []
+    detect_batch = battery.detect_batch
+    monkeypatch.setattr(battery, "detect_batch", lambda graphs, *args: (
+        seen.extend(graphs) or detect_batch(graphs, *args)))
+    config = MetricConfig(seed=3, n_pairs=100, n_sources=20, max_nodes=400)
+    real = replace(near_dag_graph)
+    synth = inject_back_edges(near_dag_graph, 0.2, 5)
+    compare(real, synth, config)
+    profiles([synth, make_graph(0, []), make_graph(4, [])],
+             replace(config, seed=4))
+    assert len(seen) == 5 and seen[0] is not real  # subsampled
+    assert not any(g.detections for g in seen + [real, synth])

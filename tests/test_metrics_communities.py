@@ -354,8 +354,7 @@ def test_detect_at_resolutions_copies_equal_single_runs(near_dags_1k):
                 assert np.array_equal(labels, alone) and q == q_alone
 
 
-def test_detect_at_resolutions_keeps_the_latest_seeds_runs(dag_graph,
-                                                         monkeypatch):
+def test_detect_batch_keeps_nothing_on_the_graph(dag_graph, monkeypatch):
     runs = []
     louvain = communities._louvain
 
@@ -366,17 +365,22 @@ def test_detect_at_resolutions_keeps_the_latest_seeds_runs(dag_graph,
     monkeypatch.setattr(communities, "_louvain", counting)
     graph = replace(dag_graph)
     found, = detect_batch([graph], RESOLUTIONS, 3)
-    assert detect_communities(graph, 0.5, 3) is found[1]
-    assert detect_batch([graph], (2.0, 0.25), 3)[0][0] is found[2]
-    assert runs == [list(RESOLUTIONS), [0.25]]
     assert not found[0][0].flags.writeable
-    detect_communities(graph, 1.0, 4)
-    detect_communities(graph, 1.0, 3)
-    assert runs[2:] == [[1.0], [1.0]]
-    for seed in (None, np.random.default_rng(3)):
-        detect_communities(graph, 1.0, seed)
-        detect_communities(graph, 1.0, seed)
-    assert len(runs) == 8
+    assert not graph.detections
+    # a repeated call at one seed runs again, and finds the same
+    again, = detect_batch([graph], (2.0, 0.25), 3)
+    labels, q = detect_communities(graph, 0.5, 3)
+    assert np.array_equal(again[0][0], found[2][0]) and again[0][1] == found[2][1]
+    assert np.array_equal(labels, found[1][0]) and q == found[1][1]
+    assert runs == [list(RESOLUTIONS), [2.0, 0.25], [0.5]]
+    assert not graph.detections
+    # a run held for the seed object and resolution is returned as it is
+    seed = np.random.SeedSequence(3)
+    graph.detections[(id(seed), 0.5)] = found[1]
+    assert detect_communities(graph, 0.5, seed) is found[1]
+    assert detect_communities(graph, 0.5, np.random.SeedSequence(3)) \
+        is not found[1]
+    assert len(runs) == 4
 
 
 def test_detect_at_resolutions_degenerate_inputs(make_graph, dag_graph):
@@ -453,35 +457,15 @@ def test_detect_batch_unions_stay_within_the_budget(mixed_graphs,
     # consecutive unions could not have been one
     assert all(a + b > budget for a, b in zip(entries, entries[1:]))
     assert len(unions) == 2 and len(unions[0]) == 3 * len(RESOLUTIONS)
-    # every resolution is kept: a second call runs nothing
+    # nothing is kept: a second call runs the same unions again
     detect_batch(fresh, RESOLUTIONS, 5)
-    assert len(unions) == 2
+    assert [[(id(g), r) for g, r in copies] for copies in unions[2:]] == \
+        [[(id(g), r) for g, r in copies] for copies in unions[:2]]
     for graph in mixed_graphs[:2]:
         assert union_capacity(graph, RESOLUTIONS) == \
             budget // (2 * graph.num_edges * len(RESOLUTIONS))
     assert union_capacity(mixed_graphs[-1], RESOLUTIONS) == 1
     assert union_capacity(mixed_graphs[2], RESOLUTIONS) == budget
-
-
-@pytest.mark.parametrize("seed", [3, np.random.SeedSequence(3)],
-                         ids=["int", "SeedSequence"])
-def test_detect_batch_keeps_runs_that_another_seed_evicted(make_graph,
-                                                          monkeypatch, seed):
-    # another caller at seed 4 replaces the kept runs during the run
-    graph = make_graph(10, clique_pair_edges(cross=True))
-    runs = []
-    louvain = communities._louvain
-
-    def evicting(copies, seed):
-        runs.append(seed)
-        communities._kept_runs(graph, 4)
-        return louvain(copies, seed)
-
-    monkeypatch.setattr(communities, "_louvain", evicting)
-    found = detect_batch([graph], RESOLUTIONS, seed)[0]
-    for res, kept in zip(RESOLUTIONS, found):
-        assert detect_communities(graph, res, seed) is kept
-    assert runs == [seed]
 
 
 def recorded_louvain(monkeypatch):
