@@ -13,7 +13,8 @@ exact ``triad_census`` and one ``compare`` report on some of those
 graphs; the two reports of one real graph compared in turn with two
 others under one config, where the second reads the real graph's kept
 profile, and again under a config whose ``max_nodes`` makes it
-subsample the real graph, where the second reads its kept subsample too; the
+subsample the real graph, where the second reads the kept values measured
+on that subsample; the
 labels and modularities ``detect_batch`` finds at the battery's
 resolutions on one of them; the distance tensor and the
 seven artifact files of one ``run_bench`` over four methods and two

@@ -28,8 +28,8 @@ import numpy as np
 from . import bench as bench_mod
 from . import neardag
 from .estimation import estimate
-from .generator import (CsParams, derive, empirical_ccdf, generate,
-                        ks_to_pareto2, pareto2_ccdf)
+from .generator import (CsParams, ParamError, derive, empirical_ccdf,
+                        generate, ks_to_pareto2, pareto2_ccdf)
 from .graph import (GraphError, LabeledGraph, load_edge_list, load_labels,
                     load_timestamps, prune_unlabeled, save_edge_list,
                     save_labels)
@@ -203,8 +203,11 @@ def cmd_generate(args) -> int:
     fits = bench_mod.MethodFits(n=int(n), back_ratio=float(ratio),
                                 cs_params=CsParams.from_json(text))
     seed = _resolve_seed(args.seed)
-    graph = bench_mod.realize("cs-dag" if args.dag_only else "cs", fits,
-                              np.random.SeedSequence(seed))
+    try:
+        graph = bench_mod.realize("cs-dag" if args.dag_only else "cs", fits,
+                                  np.random.SeedSequence(seed))
+    except ParamError as exc:  # a node count below the community count
+        raise UsageError(str(exc))
     # generated edges cite older (smaller) ids, injected ones newer ids
     back = int(np.count_nonzero(graph.src < graph.dst))
     print(f"generated {graph.num_nodes} nodes, {graph.num_edges - back} "
@@ -336,9 +339,12 @@ def cmd_validate_theory(args) -> int:
     m = float(args.m)
     sigma2 = m if args.sigma2 is None else float(args.sigma2)
     seed = _resolve_seed(args.seed)
-    params = CsParams(p=np.full(k, 1.0 / k), m=np.full(k, m),
-                      rho=np.array(rho), sigma2=np.full(k, sigma2))
-    graph = generate(params, n, seed)
+    try:
+        params = CsParams(p=np.full(k, 1.0 / k), m=np.full(k, m),
+                          rho=np.array(rho), sigma2=np.full(k, sigma2))
+        graph = generate(params, n, seed)
+    except ParamError as exc:  # the model's own bounds on the flags
+        raise UsageError(str(exc))
     derived = derive(params)
     indeg = graph.d_in
     lines = ["rho\tdegree\tempirical_ccdf\ttheoretical_ccdf\tks\tks_bulk99"]

@@ -126,8 +126,8 @@ class LabeledGraph:
 
     @cached_property
     def profiles(self) -> dict:
-        """This graph's latest battery profile, as ``(subsample or None,
-        values)`` keyed by its MetricConfig, kept and read by
+        """The read-only values of this graph's latest battery profile,
+        keyed by its MetricConfig, kept and read by
         ``metrics.battery.profiles``."""
         return {}
 

@@ -260,14 +260,13 @@ def flow_metrics(graph, config, source_seed):
 class GraphProfile:
     """One graph's battery quantities under one config, keyed by metric.
 
-    ``graph`` is the subsampled graph they were measured on.  ``values``
-    is a read-only mapping whose arrays are read-only too.  A quantity
-    whose computation failed holds its MetricError, raised (as a copy)
-    when read.  The distance samples (n(n-1) in exact mode) are kept as
-    two statistics.
+    ``values`` is a read-only mapping whose arrays are read-only too; it
+    holds no ground-truth quantities for a graph without labels.  A
+    quantity whose computation failed holds its MetricError, raised (as a
+    copy) when read.  The distance samples (n(n-1) in exact mode) are
+    kept as two statistics.
     """
 
-    graph: LabeledGraph
     config: MetricConfig
     values: MappingProxyType
 
@@ -275,7 +274,7 @@ class GraphProfile:
         value = self.values[name]
         if isinstance(value, MetricError):
             # a copy: raising the kept error would give it a traceback
-            # whose frames hold this profile, and with it the graph
+            # whose frames hold the graph that keeps it
             raise copy.copy(value)
         return value
 
@@ -300,13 +299,13 @@ def profiles(graphs, config: MetricConfig = None) -> list:
     profile equals that of its graph alone.  Community detection runs
     once for all the graphs (see ``exogenous_metrics``).
 
-    Each graph keeps the quantities of its latest profile (and its
-    subsample, if it has one) keyed by the config, so a graph profiled
-    before under an equal config is not profiled again: ``compare(real,
-    ., config)`` in a loop profiles ``real`` once.  A profile under
-    another config replaces the kept one.  The profiles returned are
-    those computed here, never read back from a graph, because a
-    concurrent call under another config may replace what a graph keeps.
+    Each graph keeps the quantities of its latest profile keyed by the
+    config, so a graph profiled before under an equal config is not
+    profiled again: ``compare(real, ., config)`` in a loop profiles
+    ``real`` once.  A profile under another config replaces the kept one.
+    The profiles returned are those computed here, never read back from a
+    graph, because a concurrent call under another config may replace
+    what a graph keeps.
     """
     config = config or MetricConfig()
     found = {id(g): g.profiles.get(config) for g in graphs}
@@ -324,16 +323,11 @@ def profiles(graphs, config: MetricConfig = None) -> list:
             **exogenous,
             **local_metrics(sub, config, triad_seed),
             **flow_metrics(sub, config, source_seed)}
-        entry = found[id(graph)] = (
-            None if sub is graph else sub, MappingProxyType(
-                {name: _keepable(v) for name, v in values.items()}))
+        found[id(graph)] = MappingProxyType(
+            {name: _keepable(v) for name, v in values.items()})
         graph.profiles.clear()
-        graph.profiles[config] = entry
-    out = []
-    for graph in graphs:
-        sub, values = found[id(graph)]
-        out.append(GraphProfile(graph if sub is None else sub, config, values))
-    return out
+        graph.profiles[config] = found[id(graph)]
+    return [GraphProfile(config, found[id(g)]) for g in graphs]
 
 
 def profile(graph: LabeledGraph, config: MetricConfig = None) -> GraphProfile:
@@ -354,7 +348,7 @@ def distance(real: GraphProfile, synth: GraphProfile) -> MetricReport:
     for name, category, kind in metric_schema(real.config):
         try:
             if category == "meso-endogenous" and (
-                    real.graph.labels is None or synth.graph.labels is None):
+                    name not in real.values or name not in synth.values):
                 raise MetricError("ground-truth labels unavailable")
             if kind == "APE" and category != "meso-exogenous":
                 s, r = synth[name], real[name]
@@ -378,5 +372,4 @@ def compare(real: LabeledGraph, synth: LabeledGraph,
     reuse identical seeds on both sides.  A graph compared with itself is
     profiled once.
     """
-    found = profiles([real] if synth is real else [real, synth], config)
-    return distance(found[0], found[-1])
+    return distance(*profiles([real, synth], config))

@@ -454,6 +454,45 @@ def test_back_edge_ratios_outside_the_range_are_usage_errors(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, match", [
+    (["--n", "0"], "n=0 is below"), (["--n", "-5"], "n=-5 is below"),
+    (["--n", "2"], "n=2 is below the community count k=3"),
+    (["--m", "-1"], "mean out-degrees must be positive"),
+    (["--rho", "1.5"], "preferential fractions must lie in [0, 1]"),
+    (["--sigma2", "-1"], "out-degree variances must be nonnegative")])
+def test_validate_theory_parameters_out_of_range_are_usage_errors(
+        tmp_path, capsys, flags, match):
+    out = tmp_path / "ccdf.tsv"
+    assert main(["validate-theory", "--seed", "1", "--out", str(out)]
+                + flags) == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["2", "0", "-3"])
+def test_generate_below_the_community_count_is_a_usage_error(
+        tmp_path, capsys, n):
+    params = tmp_path / "params.json"
+    params.write_text(CsParams(p=(0.5, 0.3, 0.2), m=(2.0, 2.0, 2.0),
+                               rho=(0.5, 0.5, 0.5),
+                               sigma2=(2.0, 2.0, 2.0)).to_json())
+    out = tmp_path / "out"
+    assert main(["generate", str(params), "--n", n, "--seed", "1",
+                 "--out", str(out)]) == 2
+    assert f"n={n} is below the community count k=3" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_malformed_parameter_file_is_still_an_error(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"k": 2, "p": [1.0], "m": [2.0],
+                                  "rho": [0.5], "sigma2": [2.0], "n": 50}))
+    assert main(["generate", str(params), "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "length 1 != k=2" in capsys.readouterr().err
+
+
 def test_unknown_order_strategy_in_a_config_is_a_usage_error(
         cli_files, tmp_path, capsys):
     # argparse checks the flag's choices but not a config file's default

@@ -2,7 +2,8 @@ import gc
 import sys
 import threading
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ import pytest
 from citegen.generator import CsParams, generate
 from citegen.graph import LabeledGraph
 from citegen.metrics import battery, communities, triads
-from citegen.metrics.battery import (CATEGORIES, MetricConfig, MetricReport,
-                                     _clustering, compare, distance,
-                                     metric_schema, profile, profiles)
+from citegen.metrics.battery import (CATEGORIES, GraphProfile, MetricConfig,
+                                     MetricReport, _clustering, compare,
+                                     distance, metric_schema, profile,
+                                     profiles)
 from citegen.metrics.distances import MetricError
 from citegen.neardag import cycle_break, inject_back_edges
 
@@ -430,7 +432,6 @@ def test_profiles_equal_the_profile_of_each_graph(make_graph, monkeypatch,
             num_nodes=graph.num_nodes, src=graph.src, dst=graph.dst,
             labels=graph.labels), config)
         assert got.config == want.config
-        assert np.array_equal(got.graph.src, want.graph.src)
         assert got.values.keys() == want.values.keys()
         for name, value in want.values.items():
             if isinstance(value, MetricError):
@@ -462,16 +463,15 @@ def test_a_kept_profile_reports_as_a_fresh_graph(near_dag_graph, make_graph,
                                                  case):
     real, others, config = _kept_cases(near_dag_graph, make_graph)[case]
     first = compare(real, others[0], config)
-    (key, (sub, values)), = real.profiles.items()
-    assert key == config
-    assert (sub is None) == (case != "subsampled")
-    if sub is not None:
-        assert sub.num_nodes == config.max_nodes
+    (key, values), = real.profiles.items()
+    assert key == config and isinstance(values, MappingProxyType)
+    assert len(values["in_degree_dist"]) == (
+        config.max_nodes if case == "subsampled" else real.num_nodes)
     assert any(isinstance(v, MetricError)
                for v in values.values()) == (case == "skipped")
     # the second compare reads the kept profile
     second = compare(real, others[1], config)
-    assert real.profiles[config][1] is values
+    assert real.profiles[config] is values
     assert profile(real, config).values is values
     for synth, report in zip(others, (first, second)):
         fresh = compare(replace(real), replace(synth), config)
@@ -524,6 +524,35 @@ def test_a_profiled_graph_is_freed_without_the_cycle_collector(make_graph):
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_no_subsample_outlives_the_call_that_profiled_it(near_dag_graph,
+                                                         monkeypatch):
+    # a profile is its values: neither it nor what the graph keeps holds
+    # the subsample the values were measured on
+    subs = []
+    bfs_subsample = battery.bfs_subsample
+
+    def tracked(graph, *args):
+        sub = bfs_subsample(graph, *args)
+        subs.append(weakref.ref(sub))
+        return sub
+
+    monkeypatch.setattr(battery, "bfs_subsample", tracked)
+    config = MetricConfig(seed=3, n_pairs=100, n_sources=20, max_nodes=400)
+    real = replace(near_dag_graph)
+    synth = inject_back_edges(near_dag_graph, 0.2, 5)
+    gc.collect()
+    gc.disable()
+    try:
+        prof = profile(real, config)
+        assert len(subs) == 1 and subs[0]() is None
+        compare(real, synth, config)  # reads real's kept profile
+        assert len(subs) == 2 and subs[1]() is None
+    finally:
+        gc.enable()
+    assert [f.name for f in fields(GraphProfile)] == ["config", "values"]
+    assert real.profiles[config] is prof.values
 
 
 def test_kept_values_are_read_only(near_dag_graph):
