@@ -6,8 +6,9 @@ injection, the scipy adjacency and the out-, in- and undirected CSR views
 of a fresh copy of the near-DAG (so no cached view is reused), cycle
 breaking, community detection at the battery's resolutions in one
 ``detect_batch`` call (as ``profile`` of one graph makes it), the sampled
-and exact triad census, BFS subsampling to half the nodes, betweenness
-from sampled sources, longest paths, and ER, SBM and DC-SBM sampling.
+and exact triad census, BFS subsampling to half the nodes, the traversals
+from sampled sources that the distance, reachability and betweenness rows
+read (``source_rows``), longest paths, and ER, SBM and DC-SBM sampling.
 
 Usage:
     python3 benchmarks/kernel_speed.py [--n 50000] [--repeat 3]
@@ -24,7 +25,7 @@ from citegen.generator import CsParams, generate
 from citegen.graph import LabeledGraph, bfs_subsample
 from citegen.metrics.battery import MetricConfig
 from citegen.metrics.communities import detect_batch
-from citegen.metrics.paths import betweenness_values, longest_path_lengths
+from citegen.metrics.paths import longest_path_lengths, source_rows
 from citegen.metrics.triads import triad_census
 from citegen.neardag import cycle_break, inject_back_edges
 
@@ -78,7 +79,7 @@ def main():
         "detect_batch": lambda: detect_batch([near], MetricConfig.resolutions,
                                              seed=2),
         "bfs_subsample": lambda: bfs_subsample(near, n // 2, 3),
-        "betweenness": lambda: betweenness_values(near, sources=sources),
+        "source_rows": lambda: source_rows(near, sources),
         "longest_paths": lambda: longest_path_lengths(near, np.arange(n)),
         "generate_er": lambda: generate_er(fit_er(near), 3),
         "generate_sbm": lambda: generate_sbm(sbm_fit, 4),

@@ -8,7 +8,8 @@ do not depend on the code under test; the bytes ``save_edge_list`` writes
 for those graphs, with and without node names, and the graph and report
 ``load_edge_list`` reads back from a file with repeated edges;
 ``bfs_subsample`` at two budgets and ``longest_path_lengths`` under the
-identity and a permuted rank on each of them; ``betweenness_values``, the
+identity and a permuted rank on each of them; the betweenness of
+``source_rows``, the
 exact ``triad_census`` and one ``compare`` report on some of those
 graphs; the two reports of one real graph compared in turn with two
 others under one config, where the second reads the real graph's kept
@@ -57,7 +58,7 @@ from citegen.graph import (LabeledGraph, bfs_subsample, in_csr,
                            undirected_csr)
 from citegen.metrics.battery import MetricConfig, compare
 from citegen.metrics.communities import detect_batch
-from citegen.metrics.paths import betweenness_values, longest_path_lengths
+from citegen.metrics.paths import longest_path_lengths, source_rows
 from citegen.metrics.triads import triad_census
 from citegen.neardag import cycle_break, inject_back_edges
 
@@ -206,15 +207,16 @@ def main():
     for name, sources in (("dag2k", None), ("dag2k", sampled),
                           ("cyc3k", sampled), ("dense60", None)):
         label = "all" if sources is None else sources.size
-        out[f"betweenness/{name}/{label}"] = digest(
-            betweenness_values(inputs[name], sources))
+        every = np.arange(inputs[name].num_nodes)
+        out[f"betweenness/{name}/{label}"] = digest(source_rows(
+            inputs[name], every if sources is None else sources).betweenness)
     for name in ("tiny", "dense60", "dag2k", "cyc3k"):
         out[f"census/{name}"] = digest(triad_census(inputs[name]))
     report = compare(inputs["dag2k"], inputs["dense60"])
     out["compare/dag2k/dense60"] = digest(
         np.frombuffer(report.to_tsv().encode(), np.uint8))
     real = random_graph(1000, 5000, 3, 24, True)
-    config = MetricConfig(seed=27, n_pairs=500, n_sources=100)
+    config = MetricConfig(seed=27, n_sources=100)
     synths = (inject_back_edges(real, 0.1, 25),
               random_graph(1000, 5000, 3, 26, False))
     reports = [compare(real, synth, config).to_tsv() for synth in synths]

@@ -12,8 +12,8 @@ from .generator import (CsParams, DerivedParams, ParamError, derive,
                         pareto2_ccdf)
 from .graph import (GraphError, LabeledGraph, LoadReport, bfs_subsample,
                     induced_subgraph, is_acyclic, load_edge_list, load_labels,
-                    load_timestamps, prune_unlabeled, sample_pairs,
-                    save_edge_list, save_labels)
+                    load_timestamps, prune_unlabeled, save_edge_list,
+                    save_labels)
 from .metrics import (GraphProfile, MetricConfig, MetricEntry, MetricError,
                       MetricReport, compare, distance, profile, profiles)
 from .neardag import (CycleBreakReport, NearDagError, NodeOrdering,
@@ -40,6 +40,6 @@ __all__ = [
     "is_acyclic", "ks_to_pareto2", "load_edge_list", "load_labels",
     "load_timestamps", "mann_whitney", "order_nodes", "pareto2_ccdf",
     "profile", "profiles", "prune_unlabeled", "rank_blocks", "run_bench",
-    "sample_pairs", "save_edge_list", "save_labels", "wtl_matrix",
+    "save_edge_list", "save_labels", "wtl_matrix",
     "write_artifacts",
 ]

@@ -251,8 +251,9 @@ def cmd_baseline(args) -> int:
 
 # metric flag -> (MetricConfig field, help); --exact and --resolutions aside
 _METRIC_FLAGS = {
-    "pairs": ("n_pairs", "sampled node pairs for distance metrics"),
-    "sources": ("n_sources", "BFS sources for betweenness/reachability"),
+    "sources": ("n_sources",
+                "BFS sources for the distance, reachability and betweenness "
+                "rows"),
     "max_nodes": ("max_nodes", "BFS subsample cap"),
     "triad_samples": ("triad_samples", "sampled triads of the triad census"),
     "triad_exact_limit": ("triad_exact_limit",
@@ -520,8 +521,14 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
+    pre.add_argument("--pairs")  # removed; a usage error below
     try:
-        defaults = _load_config(pre.parse_known_args(argv)[0].config)
+        known = pre.parse_known_args(argv)[0]
+        defaults = _load_config(known.config)
+        if known.pairs is not None or "pairs" in defaults:
+            raise UsageError("the pairs option (flag --pairs, config key "
+                             "'pairs') was removed: the distance rows read "
+                             "the --sources traversals")
         args = build_parser(defaults).parse_args(argv)
         return args.func(args)
     except (UsageError, FileNotFoundError) as exc:

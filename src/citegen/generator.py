@@ -57,15 +57,21 @@ class CsParams:
             raise ParamError("need at least one community")
         if not (m.size == k and rho.size == k and sigma2.size == k):
             raise ParamError("parameter arrays must share one length")
-        if not np.isfinite(p).all() or (p <= 0).any():
+        for arr, what in ((p, "community probabilities"),
+                          (m, "mean out-degrees"),
+                          (sigma2, "out-degree variances"),
+                          (rho, "preferential fractions")):
+            if not np.isfinite(arr).all():
+                raise ParamError(f"{what} must be finite")
+        if (p <= 0).any():
             raise ParamError("community probabilities must be positive")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ParamError("community probabilities must sum to 1")
-        if not np.isfinite(m).all() or (m <= 0).any():
+        if (m <= 0).any():
             raise ParamError("mean out-degrees must be positive")
-        if not np.isfinite(sigma2).all() or (sigma2 < 0).any():
+        if (sigma2 < 0).any():
             raise ParamError("out-degree variances must be nonnegative")
-        if not np.isfinite(rho).all() or (rho < 0).any() or (rho > 1).any():
+        if (rho < 0).any() or (rho > 1).any():
             raise ParamError("preferential fractions must lie in [0, 1]")
         rho = np.clip(rho, RHO_MIN, RHO_MAX)
         for name, arr in (("p", p), ("m", m), ("rho", rho), ("sigma2", sigma2)):

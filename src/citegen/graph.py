@@ -460,23 +460,6 @@ def bfs_subsample(graph: LabeledGraph, max_nodes: int, seed) -> LabeledGraph:
     return induced_subgraph(graph, np.array(order[:max_nodes], np.int64))
 
 
-def sample_pairs(graph: LabeledGraph, n_pairs: int, seed) -> np.ndarray:
-    """Uniform ordered pairs with distinct endpoints, with replacement."""
-    if graph.num_nodes < 2:
-        raise GraphError("need at least 2 nodes to sample pairs")
-    rng = np.random.default_rng(seed)
-    out = np.empty((n_pairs, 2), np.int64)
-    if n_pairs == 0:
-        return out
-    out[:, 0] = rng.integers(0, graph.num_nodes, n_pairs)
-    out[:, 1] = rng.integers(0, graph.num_nodes, n_pairs)
-    clash = out[:, 0] == out[:, 1]
-    while clash.any():
-        out[clash, 1] = rng.integers(0, graph.num_nodes, int(clash.sum()))
-        clash = out[:, 0] == out[:, 1]
-    return out
-
-
 def save_edge_list(graph: LabeledGraph, stream: PathOrStream, header: Optional[str] = None):
     fh, close = _open(stream, "w")
     try:

@@ -9,15 +9,14 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..graph import LabeledGraph, bfs_subsample, sample_pairs
+from ..graph import LabeledGraph, bfs_subsample
 from ..neardag import age_strategy, order_nodes
 from .communities import (conductance, density_pair, detect_batch,
                           detect_communities, detected_sizes, modularity,
                           participation)
 from .distances import MetricError, ape, l1_triad, wasserstein1
-from .paths import (average_path_length, betweenness_values,
-                    effective_diameter, longest_path_lengths, pair_distances,
-                    all_pair_distances, reachability_counts, scc_sizes)
+from .paths import (average_path_length, effective_diameter,
+                    longest_path_lengths, scc_sizes, source_rows)
 from .triads import _triangle_counts, ffl_count, triad_census
 
 # Each category's metrics as name:kind, in report order; the detected rows
@@ -42,10 +41,13 @@ CATEGORIES = tuple(category for category, _ in _SCHEMA)
 class MetricConfig:
     """Sampling knobs for the battery.
 
-    ``exact`` switches to exhaustive pair distances, all-source
-    betweenness and reachability, and the exact triad census, regardless
-    of graph size.  Sampled modes reuse one seed per sampling role on both
-    graphs, so comparing a graph to itself yields zero for every metric.
+    The distance, reachability and betweenness rows all come from one BFS
+    from each of ``n_sources`` sampled nodes (every node on a graph of at
+    most ``n_sources`` nodes).  ``exact`` switches to every node as a
+    source, so to exhaustive pair distances, and to the exact triad
+    census, regardless of graph size.  Sampled modes reuse one seed per
+    sampling role on both graphs, so comparing a graph to itself yields
+    zero for every metric.
     Graphs of at most ``triad_exact_limit`` nodes get the exact triad
     census anyway; on a 2-core Xeon the exact census of a generated
     near-DAG is no slower than the default sampled one up to about 7000
@@ -53,7 +55,8 @@ class MetricConfig:
     ``resolutions`` is kept as a tuple of floats, each positive and at
     most 1e306 (so its row tag is finite), and no two of them may share a
     row tag.  A config is hashable: ``profiles`` keys the profiles it
-    keeps by it.
+    keeps by it.  ``n_pairs`` is validated but read by nothing: the
+    distance rows no longer sample pairs.
     """
 
     seed: int = 0
@@ -154,15 +157,11 @@ def _sample_sources(graph: LabeledGraph, config: MetricConfig, seed):
         graph.num_nodes, config.n_sources, replace=False)).astype(np.int64)
 
 
-def global_topology_metrics(graph, config, pair_seed, source_seed):
-    # below 2 nodes there are no pairs to sample, and no distances
-    dist = (all_pair_distances(graph) if config.exact or graph.num_nodes < 2
-            else pair_distances(graph, sample_pairs(graph, config.n_pairs,
-                                                    pair_seed)))
-    return {"effective_diameter": _try(effective_diameter, dist),
-            "avg_path_length": _try(average_path_length, dist),
-            "reachability": _try(reachability_counts, graph, _sample_sources(
-                graph, config, source_seed))}
+def global_topology_metrics(rows):
+    """The distance and reach rows, read off the sources' traversals."""
+    return {"effective_diameter": _try(effective_diameter, rows.hist),
+            "avg_path_length": _try(average_path_length, rows.hist),
+            "reachability": rows.reach}
 
 
 def _assortativity(graph: LabeledGraph, which: str) -> float:
@@ -248,9 +247,8 @@ def local_metrics(graph, config, triad_seed):
                                  else config.triad_samples, triad_seed)}
 
 
-def flow_metrics(graph, config, source_seed):
-    return {"betweenness_dist": _try(betweenness_values, graph,
-                                     _sample_sources(graph, config, source_seed)),
+def flow_metrics(graph, config, rows):
+    return {"betweenness_dist": rows.betweenness,
             "scc_sizes": _try(scc_sizes, graph),
             "longest_path_dist": _try(lambda: longest_path_lengths(
                 graph, order_nodes(graph, age_strategy(graph)).rank))}
@@ -297,7 +295,9 @@ def profiles(graphs, config: MetricConfig = None) -> list:
     metric.  The sampling seeds are spawned from ``config.seed`` alone, so
     every graph profiled under one config is sampled alike, and each
     profile equals that of its graph alone.  Community detection runs
-    once for all the graphs (see ``exogenous_metrics``).
+    once for all the graphs (see ``exogenous_metrics``), and one BFS per
+    sampled source (``source_rows``) for the global-topology and flow
+    rows.
 
     Each graph keeps the quantities of its latest profile keyed by the
     config, so a graph profiled before under an equal config is not
@@ -312,17 +312,19 @@ def profiles(graphs, config: MetricConfig = None) -> list:
     todo = [g for g in {id(g): g for g in graphs}.values()
             if found[id(g)] is None]
     ss = np.random.SeedSequence(config.seed)
-    sub_seed, pair_seed, source_seed, triad_seed, detect_seed = ss.spawn(5)
+    # the second seed is unused; spawning it keeps the later seeds' streams
+    sub_seed, _, source_seed, triad_seed, detect_seed = ss.spawn(5)
     subs = [bfs_subsample(g, config.max_nodes, sub_seed) for g in todo]
     detected = exogenous_metrics(subs, config, detect_seed)
     for graph, sub, exogenous in zip(todo, subs, detected):
+        rows = source_rows(sub, _sample_sources(sub, config, source_seed))
         values = {
-            **global_topology_metrics(sub, config, pair_seed, source_seed),
+            **global_topology_metrics(rows),
             **degree_metrics(sub, config),
             **endogenous_metrics(sub, config),
             **exogenous,
             **local_metrics(sub, config, triad_seed),
-            **flow_metrics(sub, config, source_seed)}
+            **flow_metrics(sub, config, rows)}
         found[id(graph)] = MappingProxyType(
             {name: _keepable(v) for name, v in values.items()})
         graph.profiles.clear()

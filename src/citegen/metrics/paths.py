@@ -2,84 +2,49 @@
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import connected_components
 
 from ..graph import LabeledGraph, _row_edges
 from .distances import MetricError
 
-# Cells in one block of BFS distances (sources x n float64, 512 kB), so
-# that many sources on a large graph never allocate a dense sources x n array.
+# Cells in one block of BFS rows (sources x n entries), so that many
+# sources on a large graph never allocate a dense sources x n array.
 _BLOCK_CELLS = 1 << 16
 
 
-def _bfs_blocks(graph: LabeledGraph, sources: np.ndarray):
-    """Yield ``(lo, dist)``: directed hop distances from ``sources[lo:lo + k]``.
-
-    ``dist`` is a ``(k, n)`` float64 block of whole numbers, -1 where a node
-    is unreachable.  Callers pass distinct sources, so each costs one
-    traversal.  The adjacency's weights are all 1.0, so its weighted
-    distances are the hop counts.  ``dijkstra`` is called directly:
-    ``shortest_path`` validates its input by copying the adjacency on
-    every call, weighted or not, and with ``method="auto"`` may choose
-    the dense n x n Floyd-Warshall on a dense graph.
-    """
-    step = max(1, _BLOCK_CELLS // max(graph.num_nodes, 1))
-    for lo in range(0, sources.size, step):
-        dist = dijkstra(graph.adjacency, indices=sources[lo:lo + step])
-        dist[np.isinf(dist)] = -1
-        yield lo, dist
-
-
-def pair_distances(graph: LabeledGraph, pairs: np.ndarray) -> np.ndarray:
-    """Directed BFS distances for the given (source, target) pairs; -1 unreachable."""
-    pairs = np.asarray(pairs, np.int64)
-    sources, row = np.unique(pairs[:, 0], return_inverse=True)
-    out = np.empty(pairs.shape[0], np.int64)
-    for lo, dist in _bfs_blocks(graph, sources):
-        hit = (row >= lo) & (row < lo + dist.shape[0])
-        out[hit] = dist[row[hit] - lo, pairs[hit, 1]]
-    return out
-
-
-def all_pair_distances(graph: LabeledGraph) -> np.ndarray:
-    """Distances for every ordered node pair (self pairs excluded).
-
-    Row-major by source; each row lists the targets in ascending order.
-    """
-    n = graph.num_nodes
-    out = np.empty((n, max(n - 1, 0)), np.int64)
-    for lo, dist in _bfs_blocks(graph, np.arange(n)):
-        k = dist.shape[0]
-        off_diagonal = np.ones(dist.shape, bool)
-        off_diagonal[np.arange(k), lo + np.arange(k)] = False
-        out[lo:lo + k] = dist[off_diagonal].reshape(k, n - 1)
-    return out.ravel()
-
-
-def finite_distances(distances: np.ndarray) -> np.ndarray:
-    finite = distances[distances >= 0]
-    if finite.size == 0:
+def _finite_count(hist: np.ndarray) -> int:
+    count = int(hist.sum())
+    if count == 0:
         raise MetricError("no finite-distance pairs found")
-    return finite
+    return count
 
 
-def effective_diameter(distances: np.ndarray) -> float:
-    """90th percentile of the finite directed shortest-path lengths."""
-    return float(np.quantile(finite_distances(distances), 0.9))
+def effective_diameter(hist: np.ndarray) -> float:
+    """90th percentile of the finite directed shortest-path lengths.
+
+    ``hist[d]`` counts the pairs at distance d.  The result is
+    ``np.quantile(x, 0.9)`` of the expanded sample ``x``, bit for bit: the
+    same linear interpolation between the two order statistics around
+    index ``(len(x) - 1) * 0.9``, in the same float operations.
+    """
+    count = _finite_count(hist)
+    pos = (count - 1) * 0.9
+    below = math.floor(pos)
+    # the distances at sorted positions below and below + 1
+    lo, hi = np.searchsorted(np.cumsum(hist), [below, min(below + 1, count - 1)],
+                             side="right").tolist()
+    t = pos - below
+    return hi - (hi - lo) * (1 - t) if t >= 0.5 else lo + (hi - lo) * t
 
 
-def average_path_length(distances: np.ndarray) -> float:
-    return float(finite_distances(distances).mean())
-
-
-def reachability_counts(graph: LabeledGraph, sources: np.ndarray) -> np.ndarray:
-    """Nodes reachable from each source (the source itself not counted)."""
-    uniq, row = np.unique(np.asarray(sources, np.int64), return_inverse=True)
-    counts = np.empty(uniq.size, np.int64)
-    for lo, dist in _bfs_blocks(graph, uniq):
-        counts[lo:lo + dist.shape[0]] = (dist >= 0).sum(axis=1) - 1
-    return counts[row]
+def average_path_length(hist: np.ndarray) -> float:
+    """Mean finite directed shortest-path length: an integer sum over a
+    count, so it equals the mean of the expanded sample bit for bit."""
+    return int(np.arange(hist.size) @ hist) / _finite_count(hist)
 
 
 def _out_edges(indptr, indices, n, frontier):
@@ -95,30 +60,45 @@ def _out_edges(indptr, indices, n, frontier):
     return entry, frontier[entry] - node[entry] + indices[eids]
 
 
-def betweenness_values(graph: LabeledGraph, sources: np.ndarray = None) -> np.ndarray:
-    """Per-node shortest-path betweenness, directed, normalized.
+class SourceRows(NamedTuple):
+    """What one BFS from each source yields (see ``source_rows``)."""
 
-    ``sources`` restricts the Brandes accumulation to sampled source nodes;
-    contributions are rescaled by n / |sources| so values estimate the
-    all-source quantity, then divided by (n-1)(n-2).
+    reach: np.ndarray
+    hist: np.ndarray
+    betweenness: object  # an array, or the MetricError below 3 nodes
+
+
+def source_rows(graph: LabeledGraph, sources: np.ndarray) -> SourceRows:
+    """One directed BFS from each of ``sources``, and what is read off it.
+
+    - ``reach``: each source's reach count, the nodes it reaches other
+      than itself, in the order of ``sources``;
+    - ``hist``: ``hist[d]`` counts the (source, target) pairs at finite
+      distance d >= 1; ``hist[0]`` is 0;
+    - ``betweenness``: per-node shortest-path betweenness, directed and
+      normalized.  Contributions of the sources are rescaled by
+      n / |sources|, so values estimate the all-source quantity, then
+      divided by (n-1)(n-2).  Below 3 nodes it is a MetricError.
 
     Brandes (2001) runs level-synchronously over blocks of
     ``_BLOCK_CELLS // n`` sources, one row of the flat ``dist``, ``sigma``
-    and ``delta`` arrays per source.  The result is bit-identical to the
-    scalar one-source-at-a-time loop: path counts are whole numbers, exact
-    in float64 below 2**53, so their summation order does not matter; each
-    node's dependency is summed by ``np.bincount`` from 0.0 over its
-    out-edges in CSR order, as the scalar loop sums them; and the rows are
-    added to the result one at a time, in source order.
+    and ``delta`` arrays per source.  Its forward pass keeps each BFS
+    level, whose sizes are the histogram, and the shortest-path edges out
+    of it, which the backward pass reads.  The betweenness is
+    bit-identical to the scalar one-source-at-a-time loop: path counts are
+    whole numbers, exact in float64 below 2**53, so their summation order
+    does not matter; each node's dependency is summed by ``np.bincount``
+    from 0.0 over its out-edges in CSR order, as the scalar loop sums
+    them; and the rows are added to the result one at a time, in source
+    order.
     """
     n = graph.num_nodes
-    if n < 3:
-        raise MetricError("betweenness needs at least 3 nodes")
-    sources = np.arange(n, dtype=np.int64) if sources is None \
-        else np.asarray(sources, np.int64)
+    sources = np.asarray(sources, np.int64)
     indptr, indices = graph.out_csr
+    reach = np.empty(sources.size, np.int64)
+    hist = [0]
     bc = np.zeros(n)
-    step = max(1, _BLOCK_CELLS // n)
+    step = max(1, _BLOCK_CELLS // max(n, 1))
     for lo in range(0, sources.size, step):
         block = sources[lo:lo + step]
         k = block.size
@@ -128,23 +108,28 @@ def betweenness_values(graph: LabeledGraph, sources: np.ndarray = None) -> np.nd
         frontier = np.arange(k) * n + block
         dist[frontier] = 0
         sigma[frontier] = 1.0
-        levels = []
+        levels, edges = [], []
         while frontier.size:
             levels.append(frontier)
             entry, target = _out_edges(indptr, indices, n, frontier)
             # len(levels) is now the depth of the next frontier
             dist[target[dist[target] < 0]] = len(levels)
             keep = dist[target] == len(levels)
-            frontier, up = np.unique(target[keep], return_inverse=True)
-            sigma[frontier] = np.bincount(
-                up, sigma[levels[-1][entry[keep]]], frontier.size)
+            # the level's shortest-path edges, for the backward pass too
+            entry, target = entry[keep], target[keep]
+            edges.append((entry, target))
+            frontier, up = np.unique(target, return_inverse=True)
+            sigma[frontier] = np.bincount(up, sigma[levels[-1][entry]],
+                                          frontier.size)
+        reach[lo:lo + k] = (dist.reshape(k, n) >= 0).sum(axis=1) - 1
+        hist += [0] * (len(levels) - len(hist))
+        for d in range(1, len(levels)):
+            hist[d] += levels[d].size
         # the deepest level has no successors, so its delta stays 0
         for d in range(len(levels) - 2, -1, -1):
             frontier = levels[d]
-            entry, w = _out_edges(indptr, indices, n, frontier)
+            entry, w = edges[d]
             # every reached node has sigma >= 1: no sigma > 0 guard needed
-            keep = dist[w] == d + 1
-            entry, w = entry[keep], w[keep]
             delta[frontier] = np.bincount(
                 entry, sigma[frontier[entry]] / sigma[w] * (1.0 + delta[w]),
                 frontier.size)
@@ -152,7 +137,9 @@ def betweenness_values(graph: LabeledGraph, sources: np.ndarray = None) -> np.nd
         delta[np.arange(k), block] = 0.0
         for row in delta:
             bc += row
-    return bc * ((n / sources.size) / ((n - 1.0) * (n - 2.0)))
+    betweenness = (MetricError("betweenness needs at least 3 nodes") if n < 3
+                   else bc * ((n / sources.size) / ((n - 1.0) * (n - 2.0))))
+    return SourceRows(reach, np.array(hist, np.int64), betweenness)
 
 
 def scc_sizes(graph: LabeledGraph) -> np.ndarray:

@@ -38,7 +38,7 @@ from citegen.generator import CsParams, derive, generate, ks_to_pareto2
 from citegen.graph import is_acyclic, load_edge_list
 from citegen.metrics import MetricConfig, compare
 from citegen.metrics.distances import wasserstein1
-from citegen.metrics.paths import betweenness_values
+from citegen.metrics.paths import source_rows
 from citegen.metrics.triads import ffl_count, triad_census
 from citegen.neardag import cycle_break, inject_back_edges
 from citegen.stats import friedman, mann_whitney, rank_blocks
@@ -252,7 +252,8 @@ def test_acceptance_6_oracle_equivalence(make_graph):
     small = [random_digraph(make_graph, rng, int(rng.integers(5, 16)), 0.2)
              for _ in range(50)]
     betw_gap = max(
-        float(np.abs(betweenness_values(g) - betweenness_oracle(g)).max())
+        float(np.abs(source_rows(g, np.arange(g.num_nodes)).betweenness
+                     - betweenness_oracle(g)).max())
         for g in small)
 
     mwu_gap = 0.0
@@ -323,7 +324,7 @@ def test_acceptance_7_self_comparison_zero(dag_graph, near_dag_graph,
     print(f"ACCEPTANCE 7 (self-comparison): {'PASS' if ok else 'FAIL'} - "
           f"max |metric| over 10 fixtures = {worst} "
           f"(active per fixture: {active_counts}); sampled metrics are "
-          f"exactly 0 at n_pairs=2000")
+          f"exactly 0 at n_sources=200")
     assert worst == 0.0
 
 
@@ -370,7 +371,7 @@ def test_acceptance_9_bench_reproducible(tmp_path):
     }
     config = BenchConfig(
         methods=("cs", "sbm", "dcsbm"), replicates=5, seed=11,
-        metric=MetricConfig(n_pairs=100, n_sources=30, max_nodes=500,
+        metric=MetricConfig(n_sources=30, max_nodes=500,
                             triad_exact_limit=200, triad_samples=2000))
     result = run_bench(datasets, config)
     assert result.runs.shape == (2, 26, 3, 5)

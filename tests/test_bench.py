@@ -23,7 +23,7 @@ from citegen.metrics import MetricConfig, battery, communities, compare
 from citegen.metrics.communities import union_capacity
 from citegen.neardag import age_strategy, back_edge_count, inject_back_edges
 
-SMALL_METRIC = MetricConfig(n_pairs=100, n_sources=30, max_nodes=500,
+SMALL_METRIC = MetricConfig(n_sources=30, max_nodes=500,
                             triad_exact_limit=200, triad_samples=2000)
 
 

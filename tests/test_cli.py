@@ -13,8 +13,8 @@ from citegen.graph import is_acyclic, load_edge_list, save_edge_list, save_label
 from citegen.metrics import MetricConfig, MetricReport, compare
 from citegen.neardag import inject_back_edges
 
-SMALL_METRIC_FLAGS = ["--pairs", "100", "--sources", "20",
-                      "--max-nodes", "2000", "--triad-samples", "3000"]
+SMALL_METRIC_FLAGS = ["--sources", "20", "--max-nodes", "2000",
+                      "--triad-samples", "3000"]
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +267,7 @@ def test_bench_cli_artifacts_reproducible(cli_files, tmp_path, capsys):
             "--dataset", f"one={cli_files['edges']},{cli_files['labels']}",
             "--dataset", f"two={cli_files['edges2']},{cli_files['labels2']}",
             "--methods", "cs-dag,er", "--replicates", "2", "--seed", "11",
-            "--pairs", "50", "--sources", "10", "--max-nodes", "300",
+            "--sources", "10", "--max-nodes", "300",
             "--triad-samples", "2000"]
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -326,7 +326,7 @@ def test_usage_errors_exit_two(cli_files, tmp_path):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--sources", "0"], ["--pairs", "-1"], ["--max-nodes", "0"],
+    ["--sources", "0"], ["--sources", "-1"], ["--max-nodes", "0"],
     ["--triad-samples", "0", "--triad-exact-limit", "10"]])
 def test_metric_counts_below_one_are_usage_errors(cli_files, tmp_path, capsys,
                                                   flags):
@@ -398,15 +398,33 @@ def _config_file(tmp_path, doc):
 
 def test_flag_beats_config_beats_default(cli_files, tmp_path, monkeypatch):
     base = ["bench", "--dataset", f"one={cli_files['edges']}", "--seed", "3"]
-    config = _config_file(tmp_path, {"pairs": 123, "replicates": 4})
+    config = _config_file(tmp_path, {"sources": 123, "replicates": 4})
     _, default = _stopped_bench(monkeypatch, base)
     _, from_file = _stopped_bench(monkeypatch, base + config)
     _, flagged = _stopped_bench(
-        monkeypatch, base + config + ["--pairs", "77", "--replicates", "3"])
-    assert (default.metric.n_pairs, default.replicates) == (
-        MetricConfig.n_pairs, BenchConfig.replicates)
-    assert (from_file.metric.n_pairs, from_file.replicates) == (123, 4)
-    assert (flagged.metric.n_pairs, flagged.replicates) == (77, 3)
+        monkeypatch, base + config + ["--sources", "77", "--replicates", "3"])
+    assert (default.metric.n_sources, default.replicates) == (
+        MetricConfig.n_sources, BenchConfig.replicates)
+    assert (from_file.metric.n_sources, from_file.replicates) == (123, 4)
+    assert (flagged.metric.n_sources, flagged.replicates) == (77, 3)
+
+
+@pytest.mark.parametrize("argv", [
+    "compare {edges} {edges} --out {out}",
+    "bench --dataset one={edges} --outdir {out}"])
+@pytest.mark.parametrize("pairs", [["--pairs", "100"], ["--pairs=-1"],
+                                   {"pairs": 100}])
+def test_the_removed_pairs_option_is_a_usage_error(cli_files, tmp_path,
+                                                  capsys, argv, pairs):
+    # the distance rows no longer sample pairs: a pairs value is refused
+    # rather than silently ignored
+    out = tmp_path / "out"
+    argv = argv.format(edges=cli_files["edges2"], out=out).split()
+    flags = pairs if isinstance(pairs, list) else _config_file(tmp_path, pairs)
+    assert main(argv + ["--seed", "1"] + flags) == 2
+    err = capsys.readouterr().err
+    assert "--pairs" in err and "'pairs'" in err and "removed" in err
+    assert not out.exists()
 
 
 def test_lists_read_from_json_or_comma_strings(cli_files, tmp_path,
@@ -459,7 +477,10 @@ def test_back_edge_ratios_outside_the_range_are_usage_errors(
     (["--n", "2"], "n=2 is below the community count k=3"),
     (["--m", "-1"], "mean out-degrees must be positive"),
     (["--rho", "1.5"], "preferential fractions must lie in [0, 1]"),
-    (["--sigma2", "-1"], "out-degree variances must be nonnegative")])
+    (["--sigma2", "-1"], "out-degree variances must be nonnegative"),
+    (["--m", "inf"], "mean out-degrees must be finite"),
+    (["--sigma2", "inf"], "out-degree variances must be finite"),
+    (["--rho", "nan"], "preferential fractions must be finite")])
 def test_validate_theory_parameters_out_of_range_are_usage_errors(
         tmp_path, capsys, flags, match):
     out = tmp_path / "ccdf.tsv"

@@ -26,6 +26,18 @@ def test_params_validation():
         CsParams(p=(0.5, 0.5), m=(3.0,), rho=(0.5, 0.5), sigma2=(1.0, 1.0))
 
 
+@pytest.mark.parametrize("field, what", [
+    ("p", "community probabilities"), ("m", "mean out-degrees"),
+    ("sigma2", "out-degree variances"), ("rho", "preferential fractions")])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_params_name_a_value_that_is_not_finite(field, what, bad):
+    # the finiteness check is its own error, apart from each bound
+    values = dict(p=(1.0,), m=(3.0,), rho=(0.5,), sigma2=(1.0,))
+    values[field] = (bad,)
+    with pytest.raises(ParamError, match=f"^{what} must be finite$"):
+        CsParams(**values)
+
+
 def test_params_rho_clamped_to_open_interval():
     params = CsParams(p=(0.5, 0.5), m=(3.0, 3.0), rho=(0.0, 1.0),
                       sigma2=(3.0, 3.0))

@@ -8,8 +8,7 @@ from scipy.sparse import coo_matrix
 from citegen.graph import (GraphError, LabeledGraph, LoadReport,
                            bfs_subsample, induced_subgraph, is_acyclic,
                            load_edge_list, load_labels, load_timestamps,
-                           prune_unlabeled, sample_pairs, save_edge_list,
-                           save_labels)
+                           prune_unlabeled, save_edge_list, save_labels)
 
 
 def test_load_basic():
@@ -324,27 +323,6 @@ def test_bfs_subsample_matches_deque_oracle(near_dag_graph, max_nodes, seed):
         assert got.num_nodes == budget
         assert np.array_equal(got.src, want.src)
         assert np.array_equal(got.dst, want.dst)
-
-
-def test_sample_pairs_contract(dag_graph):
-    pairs = sample_pairs(dag_graph, 500, 1)
-    assert pairs.shape == (500, 2)
-    assert (pairs[:, 0] != pairs[:, 1]).all()
-    again = sample_pairs(dag_graph, 500, 1)
-    assert np.array_equal(pairs, again)
-    assert sample_pairs(dag_graph, 0, 1).shape == (0, 2)
-
-
-def test_sample_pairs_two_node_graph(make_graph):
-    graph = make_graph(2, [(0, 1)])
-    pairs = sample_pairs(graph, 10, 0)
-    assert len(pairs) == 10
-    assert all(sorted(p) == [0, 1] for p in pairs.tolist())
-
-
-def test_sample_pairs_needs_two_nodes(make_graph):
-    with pytest.raises(GraphError):
-        sample_pairs(make_graph(1, []), 5, 0)
 
 
 def test_save_load_round_trip(make_graph):

@@ -51,7 +51,7 @@ def test_self_comparison_is_exactly_zero(near_dag_graph):
 
 
 def test_self_comparison_zero_with_sampling(near_dag_graph):
-    config = MetricConfig(seed=3, n_pairs=50, n_sources=10, max_nodes=400,
+    config = MetricConfig(seed=3, n_sources=10, max_nodes=400,
                           triad_exact_limit=100, triad_samples=2000)
     report = compare(near_dag_graph, near_dag_graph, config)
     assert all(e.value == 0.0 for e in report.active())
@@ -102,7 +102,7 @@ def test_report_tsv_round_trip(near_dag_graph, dag_graph):
 
 
 def test_compare_deterministic(near_dag_graph, dag_graph):
-    config = MetricConfig(seed=11, n_pairs=200, n_sources=40, max_nodes=900,
+    config = MetricConfig(seed=11, n_sources=40, max_nodes=900,
                           triad_exact_limit=200, triad_samples=5000)
     first = compare(near_dag_graph, dag_graph, config)
     second = compare(near_dag_graph, dag_graph, config)
@@ -139,11 +139,15 @@ def test_clustering_matches_networkx(monkeypatch, wedge_block):
 
 # compare(real, synth).to_tsv() as the battery gave it before it was split
 # into per-graph profiles; each fixture skips metrics on one or both sides.
+# The two distance rows have since come from the sampled sources'
+# traversals: `np.quantile(x, 0.9)` and `x.mean()` of the finite positive
+# distances `x` that scipy's `dijkstra` finds from the same sources are
+# their oracle.
 GOLDEN_SKIP_TSV = {
     "zero_variance": (
         "metric\tcategory\tkind\tvalue\tskipped\tnote\n"
         "effective_diameter\tglobal-topology\tAPE\t0.2857142857142857\t0\t\n"
-        "avg_path_length\tglobal-topology\tAPE\t0.2903337987449459\t0\t\n"
+        "avg_path_length\tglobal-topology\tAPE\t0.2728531855955678\t0\t\n"
         "reachability\tglobal-topology\tW1\t11.05\t0\t\n"
         "in_degree_dist\tdegree\tW1\t2.0000000000000004\t0\t\n"
         "out_degree_dist\tdegree\tW1\t1.9\t0\t\n"
@@ -172,7 +176,7 @@ GOLDEN_SKIP_TSV = {
     "labels_one_side": (
         "metric\tcategory\tkind\tvalue\tskipped\tnote\n"
         "effective_diameter\tglobal-topology\tAPE\t0.2\t0\t\n"
-        "avg_path_length\tglobal-topology\tAPE\t0.13312122874382873\t0\t\n"
+        "avg_path_length\tglobal-topology\tAPE\t0.14047619047619053\t0\t\n"
         "reachability\tglobal-topology\tW1\t14.05\t0\t\n"
         "in_degree_dist\tdegree\tW1\t2.0\t0\t\n"
         "out_degree_dist\tdegree\tW1\t1.9\t0\t\n"
@@ -201,7 +205,7 @@ GOLDEN_SKIP_TSV = {
     "two_nodes": (
         "metric\tcategory\tkind\tvalue\tskipped\tnote\n"
         "effective_diameter\tglobal-topology\tAPE\t3.0\t0\t\n"
-        "avg_path_length\tglobal-topology\tAPE\t1.4900000000000002\t0\t\n"
+        "avg_path_length\tglobal-topology\tAPE\t1.5\t0\t\n"
         "reachability\tglobal-topology\tW1\t3.5\t0\t\n"
         "in_degree_dist\tdegree\tW1\t0.5\t0\t\n"
         "out_degree_dist\tdegree\tW1\t0.5\t0\t\n"
@@ -231,15 +235,15 @@ GOLDEN_SKIP_TSV = {
 
 
 # As GOLDEN_SKIP_TSV, for a pair that uses every sampling seed: both graphs
-# are subsampled, and pairs, sources and census triples are sampled.  The
+# are subsampled, and sources and census triples are sampled.  The
 # inputs come from `generate` and `inject_back_edges` and the detected rows
 # from `detect_communities`; after a change to any of them, the unsplit
 # battery of the git history, given the same inputs and detector, is the
 # oracle that recomputes these values.
 GOLDEN_SAMPLED_TSV = (
     "metric\tcategory\tkind\tvalue\tskipped\tnote\n"
-    "effective_diameter\tglobal-topology\tAPE\t0.44155844155844143\t0\t\n"
-    "avg_path_length\tglobal-topology\tAPE\t0.45859872611464964\t0\t\n"
+    "effective_diameter\tglobal-topology\tAPE\t0.42857142857142855\t0\t\n"
+    "avg_path_length\tglobal-topology\tAPE\t0.357929365166685\t0\t\n"
     "reachability\tglobal-topology\tW1\t19.633333333333333\t0\t\n"
     "in_degree_dist\tdegree\tW1\t0.53\t0\t\n"
     "out_degree_dist\tdegree\tW1\t0.36\t0\t\n"
@@ -272,7 +276,7 @@ def test_sampled_compare_matches_the_unsplit_battery():
                       sigma2=(6.0, 5.0))
     real = inject_back_edges(generate(params, 300, 1), 0.1, 2)
     synth = generate(params, 260, 3)
-    config = MetricConfig(seed=3, n_pairs=200, n_sources=30, max_nodes=200,
+    config = MetricConfig(seed=3, n_sources=30, max_nodes=200,
                           triad_exact_limit=50, triad_samples=2000)
     assert compare(real, synth, config).to_tsv() == GOLDEN_SAMPLED_TSV
 
@@ -309,7 +313,7 @@ def test_skip_notes_match_the_unsplit_battery(name):
 
 @pytest.mark.parametrize("resolutions", [(1.0, 0.5, 2.0), (0.25, 3.0)])
 def test_schema_matches_report(near_dag_graph, resolutions):
-    config = MetricConfig(n_pairs=100, n_sources=20, resolutions=resolutions)
+    config = MetricConfig(n_sources=20, resolutions=resolutions)
     report = compare(near_dag_graph, near_dag_graph, config)
     assert metric_schema(config) == [(e.name, e.category, e.kind)
                                      for e in report.entries]
@@ -389,13 +393,30 @@ def test_self_comparison_builds_one_profile(near_dag_graph, monkeypatch):
         return detect(graph, *args, **kwargs)
 
     monkeypatch.setattr(battery, "detect_communities", counting)
-    config = MetricConfig(n_pairs=100, n_sources=20)
+    config = MetricConfig(n_sources=20)
     graph = replace(near_dag_graph)  # profiled by no other test
     compare(graph, graph, config)
     assert len(calls) == 3
     # the second compare reads the kept profile of graph
     compare(graph, strip_labels(graph), config)
     assert len(calls) == 6
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_one_profile_traverses_once(near_dag_graph, monkeypatch, exact):
+    # the distance, reachability and betweenness rows share one BFS per
+    # source: one source_rows call, from the sampled sources
+    calls = []
+    source_rows = battery.source_rows
+    monkeypatch.setattr(battery, "source_rows", lambda graph, sources: (
+        calls.append((graph.num_nodes, sources.size))
+        or source_rows(graph, sources)))
+    config = MetricConfig(seed=6, n_sources=20, exact=exact, max_nodes=300,
+                          triad_samples=2000)
+    prof = profile(replace(near_dag_graph), config)
+    assert calls == [(300, 300 if exact else 20)]
+    assert prof["reachability"].size == calls[0][1]
+    assert prof["betweenness_dist"].size == 300
 
 
 def test_density_pair_runs_once_per_labelled_profile(make_graph, monkeypatch):
@@ -423,7 +444,7 @@ def test_profiles_equal_the_profile_of_each_graph(make_graph, monkeypatch,
              for n in (300, 60, 140)]
     graphs = grown + [strip_labels(grown[1]), make_graph(5, []),
                       make_graph(2, [(0, 1)], labels=[0, 1])]
-    config = MetricConfig(seed=4, n_pairs=200, n_sources=30, max_nodes=200,
+    config = MetricConfig(seed=4, n_sources=30, max_nodes=200,
                           triad_exact_limit=50, triad_samples=2000)
     batch = profiles(graphs, config)
     assert len(batch) == len(graphs)
@@ -446,7 +467,7 @@ def test_profiles_equal_the_profile_of_each_graph(make_graph, monkeypatch,
 def _kept_cases(near_dag_graph, make_graph):
     """(real, two synthetic graphs, config) for each kind of kept profile:
     a labelled graph, a subsampled one, and one holding failed rows."""
-    small = MetricConfig(seed=3, n_pairs=100, n_sources=20)
+    small = MetricConfig(seed=3, n_sources=20)
     others = [inject_back_edges(near_dag_graph, 0.2, s) for s in (5, 6)]
     pair = make_graph(2, [(0, 1)], labels=[0, 1])
     return {
@@ -539,7 +560,7 @@ def test_no_subsample_outlives_the_call_that_profiled_it(near_dag_graph,
         return sub
 
     monkeypatch.setattr(battery, "bfs_subsample", tracked)
-    config = MetricConfig(seed=3, n_pairs=100, n_sources=20, max_nodes=400)
+    config = MetricConfig(seed=3, n_sources=20, max_nodes=400)
     real = replace(near_dag_graph)
     synth = inject_back_edges(near_dag_graph, 0.2, 5)
     gc.collect()
@@ -556,7 +577,7 @@ def test_no_subsample_outlives_the_call_that_profiled_it(near_dag_graph,
 
 
 def test_kept_values_are_read_only(near_dag_graph):
-    config = MetricConfig(seed=5, n_pairs=100, n_sources=20)
+    config = MetricConfig(seed=5, n_sources=20)
     prof = profile(replace(near_dag_graph), config)
     arrays = [v for v in prof.values.values() if isinstance(v, np.ndarray)]
     assert len(arrays) >= 8
@@ -579,7 +600,7 @@ def test_concurrent_profiles_under_other_configs_return_their_own(
     params = CsParams(p=(0.6, 0.4), m=(3.0, 2.0), rho=(0.3, 0.6),
                       sigma2=(3.0, 2.0))
     graph = inject_back_edges(generate(params, 60, 9), 0.1, 9)
-    configs = [MetricConfig(seed=s, n_pairs=50, n_sources=10,
+    configs = [MetricConfig(seed=s, n_sources=10,
                             max_nodes=50) for s in range(4)]
     want = [profile(replace(graph), c).values for c in configs]
     errors = []
@@ -618,7 +639,7 @@ def test_nested_profiles_calls_hold_their_own_runs(near_dag_graph,
     # detection run, or inside its first read of a held run; each must
     # read only the runs it found
     graph = replace(near_dag_graph)
-    configs = [MetricConfig(seed=s, n_pairs=100, n_sources=20)
+    configs = [MetricConfig(seed=s, n_sources=20)
                for s in (1, 2)]
     want = [profile(replace(graph), c).values for c in configs]
     runs, inner = [], []
@@ -648,7 +669,7 @@ def test_no_graph_holds_detections_after_a_call(near_dag_graph, make_graph,
     detect_batch = battery.detect_batch
     monkeypatch.setattr(battery, "detect_batch", lambda graphs, *args: (
         seen.extend(graphs) or detect_batch(graphs, *args)))
-    config = MetricConfig(seed=3, n_pairs=100, n_sources=20, max_nodes=400)
+    config = MetricConfig(seed=3, n_sources=20, max_nodes=400)
     real = replace(near_dag_graph)
     synth = inject_back_edges(near_dag_graph, 0.2, 5)
     compare(real, synth, config)

@@ -386,7 +386,7 @@ def test_detect_batch_keeps_nothing_on_the_graph(dag_graph, monkeypatch):
 def test_detect_at_resolutions_degenerate_inputs(make_graph, dag_graph):
     cliques = make_graph(10, clique_pair_edges())
     assert detect_batch([cliques], (), 0) == [[]]
-    config = battery.MetricConfig(resolutions=(), n_pairs=50, n_sources=10)
+    config = battery.MetricConfig(resolutions=(), n_sources=10)
     values = battery.profile(dag_graph, config).values
     assert not [name for name in values if name.startswith("detected_")]
     repeated = (1.0, 0.5, 1.0)
@@ -486,7 +486,7 @@ def test_a_repeated_compare_detects_the_real_graph_once(
     real, first = (inject_back_edges(generate(three_community_params, 300, s),
                                      0.1, s) for s in (61, 62))
     second = inject_back_edges(real, 0.2, 63)
-    config = battery.MetricConfig(seed=2, n_pairs=100, n_sources=20)
+    config = battery.MetricConfig(seed=2, n_sources=20)
     calls = recorded_louvain(monkeypatch)
     battery.compare(real, first, config)
     assert [id(g) for copies in calls for g, _ in copies] == \

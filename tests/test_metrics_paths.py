@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from citegen.baselines import fit_er, fit_sbm, generate_dcsbm, generate_er
 from citegen.generator import generate
@@ -11,15 +11,11 @@ from citegen.graph import LabeledGraph
 from citegen.metrics import paths
 from citegen.metrics.distances import MetricError
 from citegen.metrics.paths import (
-    all_pair_distances,
     average_path_length,
-    betweenness_values,
     effective_diameter,
-    finite_distances,
     longest_path_lengths,
-    pair_distances,
-    reachability_counts,
     scc_sizes,
+    source_rows,
 )
 from citegen.neardag import inject_back_edges
 
@@ -29,10 +25,6 @@ def dist_matrix(graph):
     mat = csr_matrix((np.ones(graph.num_edges), (graph.src, graph.dst)),
                      shape=(graph.num_nodes, graph.num_nodes))
     return shortest_path(mat, method="FW", directed=True, unweighted=True)
-
-
-def int_distances(dist):
-    return np.where(np.isfinite(dist), dist, -1).astype(np.int64)
 
 
 def betweenness_oracle(graph):
@@ -67,8 +59,8 @@ def betweenness_oracle(graph):
 def scalar_betweenness(indptr, indices, sources, n):
     """Brandes accumulation one source at a time: the batched kernel's oracle.
 
-    Unnormalised, summed over ``sources`` in order; ``betweenness_values``
-    must equal it bit for bit after its normalisation.
+    Unnormalised, summed over ``sources`` in order; the betweenness of
+    ``source_rows`` must equal it bit for bit after its normalisation.
     """
     bc = np.zeros(n, np.float64)
     dist = np.empty(n, np.int64)
@@ -140,41 +132,59 @@ def random_digraph(make_graph, rng, n, p):
 BLOCK_SIZES = (paths._BLOCK_CELLS, 40)
 
 
-def test_pair_distances_matches_scipy(make_graph, monkeypatch):
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        graph = random_digraph(make_graph, rng, 15, 0.12)
-        dist = dist_matrix(graph)
-        pairs = rng.integers(0, 15, size=(40, 2))
-        want = int_distances(dist[pairs[:, 0], pairs[:, 1]])
-        for cells in BLOCK_SIZES:
-            monkeypatch.setattr(paths, "_BLOCK_CELLS", cells)
-            assert np.array_equal(pair_distances(graph, pairs), want)
+def betweenness_values(graph, sources=None):
+    """``source_rows``' betweenness; every node is a source by default."""
+    every = np.arange(graph.num_nodes)
+    return source_rows(graph, every if sources is None else sources).betweenness
 
 
-def test_all_pair_distances_matches_scipy(make_graph, monkeypatch):
-    rng = np.random.default_rng(29)
-    for _ in range(20):
-        n = int(rng.integers(2, 25))
-        graph = random_digraph(make_graph, rng, n, rng.uniform(0.05, 0.3))
-        off_diagonal = ~np.eye(n, dtype=bool)
-        want = int_distances(dist_matrix(graph)[off_diagonal])
-        for cells in BLOCK_SIZES:
-            monkeypatch.setattr(paths, "_BLOCK_CELLS", cells)
-            assert np.array_equal(all_pair_distances(graph), want)
-
-
-def test_reachability_counts_match_scipy(make_graph, monkeypatch):
+def test_source_rows_match_scipy(make_graph, monkeypatch):
+    # scipy's dijkstra, on the unit-weight adjacency, is the oracle of the
+    # reach counts and of the histogram of finite positive distances
     rng = np.random.default_rng(31)
-    for _ in range(20):
+    graphs = [make_graph(1, []), make_graph(2, []), make_graph(2, [(0, 1)]),
+              make_graph(2, [(0, 1), (1, 0)])]
+    for _ in range(30):
         n = int(rng.integers(2, 25))
-        graph = random_digraph(make_graph, rng, n, rng.uniform(0.05, 0.3))
+        graphs.append(random_digraph(make_graph, rng, n, rng.uniform(0.05, 0.3)))
+    for graph in graphs:
+        n = graph.num_nodes
         sources = rng.integers(0, n, 30)  # repeats included
-        want = np.isfinite(dist_matrix(graph)).sum(axis=1) - 1
+        dist = dijkstra(graph.adjacency, indices=sources)
+        finite = dist[np.isfinite(dist) & (dist > 0)].astype(np.int64)
+        want_hist = np.bincount(finite, minlength=1)
+        want_reach = np.isfinite(dist).sum(axis=1) - 1
         for cells in BLOCK_SIZES:
             monkeypatch.setattr(paths, "_BLOCK_CELLS", cells)
-            assert np.array_equal(reachability_counts(graph, sources),
-                                  want[sources])
+            rows = source_rows(graph, sources)
+            assert np.array_equal(rows.reach, want_reach)
+            assert np.array_equal(rows.hist, want_hist)
+            assert isinstance(rows.betweenness, MetricError) == (n < 3)
+
+
+def expanded(hist):
+    return np.repeat(np.arange(hist.size), hist)
+
+
+def test_histogram_statistics_equal_numpy_bit_for_bit():
+    rng = np.random.default_rng(43)
+    hists = [np.array([0, 1]), np.array([0, 0, 0, 7]), np.array([0, 3, 1]),
+             np.array([0, 1, 9]), np.array([0, 0, 5, 0, 0, 2])]
+    for _ in range(300):
+        size = int(rng.integers(2, 30))
+        hist = rng.integers(0, rng.choice([2, 50, 10**5]), size)
+        distinct = int(rng.integers(1, 4))  # one, two or three distances
+        if distinct < 3:
+            hist[rng.permutation(size)[distinct:]] = 0
+        hist[0] = 0
+        hists.append(hist)
+    for hist in hists:
+        if hist.sum() == 0:
+            continue
+        x = expanded(hist)
+        assert effective_diameter(hist).hex() == \
+            float(np.quantile(x, 0.9)).hex()
+        assert average_path_length(hist).hex() == float(x.mean()).hex()
 
 
 def older_citations_graph(n, rng):
@@ -190,42 +200,43 @@ def test_distance_blocks_stay_small_on_large_graphs():
     rng = np.random.default_rng(5)
     graph = older_citations_graph(n, rng)
     sources = rng.choice(n, 300, replace=False)
-    pairs = np.column_stack([sources, rng.integers(0, n, 300)])
     tracemalloc.start()
     try:
-        dist = pair_distances(graph, pairs)
-        reach = reachability_counts(graph, sources)
+        rows = source_rows(graph, sources)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    assert dist.shape == (300,) and reach.shape == (300,)
-    assert reach.max() > 100
+    assert rows.reach.shape == (300,) and rows.reach.max() > 100
+    assert rows.hist.sum() == rows.reach.sum()
 
 
 def test_all_pair_distances_chain(make_graph):
     graph = make_graph(11, [(i, i + 1) for i in range(10)])
-    dists = all_pair_distances(graph)
-    assert dists.size == 11 * 10
-    finite = finite_distances(dists)
-    assert finite.size == 55
-    assert average_path_length(dists) == pytest.approx(4.0)
+    hist = source_rows(graph, np.arange(11)).hist
+    # the 55 finite pairs: 11 - d of them at each distance d
+    assert hist.tolist() == [0] + list(range(10, 0, -1))
+    assert average_path_length(hist) == pytest.approx(4.0)
     # Sorted finite distances put index 48 at 7 and index 49 at 8, so the
     # interpolated 90th percentile is 7.6.
-    assert effective_diameter(dists) == pytest.approx(7.6)
+    assert effective_diameter(hist) == pytest.approx(7.6)
 
 
 def test_finite_distances_rejects_disconnected(make_graph):
-    graph = make_graph(3, [(0, 1)])
-    with pytest.raises(MetricError, match="finite"):
-        finite_distances(np.array([-1, -1]))
-    assert finite_distances(np.array([-1, 2])).tolist() == [2]
-    assert graph.num_edges == 1
+    for graph in (make_graph(3, []), make_graph(1, []), make_graph(0, [])):
+        hist = source_rows(graph, np.arange(graph.num_nodes)).hist
+        assert hist.tolist() == [0]
+        for stat in (effective_diameter, average_path_length):
+            with pytest.raises(MetricError, match="finite"):
+                stat(hist)
+    hist = source_rows(make_graph(3, [(0, 1)]), np.arange(3)).hist
+    assert hist.tolist() == [0, 1]
+    assert effective_diameter(hist) == average_path_length(hist) == 1.0
 
 
 def test_reachability_counts_chain(make_graph):
     graph = make_graph(5, [(i, i + 1) for i in range(4)])
-    counts = reachability_counts(graph, np.arange(5))
+    counts = source_rows(graph, np.arange(5)).reach
     assert counts.tolist() == [4, 3, 2, 1, 0]
 
 
@@ -303,8 +314,13 @@ def test_betweenness_blocks_stay_small_on_large_graphs():
 
 
 def test_betweenness_needs_three_nodes(make_graph):
-    with pytest.raises(MetricError):
-        betweenness_values(make_graph(2, [(0, 1)]))
+    # the reach counts and distances of 1- and 2-node graphs survive
+    for graph in (make_graph(1, []), make_graph(2, [(0, 1)])):
+        rows = source_rows(graph, np.arange(graph.num_nodes))
+        assert isinstance(rows.betweenness, MetricError)
+        assert "at least 3 nodes" in str(rows.betweenness)
+        assert rows.reach.tolist() == [graph.num_nodes - 1, 0][:graph.num_nodes]
+        assert rows.hist.sum() == graph.num_edges
 
 
 def test_scc_sizes_fixtures(make_graph):
