@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra, shortest_path
+from scipy.sparse.csgraph import shortest_path
 
 from citegen.baselines import fit_er, fit_sbm, generate_dcsbm, generate_er
 from citegen.generator import generate
@@ -138,27 +138,57 @@ def betweenness_values(graph, sources=None):
     return source_rows(graph, every if sources is None else sources).betweenness
 
 
-def test_source_rows_match_scipy(make_graph, monkeypatch):
-    # scipy's dijkstra, on the unit-weight adjacency, is the oracle of the
-    # reach counts and of the histogram of finite positive distances
+def distance_hist(dist):
+    """Counts of the finite positive entries of ``dist``, by distance."""
+    finite = dist[np.isfinite(dist) & (dist > 0)].astype(np.int64)
+    return np.bincount(finite, minlength=1)
+
+
+def test_pair_distances_matches_scipy(make_graph, monkeypatch):
+    # the (source, target) distances of sampled sources, repeats included,
+    # against the rows of scipy's Floyd-Warshall matrix
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        graph = random_digraph(make_graph, rng, 15, 0.12)
+        sources = rng.integers(0, 15, 40)
+        want = distance_hist(dist_matrix(graph)[sources])
+        for cells in BLOCK_SIZES:
+            monkeypatch.setattr(paths, "_BLOCK_CELLS", cells)
+            assert np.array_equal(source_rows(graph, sources).hist, want)
+
+
+def test_all_pair_distances_matches_scipy(make_graph, monkeypatch):
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        n = int(rng.integers(2, 25))
+        graph = random_digraph(make_graph, rng, n, rng.uniform(0.05, 0.3))
+        dist = dist_matrix(graph)
+        want = distance_hist(dist)
+        finite = dist[np.isfinite(dist) & (dist > 0)]
+        for cells in BLOCK_SIZES:
+            monkeypatch.setattr(paths, "_BLOCK_CELLS", cells)
+            hist = source_rows(graph, np.arange(n)).hist
+            assert np.array_equal(hist, want)
+            assert effective_diameter(hist) == pytest.approx(
+                np.quantile(finite, 0.9))
+            assert average_path_length(hist) == pytest.approx(finite.mean())
+
+
+def test_reachability_counts_match_scipy(make_graph, monkeypatch):
     rng = np.random.default_rng(31)
     graphs = [make_graph(1, []), make_graph(2, []), make_graph(2, [(0, 1)]),
               make_graph(2, [(0, 1), (1, 0)])]
-    for _ in range(30):
+    for _ in range(20):
         n = int(rng.integers(2, 25))
         graphs.append(random_digraph(make_graph, rng, n, rng.uniform(0.05, 0.3)))
     for graph in graphs:
         n = graph.num_nodes
         sources = rng.integers(0, n, 30)  # repeats included
-        dist = dijkstra(graph.adjacency, indices=sources)
-        finite = dist[np.isfinite(dist) & (dist > 0)].astype(np.int64)
-        want_hist = np.bincount(finite, minlength=1)
-        want_reach = np.isfinite(dist).sum(axis=1) - 1
+        want = np.isfinite(dist_matrix(graph)).sum(axis=1) - 1
         for cells in BLOCK_SIZES:
             monkeypatch.setattr(paths, "_BLOCK_CELLS", cells)
             rows = source_rows(graph, sources)
-            assert np.array_equal(rows.reach, want_reach)
-            assert np.array_equal(rows.hist, want_hist)
+            assert np.array_equal(rows.reach, want[sources])
             assert isinstance(rows.betweenness, MetricError) == (n < 3)
 
 
