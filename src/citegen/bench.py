@@ -68,10 +68,12 @@ class BenchConfig:
         if len(self.methods) < 2:
             raise BenchError(f"ranking needs at least 2 methods, got "
                              f"{len(self.methods)}")
-        if self.replicates < 1:
-            raise BenchError("replicates must be >= 1")
-        if self.threads < 1:
-            raise BenchError("threads must be >= 1")
+        for name in ("replicates", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise BenchError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise BenchError(f"{name} must be >= 1")
         if self.order_strategy not in ORDER_STRATEGIES:
             raise BenchError(f"unknown order_strategy {self.order_strategy!r}"
                              f"; known: {ORDER_STRATEGIES}")

@@ -1,11 +1,14 @@
 """Command-line entry point wiring the package's workflows.
 
 Every option can also be supplied through a JSON config file
-(``--config``).  The file's values become the parser's defaults, so an
-explicit flag beats a config value, which beats the declared default, and a
-config value of ``null`` counts as not given.  Every subcommand but ``fit``,
-which draws nothing at random, takes ``--seed`` and is deterministic under
-it; when the seed is omitted one is drawn from system entropy and printed to
+(``--config``), keyed by its name.  The chosen subcommand parses a file
+value as its flag's text: a list joins its items with commas (each is one
+``--dataset`` spec), and a switch takes only ``true`` or ``false``.  An
+explicit flag beats a config value, which beats the declared default; a
+``null`` counts as not given, and a key that is no option of any
+subcommand is a usage error.  Every subcommand but ``fit``, which draws
+nothing at random, takes ``--seed`` and is deterministic under it; when
+the seed is omitted one is drawn from system entropy and printed to
 stderr.  ``fit``, ``generate`` and ``baseline`` run the benchmark's own
 ``fit_methods`` and ``realize``; the latter two write the replicate that
 ``realize`` makes under ``SeedSequence(seed)``.
@@ -33,7 +36,7 @@ from .generator import (CsParams, ParamError, derive, empirical_ccdf,
 from .graph import (GraphError, LabeledGraph, load_edge_list, load_labels,
                     load_timestamps, prune_unlabeled, save_edge_list,
                     save_labels)
-from .metrics import MetricConfig, compare
+from .metrics import MetricConfig, MetricError, compare
 
 BASELINE_NAMES = ("er", "config", "sbm", "dcsbm")
 
@@ -44,7 +47,8 @@ class UsageError(Exception):
 
 def _load_config(path) -> dict:
     """A JSON config file's keys, dashes read as underscores, without those
-    whose value is null (not given); {} without a file."""
+    whose value is null (not given); {} without a file.  ``_parse_args``
+    parses each value with its option's own action."""
     if not path:
         return {}
     path = _require_file(path, "config file")
@@ -58,13 +62,6 @@ def _load_config(path) -> dict:
             if v is not None}
 
 
-def _require(args, name: str, what: str):
-    value = getattr(args, name)
-    if value is None:
-        raise UsageError(f"missing {what} (flag or config key {name!r})")
-    return value
-
-
 def _require_file(path, what: str) -> Path:
     p = Path(path)
     if not p.is_file():
@@ -72,24 +69,25 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _listed(value, cast, split=True) -> tuple:
-    """A JSON list, or a string of comma-separated items (one item unless
-    ``split``), each passed through ``cast``."""
-    if isinstance(value, str):
-        value = [tok for tok in value.split(",") if tok] if split else [value]
-    return tuple(cast(v) for v in value)
+def _names(text: str) -> tuple:
+    """The comma-separated items of ``text``, empty ones dropped."""
+    return tuple(item for item in text.split(",") if item)
 
 
-def _resolve_seed(value) -> int:
-    """The given seed, or one drawn from entropy and printed to stderr when
-    it is None.  A config file's non-string seed skips the flag's
-    ``type=int``, so the type is checked here."""
-    if value is None:
-        value = int(np.random.SeedSequence().entropy % (2 ** 63))
-        print(f"seed: {value}", file=sys.stderr)
-    if type(value) is not int or value < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {value!r}")
-    return value
+def _floats(text: str) -> tuple:
+    """The comma-separated numbers of ``text``."""
+    try:
+        return tuple(map(float, _names(text)))
+    except ValueError as exc:  # argparse alone would not say which item
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _seed(text: str) -> int:
+    """The ``--seed`` text as a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _load_graph(edges, labels=None, timestamps=None) -> LabeledGraph:
@@ -133,10 +131,9 @@ def _save_graph(graph: LabeledGraph, out, labels_out=None):
         save_labels(graph, labels_out)
 
 
-def _back_ratio(value) -> float:
-    """``value`` as a back-edge ratio; outside neardag's range it is a
-    usage error."""
-    ratio = float(value)
+def _back_ratio(ratio: float) -> float:
+    """``ratio``, a back-edge ratio; outside neardag's range it is a usage
+    error."""
     try:
         neardag.back_edge_count(0, ratio)
     except neardag.NearDagError as exc:
@@ -147,9 +144,6 @@ def _back_ratio(value) -> float:
 def _pick_strategy(args, graph: LabeledGraph) -> str:
     strategy = (neardag.age_strategy(graph) if args.strategy is None
                 else args.strategy)
-    if strategy not in neardag.STRATEGIES:
-        raise UsageError(f"unknown ordering strategy {strategy!r}; "
-                         f"choose from {neardag.STRATEGIES}")
     if strategy == "timestamps" and graph.timestamps is None:
         raise UsageError("the timestamps strategy needs node timestamps "
                          "(--timestamps)")
@@ -160,9 +154,9 @@ def _pick_strategy(args, graph: LabeledGraph) -> str:
 
 
 def cmd_fit(args) -> int:
-    graph = _load_graph(_require(args, "edges", "edge list path"),
-                        _require(args, "labels", "labels path"),
-                        args.timestamps)
+    if args.labels is None:
+        raise UsageError("fit needs community labels (--labels)")
+    graph = _load_graph(args.edges, args.labels, args.timestamps)
     fits = bench_mod.fit_methods(graph, (), _pick_strategy(args, graph))
     # the estimate fit_methods makes for "cs", kept whole for the report
     fit = estimate(graph)
@@ -191,8 +185,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    params_path = _require_file(_require(args, "params", "parameter file"),
-                                "parameter file")
+    params_path = _require_file(args.params, "parameter file")
     text = params_path.read_text()
     doc = json.loads(text)
     n = doc.get("n") if args.n is None else args.n
@@ -200,12 +193,11 @@ def cmd_generate(args) -> int:
         raise UsageError("node count required (--n or config/params key 'n')")
     ratio = (doc.get("back_edge_ratio", 0.0) if args.back_ratio is None
              else _back_ratio(args.back_ratio))
-    fits = bench_mod.MethodFits(n=int(n), back_ratio=float(ratio),
+    fits = bench_mod.MethodFits(n=n, back_ratio=ratio,
                                 cs_params=CsParams.from_json(text))
-    seed = _resolve_seed(args.seed)
     try:
         graph = bench_mod.realize("cs-dag" if args.dag_only else "cs", fits,
-                                  np.random.SeedSequence(seed))
+                                  np.random.SeedSequence(args.seed))
     except ParamError as exc:  # a node count below the community count
         raise UsageError(str(exc))
     # generated edges cite older (smaller) ids, injected ones newer ids
@@ -217,13 +209,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_decycle(args) -> int:
-    graph = _load_graph(_require(args, "edges", "edge list path"),
-                        args.labels, args.timestamps)
+    graph = _load_graph(args.edges, args.labels, args.timestamps)
     strategy = _pick_strategy(args, graph)
     ratio = (bench_mod.fit_methods(graph, (), strategy).back_ratio
              if args.r is None else _back_ratio(args.r))
-    seed = _resolve_seed(args.seed)
-    out_graph, report = neardag.cycle_break(graph, ratio, seed, strategy)
+    out_graph, report = neardag.cycle_break(graph, ratio, args.seed, strategy)
     print(f"decycled with strategy={report.strategy}: "
           f"{report.collapsed_edges} collapsed, {report.reversed_edges} "
           f"reversed, back-edge ratio {report.back_edge_ratio:.6f}",
@@ -233,18 +223,12 @@ def cmd_decycle(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    name = _require(args, "name", "baseline name")
-    if name not in BASELINE_NAMES:
-        raise UsageError(f"unknown baseline {name!r}; "
-                         f"choose from {BASELINE_NAMES}")
-    graph = _load_graph(_require(args, "edges", "edge list path"),
-                        args.labels, args.timestamps)
-    seed = _resolve_seed(args.seed)
-    method = name + "-nd" if args.near_dag else name
+    graph = _load_graph(args.edges, args.labels, args.timestamps)
+    method = args.name + "-nd" if args.near_dag else args.name
     fits = bench_mod.fit_methods(graph, (method,), _pick_strategy(args, graph))
     if args.r is not None:
         fits.back_ratio = _back_ratio(args.r)
-    synth = bench_mod.realize(method, fits, np.random.SeedSequence(seed))
+    synth = bench_mod.realize(method, fits, np.random.SeedSequence(args.seed))
     _save_graph(synth, args.out, args.labels_out)
     return 0
 
@@ -264,21 +248,17 @@ _METRIC_FLAGS = {
 def _metric_config(args, seed: int) -> MetricConfig:
     try:
         return MetricConfig(
-            seed=seed, exact=bool(args.exact),
-            resolutions=_listed(args.resolutions, float),
-            **{field: int(getattr(args, flag))
+            seed=seed, exact=args.exact, resolutions=args.resolutions,
+            **{field: getattr(args, flag)
                for flag, (field, _) in _METRIC_FLAGS.items()})
-    except ValueError as exc:  # a MetricError, or a value that is no number
+    except MetricError as exc:
         raise UsageError(str(exc))
 
 
 def cmd_compare(args) -> int:
-    real = _load_graph(_require(args, "real", "real edge list"),
-                       args.real_labels)
-    synth = _load_graph(_require(args, "synth", "synthetic edge list"),
-                        args.synth_labels)
-    seed = _resolve_seed(args.seed)
-    report = compare(real, synth, _metric_config(args, seed))
+    real = _load_graph(args.real, args.real_labels)
+    synth = _load_graph(args.synth, args.synth_labels)
+    report = compare(real, synth, _metric_config(args, args.seed))
     _write_text(args.out, report.to_tsv())
     return 0
 
@@ -298,30 +278,28 @@ def _parse_dataset_spec(spec: str):
 
 
 def cmd_bench(args) -> int:
-    specs = args.dataset or args.datasets
-    if not specs:
+    if not args.dataset:
         raise UsageError("at least one --dataset NAME=EDGES[,LABELS[,TS]] "
                          "is required")
     datasets = {}
-    for name, edges, labels, timestamps in _listed(
-            specs, _parse_dataset_spec, split=False):
+    for name, edges, labels, timestamps in map(_parse_dataset_spec,
+                                                args.dataset):
         if name in datasets:
             raise UsageError(f"duplicate dataset name {name!r}")
         datasets[name] = _load_graph(edges, labels, timestamps)
-    seed = _resolve_seed(args.seed)
     try:
         config = bench_mod.BenchConfig(
-            methods=_listed(args.methods, str),
-            replicates=int(args.replicates),
-            seed=seed,
+            methods=args.methods,
+            replicates=args.replicates,
+            seed=args.seed,
             order_strategy=args.order_strategy,
             metric=_metric_config(args, 0),
-            threads=int(args.threads),
+            threads=args.threads,
         )
     except bench_mod.BenchError as exc:
         raise UsageError(str(exc))
     result = bench_mod.run_bench(datasets, config)
-    written = bench_mod.write_artifacts(result, args.outdir, seed=seed)
+    written = bench_mod.write_artifacts(result, args.outdir, seed=args.seed)
     table, _ = result.tables["_non_endogenous"]
     mean_ranks = table.mean_ranks()
     print(f"wrote {', '.join(written)} to {args.outdir}")
@@ -332,18 +310,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_validate_theory(args) -> int:
-    rho = _listed(args.rho, float)
+    rho = args.rho
     k = len(rho)
     if k == 0:
         raise UsageError("need at least one rho value")
-    n = int(args.n)
-    m = float(args.m)
-    sigma2 = m if args.sigma2 is None else float(args.sigma2)
-    seed = _resolve_seed(args.seed)
+    sigma2 = args.m if args.sigma2 is None else args.sigma2
     try:
-        params = CsParams(p=np.full(k, 1.0 / k), m=np.full(k, m),
+        params = CsParams(p=np.full(k, 1.0 / k), m=np.full(k, args.m),
                           rho=np.array(rho), sigma2=np.full(k, sigma2))
-        graph = generate(params, n, seed)
+        graph = generate(params, args.n, args.seed)
     except ParamError as exc:  # the model's own bounds on the flags
         raise UsageError(str(exc))
     derived = derive(params)
@@ -373,22 +348,9 @@ def cmd_validate_theory(args) -> int:
 # --- parser ----------------------------------------------------------------
 
 
-class _ReplaceDefault(argparse.Action):
-    """``append``, except that the first flag replaces the default.
-
-    So ``--dataset`` flags replace a config file's datasets, whether the
-    file lists them or gives one string.
-    """
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        items = getattr(namespace, self.dest)
-        setattr(namespace, self.dest,
-                [value] if items is self.default else [*items, value])
-
-
 def _add_graph_args(sp):
     """The edge list, its labels and timestamps, and its age ordering."""
-    sp.add_argument("edges", nargs="?")
+    sp.add_argument("edges")
     sp.add_argument("--labels")
     sp.add_argument("--timestamps")
     sp.add_argument("--strategy", choices=neardag.STRATEGIES,
@@ -408,17 +370,17 @@ def _add_metric_flags(sp):
                         help=text + " (default %(default)s)")
     sp.add_argument("--exact", action="store_true", default=MetricConfig.exact,
                     help="exhaustive distances, triads, and betweenness")
-    sp.add_argument("--resolutions",
+    sp.add_argument("--resolutions", type=_floats,
                     default=",".join(map(str, MetricConfig.resolutions)),
                     help="comma-separated detector resolutions "
                          "(default %(default)s)")
 
 
-def build_parser(defaults=None) -> argparse.ArgumentParser:
-    """The citegen parser; ``defaults`` (a config file's values, by key)
-    replace every subcommand's declared defaults."""
+def build_parser():
+    """The citegen parser and its subcommands' parsers, by name; a value
+    they reject raises ``argparse.ArgumentError``, a usage error."""
     parser = argparse.ArgumentParser(
-        prog="citegen",
+        prog="citegen", exit_on_error=False,
         description="Generate, transform, and benchmark citation-like graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -429,7 +391,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("generate", help="sample a graph from fitted parameters")
-    sp.add_argument("params", nargs="?")
+    sp.add_argument("params")
     sp.add_argument("--n", type=int,
                     help="node count (default: the parameter file's n)")
     sp.add_argument("--back-ratio", type=float,
@@ -447,8 +409,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_decycle)
 
     sp = sub.add_parser("baseline", help="fit and sample a classical generator")
-    sp.add_argument("name", nargs="?",
-                    help=f"one of {', '.join(BASELINE_NAMES)}")
+    sp.add_argument("name", choices=BASELINE_NAMES)
     _add_graph_args(sp)
     sp.add_argument("--near-dag", action="store_true",
                     help="apply degree-diff cycle breaking at the measured "
@@ -459,8 +420,8 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_baseline)
 
     sp = sub.add_parser("compare", help="score a synthetic graph against a real one")
-    sp.add_argument("real", nargs="?")
-    sp.add_argument("synth", nargs="?")
+    sp.add_argument("real")
+    sp.add_argument("synth")
     sp.add_argument("--real-labels")
     sp.add_argument("--synth-labels")
     sp.add_argument("--out", help="metric report TSV (default stdout)")
@@ -469,11 +430,12 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
 
     bench_config = bench_mod.BenchConfig
     sp = sub.add_parser("bench", help="rank generators across datasets")
-    sp.add_argument("--dataset", action=_ReplaceDefault,
+    sp.add_argument("--dataset", action="append",
                     metavar="NAME=EDGES[,LABELS[,TIMESTAMPS]]",
                     help="a dataset to rank on; repeatable, and replaces "
                          "the config file's datasets")
-    sp.add_argument("--methods", default=",".join(bench_config.methods),
+    sp.add_argument("--methods", type=_names,
+                    default=",".join(bench_config.methods),
                     help="comma-separated methods (default %(default)s)")
     sp.add_argument("--replicates", type=int, default=bench_config.replicates,
                     help="replicates per method and dataset "
@@ -489,13 +451,12 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
                          "replicates are always cycle-broken with "
                          "degree-diff (default %(default)s)")
     _add_metric_flags(sp)
-    # datasets, a list of --dataset specs, is a config-only key
-    sp.set_defaults(func=cmd_bench, datasets=None)
+    sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("validate-theory",
                         help="compare generated in-degree tails to the "
                              "closed-form law")
-    sp.add_argument("--rho", default="0.2,0.5,0.9",
+    sp.add_argument("--rho", type=_floats, default="0.2,0.5,0.9",
                     help="comma-separated per-community preferential "
                          "fractions (default %(default)s)")
     sp.add_argument("--n", type=int, default=30_000,
@@ -507,31 +468,69 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     sp.add_argument("--out", help="CCDF table TSV (default stdout)")
     sp.set_defaults(func=cmd_validate_theory)
 
-    file = {k: v for k, v in (defaults or {}).items() if k != "func"}
     for name, sp in sub.choices.items():
+        sp.exit_on_error = False
         sp.add_argument("--config",
                         help="JSON file supplying defaults for any flag")
         if name != "fit":  # the only subcommand that draws nothing
-            sp.add_argument("--seed", type=int)
-        sp.set_defaults(**file)
-    return parser
+            sp.add_argument("--seed", type=_seed)
+    return parser, sub.choices
+
+
+def _config_value(sp, action, value):
+    """A config file's ``value`` for ``action`` of subcommand parser ``sp``,
+    parsed as its flag's text (a list joins its items with commas, or gives
+    one to each repeat of an ``append`` flag); a switch takes true or false."""
+    if action.nargs == 0:  # a switch
+        if isinstance(value, bool):
+            return value
+        raise UsageError(f"config key {action.dest!r} takes true or false, "
+                         f"got {value!r}")
+    texts = [item if isinstance(item, str) else json.dumps(item)
+             for item in (value if isinstance(value, list) else [value])]
+    try:  # argparse's own type-and-choices step; it has no public one
+        if isinstance(action, argparse._AppendAction):
+            return [sp._get_values(action, [text]) for text in texts]
+        return sp._get_values(action, [",".join(texts)])
+    except argparse.ArgumentError as exc:
+        raise UsageError(f"config key {action.dest!r}: {exc}")
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``argv`` parsed; each option of the chosen subcommand that no flag
+    gives takes its ``--config`` file value, else its default.  The only
+    reader of a config file's values, and the seed's one resolution."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    config = _load_config(pre.parse_known_args(argv)[0].config)
+    parser, subcommands = build_parser()
+    actions = [action for sp in subcommands.values() for action in sp._actions]
+    unknown = sorted(config.keys() - {action.dest for action in actions})
+    if unknown:
+        raise UsageError(f"config keys {unknown} are options of no subcommand")
+    for action in actions:
+        if action.dest in config:  # only a flag sets it while parsing
+            action.default, action.required = argparse.SUPPRESS, False
+            if action.help:  # --help cannot show a SUPPRESS default
+                action.help = action.help.replace("%(default)s", "in --config")
+    args = parser.parse_args(argv)
+    sp = subcommands[args.command]
+    for action in sp._actions:
+        if action.dest in config and not hasattr(args, action.dest):
+            setattr(args, action.dest,
+                    _config_value(sp, action, config[action.dest]))
+    if getattr(args, "seed", 0) is None:  # every subcommand but fit
+        args.seed = int(np.random.SeedSequence().entropy % (2 ** 63))
+        print(f"seed: {args.seed}", file=sys.stderr)
+    return args
 
 
 def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    pre.add_argument("--pairs")  # removed; a usage error below
     try:
-        known = pre.parse_known_args(argv)[0]
-        defaults = _load_config(known.config)
-        if known.pairs is not None or "pairs" in defaults:
-            raise UsageError("the pairs option (flag --pairs, config key "
-                             "'pairs') was removed: the distance rows read "
-                             "the --sources traversals")
-        args = build_parser(defaults).parse_args(argv)
+        args = _parse_args(argv)
         return args.func(args)
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, argparse.ArgumentError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

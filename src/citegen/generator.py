@@ -13,7 +13,6 @@ older nodes and the output is acyclic by construction.
 from __future__ import annotations
 
 import json
-import math
 from array import array
 from dataclasses import dataclass
 from typing import Union
@@ -245,6 +244,8 @@ def generate(params: CsParams, n: int, seed: SeedLike) -> LabeledGraph:
     edge list, and a shorter run is an exact prefix of a longer one.
     """
     k = params.k
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ParamError(f"n must be an integer, got {n!r}")
     if n < k:
         raise ParamError(f"n={n} is below the community count k={k}")
     labels, d, n_acc, u_tgt = _draw_node_streams(params, int(n), seed)

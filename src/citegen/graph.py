@@ -8,7 +8,7 @@ import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice, repeat
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import IO, Optional, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix

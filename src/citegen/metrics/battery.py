@@ -51,7 +51,8 @@ class MetricConfig:
     Graphs of at most ``triad_exact_limit`` nodes get the exact triad
     census anyway; on a 2-core Xeon the exact census of a generated
     near-DAG is no slower than the default sampled one up to about 7000
-    nodes.  The sample sizes and ``max_nodes`` must be at least 1.
+    nodes.  The counts are integers, not bools, all but ``triad_exact_limit``
+    at least 1, and ``exact`` is a bool.
     ``resolutions`` is kept as a tuple of floats, each positive and at
     most 1e306 (so its row tag is finite), and no two of them may share a
     row tag.  A config is hashable: ``profiles`` keys the profiles it
@@ -69,10 +70,15 @@ class MetricConfig:
     resolutions: tuple = (1.0, 0.5, 2.0)
 
     def __post_init__(self):
-        for name in ("n_pairs", "n_sources", "max_nodes", "triad_samples"):
+        for name in ("n_pairs", "n_sources", "max_nodes", "triad_samples",
+                     "triad_exact_limit"):
             value = getattr(self, name)
-            if value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise MetricError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "triad_exact_limit":
                 raise MetricError(f"{name} must be at least 1, got {value}")
+        if not isinstance(self.exact, bool):
+            raise MetricError(f"exact must be a bool, got {self.exact!r}")
         resolutions = tuple(map(float, self.resolutions))
         object.__setattr__(self, "resolutions", resolutions)
         for res in resolutions:

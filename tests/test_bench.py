@@ -63,6 +63,15 @@ def test_config_rejects_zero_threads():
         BenchConfig(threads=0)
 
 
+@pytest.mark.parametrize("field", ["replicates", "threads"])
+def test_config_rejects_counts_that_are_no_integers(field):
+    for value in (2.5, 2.0, True, "2"):
+        with pytest.raises(BenchError,
+                           match=f"^{field} must be an integer, got"):
+            BenchConfig(**{field: value})
+    assert getattr(BenchConfig(**{field: np.int64(2)}), field) == 2
+
+
 def test_config_rejects_unknown_order_strategy():
     for strategy in bench.ORDER_STRATEGIES:
         assert BenchConfig(order_strategy=strategy).order_strategy == strategy

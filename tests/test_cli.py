@@ -416,14 +416,21 @@ def test_flag_beats_config_beats_default(cli_files, tmp_path, monkeypatch):
                                    {"pairs": 100}])
 def test_the_removed_pairs_option_is_a_usage_error(cli_files, tmp_path,
                                                   capsys, argv, pairs):
-    # the distance rows no longer sample pairs: a pairs value is refused
-    # rather than silently ignored
+    # the distance rows no longer sample pairs: a pairs value is refused,
+    # as any unknown flag or config key is, rather than silently ignored
     out = tmp_path / "out"
     argv = argv.format(edges=cli_files["edges2"], out=out).split()
-    flags = pairs if isinstance(pairs, list) else _config_file(tmp_path, pairs)
-    assert main(argv + ["--seed", "1"] + flags) == 2
-    err = capsys.readouterr().err
-    assert "--pairs" in err and "'pairs'" in err and "removed" in err
+    if isinstance(pairs, dict):
+        assert main(argv + ["--seed", "1"]
+                    + _config_file(tmp_path, pairs)) == 2
+        assert ("config keys ['pairs'] are options of no subcommand"
+                in capsys.readouterr().err)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"] + pairs)
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {' '.join(pairs)}"
+                in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -527,10 +534,71 @@ def test_unknown_order_strategy_in_a_config_is_a_usage_error(
 
 def test_config_only_keys(cli_files, tmp_path, monkeypatch):
     names, _ = _stopped_bench(monkeypatch, ["bench", "--seed", "3"] +
-                              _config_file(tmp_path, {"datasets": [
+                              _config_file(tmp_path, {"dataset": [
                                   f"one={cli_files['edges']}",
                                   f"two={cli_files['edges2']}"]}))
     assert names == ["one", "two"]
+
+
+@pytest.mark.parametrize("argv, given, named", [
+    ("generate {params} --out {out}", {"dag_only": "false"}, "'dag_only'"),
+    ("baseline er {edges} --out {out}", {"near_dag": 1}, "'near_dag'"),
+    ("compare {edges} {edges} --out {out}", {"exact": "no"}, "'exact'"),
+    ("compare {edges} {edges} --out {out}", {"max_nodes": 2.5},
+     "'max_nodes'"),
+    ("bench --dataset one={edges} --outdir {out}", {"threads": 2.9},
+     "'threads'"),
+    ("bench --dataset one={edges} --outdir {out}", {"replicates": True},
+     "'replicates'"),
+    ("bench --dataset one={edges} --outdir {out}", {"methods": 5},
+     "methods"),
+    ("bench --outdir {out}", {"dataset": 5}, "dataset spec"),
+    ("compare {edges} {edges} --out {out}", {"sourcse": 5}, "'sourcse'"),
+    ("fit {edges} --labels {labels} --out {out}", {"no_such_option": 1},
+     "'no_such_option'"),
+    ("validate-theory --n 100 --out {out}", ["--rho", "abc"], "--rho")])
+def test_values_a_flag_would_refuse_are_usage_errors(
+        cli_files, tmp_path, capsys, argv, given, named):
+    # a config value is parsed as its flag's text, so it cannot run another
+    # experiment than the one it names
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"k": 1, "p": [1.0], "m": [2.0],
+                                  "rho": [0.5], "sigma2": [2.0], "n": 50}))
+    out = tmp_path / "out"
+    argv = argv.format(params=params, edges=cli_files["edges2"],
+                       labels=cli_files["labels2"], out=out).split()
+    flags = given if isinstance(given, list) else _config_file(tmp_path, given)
+    assert main(argv + ["--seed", "1"] * (argv[0] != "fit") + flags) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_act_as_their_flags(cli_files, tmp_path):
+    # positionals and switches from a file, as the same flags give them
+    def run(argv, doc):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]
+                    + _config_file(tmp_path, doc)) == 0
+        return out.read_text()
+
+    edges, labels = str(cli_files["edges2"]), str(cli_files["labels2"])
+    params = tmp_path / "params.json"
+    params.write_text(run(["fit", edges, "--labels", labels], {}))
+    assert run(["fit"], {"edges": edges, "labels": labels}) == \
+        params.read_text()
+    flagged = run(["generate", str(params), "--seed", "4", "--dag-only"], {})
+    assert run(["generate", "--seed", "4"], {"params": str(params),
+                                             "dag_only": True}) == flagged
+    assert run(["generate", str(params), "--seed", "4"],
+               {"dag_only": False}) != flagged
+
+
+def test_help_names_the_config_file_for_the_defaults_it_gives(
+        tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--help"] + _config_file(tmp_path, {"sources": 12}))
+    assert exc.value.code == 0
+    assert "(default in --config)" in capsys.readouterr().out
 
 
 def test_fit_takes_no_seed(cli_files, tmp_path, capsys):

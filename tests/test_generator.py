@@ -13,6 +13,17 @@ from citegen.graph import is_acyclic
 
 # --- parameters ------------------------------------------------------------
 
+def test_generate_takes_only_an_integer_node_count():
+    params = CsParams(p=(0.6, 0.4), m=(3.0, 2.0), rho=(0.5, 0.5),
+                      sigma2=(3.0, 2.0))
+    for n in (300.7, 300.0, True, "300"):
+        with pytest.raises(ParamError, match="^n must be an integer, got"):
+            generate(params, n, 1)
+    a, b = generate(params, np.int64(300), 1), generate(params, 300, 1)
+    assert a.num_nodes == b.num_nodes == 300
+    assert np.array_equal(a.src, b.src) and np.array_equal(a.dst, b.dst)
+
+
 def test_params_validation():
     with pytest.raises(ParamError):
         CsParams(p=(0.5, 0.4), m=(3.0, 3.0), rho=(0.5, 0.5), sigma2=(3.0, 3.0))

@@ -377,6 +377,24 @@ def test_metric_config_rejects_counts_below_one(make_graph):
         compare(chain, chain, MetricConfig(n_sources=0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_pairs", 2000.0), ("n_sources", True), ("max_nodes", 250.5),
+    ("triad_samples", 100.5), ("triad_exact_limit", "7000"),
+    ("exact", "no"), ("exact", 1)])
+def test_metric_config_rejects_values_of_another_type(field, value):
+    kind = "a bool" if field == "exact" else "an integer"
+    with pytest.raises(MetricError,
+                       match=f"^{field} must be {kind}, got {value!r}$"):
+        MetricConfig(**{field: value})
+
+
+def test_metric_config_takes_numpy_integers():
+    counts = dict(n_pairs=5, n_sources=6, max_nodes=7, triad_samples=8,
+                  triad_exact_limit=0)
+    assert MetricConfig(**{k: np.int64(v) for k, v in counts.items()}) == \
+        MetricConfig(**counts)
+
+
 def test_distance_rejects_profiles_of_different_configs(make_graph):
     chain = make_graph(6, [(i + 1, i) for i in range(5)])
     with pytest.raises(ValueError, match="different metric configs"):
