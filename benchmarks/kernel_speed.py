@@ -9,15 +9,23 @@ breaking, community detection at the battery's resolutions in one
 and exact triad census, BFS subsampling to half the nodes, the traversals
 from sampled sources that the distance, reachability and betweenness rows
 read (``source_rows``), longest paths, and ER, SBM and DC-SBM sampling.
+``--json PATH`` also writes the environment (python, numpy and scipy
+versions, cpu count, the git revision of this checkout and whether its
+``src/`` differs from it) and the stage timings to PATH.
 
 Usage:
-    python3 benchmarks/kernel_speed.py [--n 50000] [--repeat 3]
+    python3 benchmarks/kernel_speed.py [--n 50000] [--repeat 3] [--json PATH]
 """
 
 import argparse
+import json
+import os
+import platform
+import subprocess
 import time
 
 import numpy as np
+import scipy
 
 from citegen.baselines import (fit_er, fit_sbm, generate_dcsbm, generate_er,
                                generate_sbm)
@@ -53,12 +61,32 @@ def views_time(graph, repeat):
     return best
 
 
+def git(*args):
+    """Output of a git command in this checkout, or None without git."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    try:
+        proc = subprocess.run(["git", *args], cwd=root, capture_output=True,
+                              text=True, timeout=30)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def environment():
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "nproc": os.cpu_count(),
+            "git_revision": git("rev-parse", "HEAD"),
+            "src_modified": bool(git("status", "--porcelain", "--", "src"))}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=50_000,
                     help="node count for the generation stages")
     ap.add_argument("--repeat", type=int, default=3,
                     help="timing repetitions per stage (best is kept)")
+    ap.add_argument("--json", metavar="PATH",
+                    help="also write the environment and timings here")
     args = ap.parse_args()
     n, repeat = args.n, args.repeat
 
@@ -92,6 +120,12 @@ def main():
     print(f"{'stage':<22}{'best [s]':>10}")
     for stage, t in timings.items():
         print(f"{stage:<22}{t:>10.4f}")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump({"environment": environment(), "n": n,
+                       "edges": near.num_edges, "repeat": repeat,
+                       "stages_s": timings}, fh, indent=2)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ for those graphs, with and without node names, and the graph and report
 identity and a permuted rank on each of them; the betweenness of
 ``source_rows``, the
 exact ``triad_census`` and one ``compare`` report on some of those
-graphs; the two reports of one real graph compared in turn with two
+graphs; the sampled ``triad_census`` of each fixed input graph at two
+sample counts; the two reports of one real graph compared in turn with two
 others under one config, where the second reads the real graph's kept
 profile, and again under a config whose ``max_nodes`` makes it
 subsample the real graph, where the second reads the kept values measured
@@ -280,6 +281,10 @@ def main():
     # ones, so that no committed line moves
     print("run_bench/threads2", digests[2])
     print("compare/kept-subsampled", kept_subsampled)
+    for name, g in inputs.items():
+        for samples in (1000, 100_000):
+            print(f"census_sampled/{name}/{samples}", digest(
+                triad_census(g, n_samples=samples, seed=28)))
 
 
 if __name__ == "__main__":

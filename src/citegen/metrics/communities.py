@@ -10,12 +10,12 @@ from .distances import MetricError
 _MOVE_FRACTION = 0.5  # share of a round's improving moves that is applied
 _GAIN_TOL = 1e-12
 # Most undirected adjacency entries (see ``_entries``) in one Louvain union
-# of several graphs.  A round costs about 0.3 ms of numpy call overhead
+# of several graphs.  A round costs about 0.2 ms of numpy call overhead
 # whatever its size, and a union pays it once for all its graphs.  On a
 # 2-core Xeon, at three resolutions each, one run took this share of the
-# time of the graphs' separate runs (median of 6): 0.50 for 5 generated
-# near-DAGs of 80 nodes (8.4k entries), 0.46 for 15 of them (27k), 0.87
-# for two of 400 nodes (20k) and 1.01 for two of 1k nodes (52k).
+# time of the graphs' separate runs (median of 6): 0.46 for 5 generated
+# near-DAGs of 80 nodes (9.3k entries), 0.38 for 15 of them (27k), 0.88
+# for two of 400 nodes (20k) and 0.97 for two of 1k nodes (52k).
 UNION_ENTRIES = 1 << 15
 
 
@@ -179,6 +179,28 @@ def _conflict_free(indptr, indices, mv, src, dst, gain):
     return (top[src] == rank) & (top[dst] == rank) & (nbr > rank)
 
 
+def _group(keys, weights, shift):
+    """The distinct ``keys`` in ascending order and the sum of the
+    ``weights`` under each: whole numbers below ``2**shift``, so every
+    summation order gives the same sums.
+
+    One value sort of the keys with their weights packed below them,
+    ``keys << shift | weights``, orders the keys and keeps each weight with
+    its key; where that could overflow int64, an argsort of the keys does
+    the same.
+    """
+    if keys.size == 0:
+        return keys, weights
+    if int(keys.max()) < 1 << (63 - shift):
+        packed = np.sort((keys << shift) | weights)
+        keys, weights = packed >> shift, packed & ((1 << shift) - 1)
+    else:
+        order = np.argsort(keys)
+        keys, weights = keys[order], weights[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(weights, starts)
+
+
 def _local_moving(indptr, indices, weights, kdeg, scale, copy, rngs,
                   comm=None):
     """Synchronous local moving from ``comm`` (default: singletons);
@@ -188,21 +210,25 @@ def _local_moving(indptr, indices, weights, kdeg, scale, copy, rngs,
     ``scale[copy[v]]`` and whose random draws come from ``rngs[copy[v]]``;
     communities never span copies, and copies occupy ascending ranges of
     node ids.  Each round, every active node picks its best neighbouring
-    community.  In each copy, a random half of the improving moves is
-    applied if together they gain, else its conflict-free movers, so every
-    copy's objective rises each round it moves.
+    community: ``_group`` sums the node's entry ``weights`` (whole numbers)
+    by the key ``node << bits | community`` of ``bits``-bit node ids, so
+    one value sort lists every node's neighbouring communities in
+    ascending label order.  In each copy, a random half of the improving
+    moves is applied if together they gain, else its conflict-free movers,
+    so every copy's objective rises each round it moves.
     """
     n = kdeg.size
+    shift = int(weights.max(initial=0)).bit_length()
+    bits = (n - 1).bit_length()
     comm = np.arange(n, dtype=np.int64) if comm is None else comm.copy()
     node_scale = scale[copy]
     active = np.flatnonzero(indptr[1:] > indptr[:-1])
     while active.size:
         comm_s = np.bincount(comm, weights=kdeg, minlength=n)
         eids, lens = _row_edges(indptr, active)
-        keys = np.repeat(active, lens) * n + comm[indices[eids]]
-        pair, inv = np.unique(keys, return_inverse=True)
-        w = np.bincount(inv, weights=weights[eids])
-        v, c = pair // n, pair % n
+        pair, w = _group((np.repeat(active, lens) << bits)
+                         | comm[indices[eids]], weights[eids], shift)
+        v, c = pair >> bits, pair & ((1 << bits) - 1)
         own = c == comm[v]
         gain = w - node_scale[v] * kdeg[v] * (comm_s[c] - own * kdeg[v])
         first = np.concatenate(([True], v[1:] != v[:-1]))
@@ -265,13 +291,19 @@ def _louvain(copies, seed):
     one Louvain run on the disjoint union of their symmetrized graphs:
     seeded local moving and aggregation repeat until no move gains, then a
     last local moving on the input graphs lets nodes leave a community
-    merged at a coarse level.  Labels are dense and read-only."""
+    merged at a coarse level.  Labels are dense and read-only.
+
+    Every level's weights are whole numbers, held as int64: 1 or 2 per
+    entry of a symmetrized graph, then sums of those, which ``_group``
+    forms exactly in any order when it merges the entries between two
+    communities."""
     rngs = [np.random.default_rng(seed) for _ in copies]
     sizes = [graph.num_nodes for graph, _ in copies]
     scale = np.array([resolution / graph.undirected_csr[2].sum()
                       for graph, resolution in copies])
     indptr, indices, weights = _union([graph.undirected_csr
                                        for graph, _ in copies])
+    weights = weights.astype(np.int64)
     copy = np.repeat(np.arange(len(copies)), sizes)
     mapping = np.arange(copy.size, dtype=np.int64)
     selfw = np.zeros(copy.size, np.float64)
@@ -295,9 +327,8 @@ def _louvain(copies, seed):
         intra = cu == cv
         new_selfw = (np.bincount(cu[intra], weights=weights[intra], minlength=nc)
                      + np.bincount(compact, weights=selfw, minlength=nc))
-        keys = cu[~intra] * nc + cv[~intra]
-        uk, inv = np.unique(keys, return_inverse=True)
-        w_new = np.bincount(inv, weights=weights[~intra])
+        uk, w_new = _group(cu[~intra] * nc + cv[~intra], weights[~intra],
+                           int(weights.max(initial=0)).bit_length())
         rows_new = uk // nc
         indices_new = np.ascontiguousarray(uk % nc)
         counts = np.bincount(rows_new, minlength=nc)

@@ -77,33 +77,54 @@ def _draw_triples(n: int, n_samples: int, rng: np.random.Generator):
     return u, v, w
 
 
-def _find(keys, query):
-    """Which of ``query`` are in the sorted ``keys``, and their positions.
+def _pair_arcs(graph: LabeledGraph):
+    """The linked pairs' keys and arcs: ``(keys, arcs)``.
 
-    ``keys`` ends with a sentinel above every query, so every search lands
-    on a key.
+    ``keys`` lists ``a * n + b`` for every entry (a, b) of the undirected
+    view, both ways round, in ascending order, and ends with a sentinel
+    ``n * n`` above every pair; ``arcs`` holds each entry's arc bits, 1 for
+    a -> b and 2 for b -> a (0 at the sentinel).  ``graph.out_csr`` lists
+    its arcs' keys in ascending order too, so one sorted search places them.
     """
-    at = np.searchsorted(keys, query)
-    hit = keys[at] == query
-    return hit, at[hit]
+    n = graph.num_nodes
+    indptr, indices, weights = graph.undirected_csr
+    out_indptr, out_indices = graph.out_csr
+    keys = np.append(np.repeat(np.arange(n) * n, np.diff(indptr)) + indices,
+                     n * n)
+    arcs = np.zeros(keys.size, np.uint8)
+    arcs[np.searchsorted(keys, np.repeat(np.arange(n) * n, np.diff(out_indptr))
+                         + out_indices)] = 1
+    # a weight counts the entry's arcs: those not forward are backward
+    arcs[:-1] |= (weights - arcs[:-1]).astype(np.uint8) << 1
+    return keys, arcs
+
+
+def _class_counts(codes: np.ndarray) -> np.ndarray:
+    """Counts of the 16 triad classes from the counts of the 64 codes."""
+    counts = np.zeros(16, np.int64)
+    np.add.at(counts, TRICODE_TABLE, codes)
+    return counts
 
 
 def _classify_triples(graph: LabeledGraph, u, v, w) -> np.ndarray:
     """Counts of the 16 triad classes over the node triples ``(u, v, w)``.
 
-    Each of the six arc bits is a search for the key ``src * n + dst``
-    among the directed edge keys, which ``graph.out_csr`` lists in sorted
-    order; the 6-bit code maps through TRICODE_TABLE.
+    The arc bits of the pairs (u, v), (u, w) and (v, w) are those of the
+    keys ``u * n + v``, ``u * n + w`` and ``v * n + w`` among
+    ``_pair_arcs``, 0 where the pair is unlinked; the 6-bit code maps
+    through TRICODE_TABLE.  The three queries per triple are sorted once
+    and searched in ascending order, which keeps the searches in cache.
     """
     n = graph.num_nodes
-    indptr, indices = graph.out_csr
-    keys = np.append(np.repeat(np.arange(n) * n, np.diff(indptr)) + indices,
-                     n * n)
-    code = np.zeros(u.shape, np.uint8)
-    for bit, (a, b) in enumerate(((u, v), (v, u), (u, w), (w, u),
-                                  (v, w), (w, v))):
-        code |= _find(keys, a * n + b)[0].astype(np.uint8) << bit
-    return np.bincount(TRICODE_TABLE[code], minlength=16)
+    keys, arcs = _pair_arcs(graph)
+    query = np.concatenate((u * n + v, u * n + w, v * n + w))
+    order = np.argsort(query)
+    query = query[order]
+    at = np.searchsorted(keys, query)
+    bits = np.empty(query.size, np.uint8)
+    bits[order] = arcs[at] * (keys[at] == query)
+    u_v, u_w, v_w = np.split(bits, 3)
+    return _class_counts(np.bincount(u_v | u_w << 2 | v_w << 4, minlength=64))
 
 
 # Bound on the wedges (two-step paths) one block may hold, in the exact
@@ -118,38 +139,52 @@ def _exact_counts(graph: LabeledGraph) -> np.ndarray:
     A wedge is a centre x with two neighbours y < z in the undirected view.
     Its triple is connected, and it is the triple's only wedge unless y and
     z are linked too; such a triangle is classified from its smallest
-    centre alone.  Every closed wedge adds one common neighbour to its pair
-    (y, z).  A triple with exactly one linked pair (u, v) has its third
-    node outside both neighbourhoods, which leaves
+    centre alone.  A wedge's two arms are entries of x's row, its first
+    and second slot, whose arc bits ``_pair_arcs`` lists; one search for
+    the pair (y, z) tells whether the wedge is closed and, if it is, gives
+    that pair's arc bits too.  Every closed wedge adds one common neighbour
+    to its pair (y, z).  A triple with exactly one linked pair (u, v) has
+    its third node outside both neighbourhoods, which leaves
     ``n - deg u - deg v + common(u, v)`` of them: class 102 for a mutual
     pair, else 012.  Class 003 takes the remaining triples.  Wedges are
-    taken in blocks of consecutive first slots (edge positions ``x -> y``)
-    holding about ``_WEDGE_BLOCK`` wedges; one slot adds fewer than n.
+    taken in blocks of consecutive first slots holding about
+    ``_WEDGE_BLOCK`` wedges; one slot adds fewer than n.
     """
     n = graph.num_nodes
     indptr, indices, weights = graph.undirected_csr
     deg = np.diff(indptr)
     rows = np.repeat(np.arange(n), deg)
-    pair_keys = np.append(rows * n + indices, n * n)
+    keys, arcs = _pair_arcs(graph)
     slots = np.arange(indices.size)
     per_slot = indptr[rows + 1] - 1 - slots
     upper = rows < indices
     common = np.zeros(indices.size, np.int64)
-    counts = np.zeros(16, np.int64)
+    codes = np.zeros(64, np.int64)
     block = np.cumsum(per_slot) // _WEDGE_BLOCK
     lo = 0
     for hi in np.append(np.flatnonzero(np.diff(block)) + 1, indices.size):
         c = per_slot[lo:hi]
-        y = np.repeat(indices[lo:hi], c)
-        z = indices[np.repeat(slots[lo:hi] + 1 - np.cumsum(c) + c, c)
-                    + np.arange(c.sum())]
-        closed, pairs = _find(pair_keys, y * n + z)
-        common += np.bincount(pairs, minlength=indices.size)
+        # each per-wedge int64 array is dropped once read, which keeps a
+        # block's peak near three of them (a hub graph's test bounds it)
+        first = np.repeat(slots[lo:hi], c)
         # x < y exactly when the first slot lies above the diagonal
-        keep = ~closed | np.repeat(upper[lo:hi], c)
-        x, y, z = np.repeat(rows[lo:hi], c)[keep], y[keep], z[keep]
-        counts += _classify_triples(graph, x, y, z)
+        above, code = upper[first], arcs[first]
+        pair = indices[first] * n
+        del first
+        second = np.repeat(slots[lo:hi] + 1 - np.cumsum(c) + c, c)
+        second += np.arange(second.size)
+        code |= arcs[second] << 2
+        pair += indices[second]
+        del second
+        at = np.searchsorted(keys, pair)
+        closed = keys[at] == pair
+        del pair
+        code |= (arcs[at] * closed) << 4
+        common += np.bincount(at[closed], minlength=indices.size)
+        del at
+        codes += np.bincount(code[~closed | above], minlength=64)
         lo = hi
+    counts = _class_counts(codes)
     one_link = n - deg[rows[upper]] - deg[indices[upper]] + common[upper]
     mutual = weights[upper] == 2
     counts[1] = one_link[~mutual].sum()
@@ -184,8 +219,8 @@ def triad_census(graph: LabeledGraph, n_samples: int = None,
     Exhaustive when ``n_samples`` is None: all C(n,3) triples, counted
     from the wedges of the undirected view and its linked pairs
     (``_exact_counts``).  Otherwise classifies ``n_samples`` uniformly
-    random distinct triples.  Both modes classify triples with
-    ``_classify_triples``.
+    random distinct triples (``_classify_triples``).  Both modes read each
+    linked pair's arcs from ``_pair_arcs``.
     """
     n = graph.num_nodes
     if n < 3:

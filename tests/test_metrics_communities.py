@@ -10,6 +10,7 @@ from citegen.metrics import battery, communities
 from citegen.metrics.communities import (
     _batch_gain,
     _conflict_free,
+    _group,
     _union,
     conductance,
     density_pair,
@@ -352,6 +353,49 @@ def test_detect_at_resolutions_copies_equal_single_runs(near_dags_1k):
             for (labels, q), res in zip(found, RESOLUTIONS):
                 alone, q_alone = detect_communities(replace(graph), res, seed)
                 assert np.array_equal(labels, alone) and q == q_alone
+
+
+# keys of 20 bits pack with weights of 41 bits; keys of 40 bits do not, nor
+# do keys of 20 bits with 62-bit weights
+@pytest.mark.parametrize("key_bits,shift,packs",
+                         [(20, 41, True), (40, 41, False), (20, 62, False)])
+def test_group_sums_weights_by_key(monkeypatch, key_bits, shift, packs):
+    argsorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: (
+        argsorts.append(True), argsort(*args, **kwargs))[1])
+    rng = np.random.default_rng(key_bits + shift)
+    for size in (1, 7, 5000):
+        keys = rng.integers(0, 1 << key_bits, size)
+        keys[:size // 2] = keys[size // 2:2 * (size // 2)]  # repeated keys
+        weights = rng.integers(0, (1 << 40) + 1, size)
+        # float sums of a few weights below 2**41 are exact
+        uk, inv = np.unique(keys, return_inverse=True)
+        want = np.bincount(inv, weights=weights)
+        argsorts.clear()
+        got_keys, got = _group(keys, weights, shift)
+        assert np.array_equal(got_keys, uk) and np.array_equal(got, want)
+        assert got.dtype == np.int64
+    assert bool(argsorts) != packs
+    empty = np.zeros(0, np.int64)
+    assert all(a.size == 0 for a in _group(empty, empty, shift))
+
+
+def test_louvain_levels_hold_whole_weights(near_dags_1k, monkeypatch):
+    levels = []
+    local_moving = communities._local_moving
+
+    def record(indptr, indices, weights, kdeg, *args):
+        levels.append((weights, kdeg))
+        return local_moving(indptr, indices, weights, kdeg, *args)
+
+    monkeypatch.setattr(communities, "_local_moving", record)
+    detect_batch(near_dags_1k, RESOLUTIONS, 3)
+    # each union aggregates at least once, and ends on its input graphs
+    assert len(levels) > 3 * len(near_dags_1k)
+    for weights, kdeg in levels:
+        assert weights.dtype == np.int64 and (weights > 0).all()
+        assert (kdeg == np.round(kdeg)).all() and kdeg.max() < 2.0 ** 53
 
 
 def test_detect_batch_keeps_nothing_on_the_graph(dag_graph, monkeypatch):
