@@ -10,8 +10,9 @@ and exact triad census, BFS subsampling to half the nodes, the traversals
 from sampled sources that the distance, reachability and betweenness rows
 read (``source_rows``), longest paths, and ER, SBM and DC-SBM sampling.
 ``--json PATH`` also writes the environment (python, numpy and scipy
-versions, cpu count, the git revision of this checkout and whether its
-``src/`` differs from it) and the stage timings to PATH.
+versions, the number of cpus the process may run on, the git revision of
+this checkout and whether its ``src/`` differs from it) and the stage
+timings to PATH.
 
 Usage:
     python3 benchmarks/kernel_speed.py [--n 50000] [--repeat 3] [--json PATH]
@@ -74,7 +75,8 @@ def git(*args):
 
 def environment():
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "nproc": os.cpu_count(),
+            "scipy": scipy.__version__,
+            "nproc": len(os.sched_getaffinity(0)),
             "git_revision": git("rev-parse", "HEAD"),
             "src_modified": bool(git("status", "--porcelain", "--", "src"))}
 
